@@ -6,7 +6,7 @@
 //! admission gate first — a full shard refuses with
 //! [`ClusterError::Overloaded`] instead of queueing without bound.
 
-use crate::runtime::Input;
+use crate::engine::Input;
 use crate::shard::{shard_of, ShardGate};
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TryRecvError};
 use dlm_core::{AcquireError, LockId, Mode, NodeId, ReleaseError, UpgradeError};
@@ -73,10 +73,13 @@ pub struct Completion {
     pub result: Result<(), ClusterError>,
 }
 
-/// What a pipelined operation does to its lock.
+/// What an operation does to its lock.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum OpKind {
     Acquire(Mode),
+    /// Acquire only if that is possible locally without waiting (blocking
+    /// handles only; the outcome reads as granted-or-not).
+    TryAcquire(Mode),
     Upgrade,
     Release,
 }
@@ -89,12 +92,14 @@ pub(crate) struct PipeOp {
 }
 
 /// Where a worker delivers an operation's outcome: a dedicated one-shot
-/// channel (blocking calls) or a shared completion stream tagged with the
-/// operation's identity (pipelined calls). The stream carries *vectors* of
-/// completions so a worker can answer a whole synchronous chunk with one
-/// channel send; deferred completions travel as singleton vectors.
+/// channel (blocking calls; `try_acquire`'s carries just granted-or-not) or
+/// a shared completion stream tagged with the operation's identity
+/// (pipelined calls). The stream carries *vectors* of completions so a
+/// worker can answer a whole synchronous chunk with one channel send;
+/// deferred completions travel as singleton vectors.
 enum ReplySink {
     Oneshot(Sender<Result<(), ClusterError>>),
+    Try(Sender<bool>),
     Shared {
         tx: Sender<Vec<Completion>>,
         lock: LockId,
@@ -110,9 +115,16 @@ pub(crate) struct Reply {
 }
 
 impl Reply {
-    fn oneshot(tx: Sender<Result<(), ClusterError>>, dropped: &Arc<AtomicU64>) -> Self {
+    pub(crate) fn oneshot(tx: Sender<Result<(), ClusterError>>, dropped: &Arc<AtomicU64>) -> Self {
         Reply {
             sink: ReplySink::Oneshot(tx),
+            dropped: Arc::clone(dropped),
+        }
+    }
+
+    fn try_once(tx: Sender<bool>, dropped: &Arc<AtomicU64>) -> Self {
+        Reply {
+            sink: ReplySink::Try(tx),
             dropped: Arc::clone(dropped),
         }
     }
@@ -136,6 +148,7 @@ impl Reply {
         // not an error, but it must not vanish silently either.
         let heard = match self.sink {
             ReplySink::Oneshot(tx) => tx.send(result).is_ok(),
+            ReplySink::Try(tx) => tx.send(result.is_ok()).is_ok(),
             ReplySink::Shared { tx, lock, tag } => {
                 tx.send(vec![Completion { lock, tag, result }]).is_ok()
             }
@@ -155,28 +168,8 @@ impl Reply {
         batch: &mut Vec<Completion>,
     ) {
         match self.sink {
-            ReplySink::Oneshot(tx) => {
-                if tx.send(result).is_err() {
-                    self.dropped.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            ReplySink::Shared { lock, tag, .. } => {
-                batch.push(Completion { lock, tag, result });
-            }
-        }
-    }
-}
-
-/// One-shot boolean answer for `try_acquire`.
-pub(crate) struct TryReply {
-    tx: Sender<bool>,
-    dropped: Arc<AtomicU64>,
-}
-
-impl TryReply {
-    pub(crate) fn complete(self, granted: bool) {
-        if self.tx.send(granted).is_err() {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
+            ReplySink::Shared { lock, tag, .. } => batch.push(Completion { lock, tag, result }),
+            _ => self.complete(result),
         }
     }
 }
@@ -223,54 +216,46 @@ impl NodeHandle {
         shard_of(lock, self.txs.len())
     }
 
-    fn call(&self, lock: LockId, make: impl FnOnce(Reply) -> Input) -> Result<(), ClusterError> {
+    /// Admit one operation on `lock` to its shard worker and block for the
+    /// answer on a fresh one-shot channel wrapped by `sink`.
+    fn call<T>(
+        &self,
+        lock: LockId,
+        kind: OpKind,
+        sink: impl FnOnce(Sender<T>, &Arc<AtomicU64>) -> Reply,
+    ) -> Result<T, ClusterError> {
         let shard = self.shard(lock);
         if !self.gates[shard].try_admit(1) {
             return Err(ClusterError::Overloaded);
         }
         let (tx, rx) = bounded(1);
-        let reply = Reply::oneshot(tx, &self.replies_dropped);
+        let reply = sink(tx, &self.replies_dropped);
         self.txs[shard]
-            .send(make(reply))
+            .send(Input::Op { lock, kind, reply })
             .map_err(|_| ClusterError::Disconnected)?;
-        rx.recv().map_err(|_| ClusterError::Disconnected)?
+        rx.recv().map_err(|_| ClusterError::Disconnected)
     }
 
     /// Acquire `lock` in `mode`; blocks until granted.
     pub fn acquire(&self, lock: LockId, mode: Mode) -> Result<(), ClusterError> {
-        self.call(lock, |reply| Input::Acquire { lock, mode, reply })
+        self.call(lock, OpKind::Acquire(mode), Reply::oneshot)?
     }
 
     /// Acquire `lock` in `mode` only if this node can admit it locally with
     /// zero messages (the conservative CosConcurrency `try_lock` semantic);
     /// returns whether the lock was taken.
     pub fn try_acquire(&self, lock: LockId, mode: Mode) -> Result<bool, ClusterError> {
-        let shard = self.shard(lock);
-        if !self.gates[shard].try_admit(1) {
-            return Err(ClusterError::Overloaded);
-        }
-        let (tx, rx) = bounded(1);
-        self.txs[shard]
-            .send(Input::TryAcquire {
-                lock,
-                mode,
-                reply: TryReply {
-                    tx,
-                    dropped: Arc::clone(&self.replies_dropped),
-                },
-            })
-            .map_err(|_| ClusterError::Disconnected)?;
-        rx.recv().map_err(|_| ClusterError::Disconnected)
+        self.call(lock, OpKind::TryAcquire(mode), Reply::try_once)
     }
 
     /// Atomically upgrade a held `U` lock to `W`; blocks until complete.
     pub fn upgrade(&self, lock: LockId) -> Result<(), ClusterError> {
-        self.call(lock, |reply| Input::Upgrade { lock, reply })
+        self.call(lock, OpKind::Upgrade, Reply::oneshot)?
     }
 
     /// Release `lock`.
     pub fn release(&self, lock: LockId) -> Result<(), ClusterError> {
-        self.call(lock, |reply| Input::Release { lock, reply })
+        self.call(lock, OpKind::Release, Reply::oneshot)?
     }
 
     /// A pipelined interface to this node: submit many operations without
@@ -305,7 +290,8 @@ const PIPELINE_CHUNK: usize = 256;
 /// locks overlap freely, which is what the pipeline is for.
 ///
 /// Dropping a pipeline with operations still in flight is safe: their
-/// completions count into the cluster's `replies_dropped` tally.
+/// completions count into the cluster's `replies_dropped` tally, and
+/// operations it never shipped give their admission slots back.
 pub struct Pipeline {
     txs: Vec<Sender<Input>>,
     gates: Vec<Arc<ShardGate>>,
@@ -423,5 +409,16 @@ impl Pipeline {
         }
         self.outstanding -= 1;
         self.ready.pop_front()
+    }
+}
+
+impl Drop for Pipeline {
+    /// Every buffered operation reserved a gate slot at submission that only
+    /// the worker dequeuing it would release; an unshipped one never gets
+    /// there, so its slot is returned here.
+    fn drop(&mut self) {
+        for (gate, buf) in self.gates.iter().zip(&self.bufs) {
+            gate.leave(buf.len());
+        }
     }
 }

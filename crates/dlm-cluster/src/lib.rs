@@ -6,8 +6,8 @@
 //! * every node runs one worker thread per [`shard`] (default one), each
 //!   owning the [`dlm_core::HierNode`]s of the locks hashing to it —
 //!   created lazily, so a node can host millions of mostly-idle locks,
-//! * links are a pluggable [`transport::Transport`] — perfect channels,
-//!   constant-latency routing, or seeded fault injection
+//! * links are a pluggable [`transport::Transport`] — perfect channels, or
+//!   a router with constant latency and seeded fault injection
 //!   ([`TransportKind`]); every protocol message is round-tripped through
 //!   the compact binary [`codec`] (so the wire format is exercised, not
 //!   just in-memory moves),
@@ -31,7 +31,7 @@
 //! adversarial network that drops, duplicates, and reorders frames.
 //!
 //! Beyond the in-process cluster, the [`socket`] module puts the same
-//! worker loop on a real wire: [`Node`] runs one cluster member per
+//! shard engine and member runtime on a real wire: [`Node`] runs one cluster member per
 //! process over TCP or UDP loopback/LAN sockets (the paper's actual
 //! experimental setup), with the `dlm-node` binary and harness driver in
 //! `dlm-harness` spawning and measuring multi-process clusters end to end.
@@ -40,7 +40,9 @@
 #![warn(missing_docs)]
 
 pub mod codec;
+mod engine;
 mod handle;
+mod member;
 mod node;
 mod reliable;
 mod runtime;

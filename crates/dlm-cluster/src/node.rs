@@ -5,7 +5,7 @@
 //! input channels, and a [`SocketTransport`] that carries frames to the
 //! other members over TCP or UDP. N `Node`s (in N processes, or several in
 //! one process for tests and benches) form the same cluster the in-process
-//! runtime simulates, running the identical `worker_loop`.
+//! runtime simulates, on the identical member runtime ([`crate::member`]).
 //!
 //! What necessarily changes versus `Cluster`:
 //!
@@ -27,23 +27,20 @@
 //! [`Node::is_idle`] / [`Node::messages_sent`] until all are idle at once
 //! and the message sum is stable, then shut all members down.
 
-use crate::reliable::{PeerSnapshot, TransportClass};
-use crate::runtime::{
-    merge_links, worker_loop, ClusterConfig, CoalesceStat, Input, LinkReport, NodeExit, NodeMetrics,
-};
-use crate::shard::{effective_shards, ShardGate};
+use crate::engine::{fresh_state, Input};
+use crate::member::{self, Collected, Counters, Member};
+use crate::reliable::TransportClass;
+use crate::runtime::{ClusterConfig, LinkReport};
+use crate::shard::effective_shards;
 use crate::socket::{SocketConfig, SocketTransport};
 use crate::transport::Transport;
 use crate::NodeHandle;
-use bytes::Bytes;
-use crossbeam::channel::{unbounded, Sender};
 use dlm_core::{audit, AuditError, HierNode, NodeId, ProtocolConfig};
 use dlm_metrics::Histogram;
-use dlm_trace::{merge_records, TraceRecord};
+use dlm_trace::TraceRecord;
 use std::collections::{BTreeSet, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Configuration of one socket-backed cluster member.
@@ -97,16 +94,9 @@ pub struct NodeReport {
 /// One socket-backed cluster member: this process's shard workers plus a
 /// [`SocketTransport`] to the other members.
 pub struct Node {
-    inputs: Vec<Sender<Input>>,
-    gates: Vec<Arc<ShardGate>>,
-    joins: Vec<JoinHandle<NodeExit>>,
+    member: Member,
     transport: Arc<SocketTransport>,
-    messages: Arc<AtomicU64>,
-    replies_dropped: Arc<AtomicU64>,
-    in_flight: Arc<AtomicU64>,
-    unacked: Arc<AtomicU64>,
-    metrics: Vec<Arc<Mutex<NodeMetrics>>>,
-    me: u32,
+    counters: Counters,
     shards: usize,
 }
 
@@ -135,97 +125,44 @@ impl Node {
         );
         let me = config.socket.me;
         let shards = effective_shards(cluster.shards);
-        let messages = Arc::new(AtomicU64::new(0));
-        let replies_dropped = Arc::new(AtomicU64::new(0));
-        let in_flight = Arc::new(AtomicU64::new(0));
-        let unacked = Arc::new(AtomicU64::new(0));
-        let epoch = Instant::now();
-
-        let channels: Vec<_> = (0..shards).map(|_| unbounded()).collect();
-        let inputs: Vec<Sender<Input>> = channels.iter().map(|(tx, _)| tx.clone()).collect();
-        let gates: Vec<Arc<ShardGate>> = (0..shards)
-            .map(|_| Arc::new(ShardGate::new(cluster.shard_queue)))
-            .collect();
+        let counters = Counters::default();
+        let (inputs, rxs) = member::channels(shards);
         let transport = SocketTransport::bind(
             config.socket,
             inputs.clone(),
-            Arc::clone(&in_flight),
+            Arc::clone(&counters.in_flight),
             shards,
         )?;
-
-        let metrics: Vec<Arc<Mutex<NodeMetrics>>> = (0..shards)
-            .map(|_| Arc::new(Mutex::new(NodeMetrics::default())))
-            .collect();
-        let beats: Arc<Vec<AtomicU64>> = Arc::new((0..shards).map(|_| AtomicU64::new(0)).collect());
-        let mut joins = Vec::with_capacity(shards);
-        for (shard, (_, rx)) in channels.into_iter().enumerate() {
-            let link: Arc<dyn Transport> = transport.clone();
-            let counter = Arc::clone(&messages);
-            let gauge = Arc::clone(&in_flight);
-            let unacked_gauge = Arc::clone(&unacked);
-            let dropped = Arc::clone(&replies_dropped);
-            let gate = Arc::clone(&gates[shard]);
-            let metrics = Arc::clone(&metrics[shard]);
-            let shard_beats = Arc::clone(&beats);
-            let cfg = cluster;
-            let join = std::thread::Builder::new()
-                .name(format!("dlm-proc-{me}.{shard}"))
-                .spawn(move || {
-                    worker_loop(
-                        NodeId(me),
-                        shard as u32,
-                        shards as u32,
-                        cfg,
-                        rx,
-                        link,
-                        counter,
-                        gauge,
-                        unacked_gauge,
-                        dropped,
-                        epoch,
-                        metrics,
-                        gate,
-                        shard_beats,
-                        shard,
-                    )
-                })
-                .expect("spawn worker thread");
-            joins.push(join);
-        }
-
-        Ok(Node {
-            inputs,
-            gates,
-            joins,
-            transport,
-            messages,
-            replies_dropped,
-            in_flight,
-            unacked,
-            metrics,
+        let member = Member::spawn(
             me,
+            cluster,
+            inputs,
+            rxs,
+            transport.clone(),
+            &counters,
+            Instant::now(),
+        );
+        Ok(Node {
+            member,
+            transport,
+            counters,
             shards,
         })
     }
 
     /// This member's node id.
     pub fn id(&self) -> u32 {
-        self.me
+        self.member.id()
     }
 
     /// A cloneable blocking handle to this member's application interface.
     pub fn handle(&self) -> NodeHandle {
-        NodeHandle::new(
-            NodeId(self.me),
-            self.inputs.clone(),
-            self.gates.clone(),
-            Arc::clone(&self.replies_dropped),
-        )
+        self.member.handle()
     }
 
     /// Protocol messages this member transmitted so far.
     pub fn messages_sent(&self) -> u64 {
-        self.messages.load(Ordering::Relaxed)
+        self.counters.messages_sent()
     }
 
     /// True when this member owes the cluster nothing it knows about: no
@@ -234,7 +171,7 @@ impl Node {
     /// global message count — one member's idle is necessary, not
     /// sufficient.
     pub fn is_idle(&self) -> bool {
-        self.in_flight.load(Ordering::Relaxed) == 0 && self.unacked.load(Ordering::Relaxed) == 0
+        self.counters.is_idle()
     }
 
     /// Local quiescence wait, mirroring
@@ -242,23 +179,7 @@ impl Node {
     /// the message count once this member has been idle with a stable
     /// counter for `idle`, or whatever it is at `timeout`.
     pub fn quiesce_within(&self, idle: Duration, timeout: Duration) -> u64 {
-        let start = Instant::now();
-        let tick = (idle / 8).max(Duration::from_micros(200)).min(idle);
-        let mut last = self.messages_sent();
-        let mut stable_since = Instant::now();
-        loop {
-            if start.elapsed() >= timeout {
-                return self.messages_sent();
-            }
-            std::thread::sleep(tick);
-            let count = self.messages_sent();
-            if count != last || !self.is_idle() {
-                last = count;
-                stable_since = Instant::now();
-            } else if stable_since.elapsed() >= idle {
-                return count;
-            }
-        }
+        self.counters.quiesce_within(idle, timeout)
     }
 
     /// Shut this member down and collect its final report. Same teardown
@@ -268,72 +189,19 @@ impl Node {
     /// a member with unacked data to an already-dead peer gives up after
     /// the bounded drain.
     pub fn shutdown(self) -> NodeReport {
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while !self.is_idle() {
-            if Instant::now() >= deadline {
-                break;
-            }
-            std::thread::sleep(Duration::from_micros(200));
-        }
-        let transport_report = self.transport.shutdown();
-        for tx in &self.inputs {
-            let _ = tx.send(Input::Shutdown);
-        }
-        let mut states: HashMap<u32, HierNode> = HashMap::new();
-        let mut traces: Vec<Vec<TraceRecord>> = Vec::with_capacity(self.joins.len() + 1);
-        let mut trace_dropped = transport_report.trace_dropped;
-        let mut decode_errors = transport_report.wire_decode_errors;
-        let mut frames_fenced = 0;
-        let mut workers_died: u64 = 0;
-        let mut snaps: Vec<PeerSnapshot> = Vec::new();
-        let mut coalesce: Vec<CoalesceStat> = Vec::new();
-        let mut acquire_latency = Histogram::new();
-        let mut acquire_hops = Histogram::new();
-        for m in &self.metrics {
-            let m = m.lock().expect("metrics mutex");
-            acquire_latency.merge(&m.acquire_latency);
-            acquire_hops.merge(&m.acquire_hops);
-        }
-        for join in self.joins {
-            // A panicked worker is reported, not propagated; its shard's
-            // state is gone, exactly as if it crashed.
-            let exit = match join.join() {
-                Ok(exit) => exit,
-                Err(_) => {
-                    workers_died += 1;
-                    continue;
-                }
-            };
-            states.extend(exit.locks);
-            traces.push(exit.trace);
-            trace_dropped += exit.trace_dropped;
-            decode_errors += exit.decode_errors;
-            frames_fenced += exit.frames_fenced;
-            snaps.extend(exit.links);
-            coalesce.extend(exit.coalesce);
-        }
-        traces.push(transport_report.trace);
-        let per_node = [(self.me, snaps)];
-        let coalesce = [(self.me, coalesce)];
-        let mut states: Vec<(u32, HierNode)> = states.into_iter().collect();
-        states.sort_by_key(|(lock, _)| *lock);
+        let mut done = member::shutdown(vec![self.member], &*self.transport, &self.counters);
         NodeReport {
-            messages_sent: self.messages.load(Ordering::Relaxed),
-            states,
-            decode_errors,
-            frames_fenced,
-            workers_died,
-            replies_dropped: self.replies_dropped.load(Ordering::Relaxed),
-            links: merge_links(
-                &per_node,
-                &transport_report.faults,
-                &coalesce,
-                &transport_report.socket,
-            ),
-            trace: merge_records(traces),
-            trace_dropped,
-            acquire_latency,
-            acquire_hops,
+            messages_sent: self.counters.messages_sent(),
+            states: done.states.pop().expect("one member"),
+            decode_errors: done.decode_errors,
+            frames_fenced: done.frames_fenced,
+            workers_died: done.workers_died,
+            replies_dropped: self.counters.replies_dropped.load(Ordering::Relaxed),
+            links: done.links,
+            trace: done.trace,
+            trace_dropped: done.trace_dropped,
+            acquire_latency: done.acquire_latency,
+            acquire_hops: done.acquire_hops,
         }
     }
 
@@ -349,34 +217,20 @@ impl Node {
     /// [`Node::suspects`] detectors flag this member. Consumes the node;
     /// a dead member reports nothing.
     pub fn crash(self) {
-        for tx in &self.inputs {
-            let _ = tx.send(Input::Die);
-        }
+        self.member.broadcast(|| Input::Die);
         let _ = self.transport.shutdown();
-        for tx in &self.inputs {
-            let _ = tx.send(Input::Shutdown);
-        }
-        for join in self.joins {
-            let _ = join.join();
-        }
+        self.member.broadcast(|| Input::Shutdown);
+        self.member.collect(&mut Collected::default());
     }
 
     /// Report `(lock, has_token, epoch)` for every lock this member hosts;
     /// `(self.id(), self.scan_locks())` is one input row for
     /// [`crate::plan_recovery`]. Only meaningful on a quiescent member.
     pub fn scan_locks(&self) -> Vec<(u32, bool, u32)> {
-        let (tx, rx) = unbounded();
-        for input in &self.inputs {
-            let _ = input.send(Input::Scan(tx.clone()));
-        }
-        drop(tx);
-        let mut rows = Vec::new();
-        for _ in 0..self.shards {
-            let Ok((_, mut shard_rows)) = rx.recv_timeout(Duration::from_secs(5)) else {
-                break;
-            };
-            rows.append(&mut shard_rows);
-        }
+        let mut rows: Vec<_> = member::scan([&self.member])
+            .into_iter()
+            .flat_map(|(_, rows)| rows)
+            .collect();
         rows.sort_unstable();
         rows
     }
@@ -387,16 +241,9 @@ impl Node {
     /// surviving member must apply the same wave; quiesce all survivors
     /// afterwards before relying on the repaired state.
     pub fn repair(&self, dead: u32, survivors: &[u32], plans: &[(u32, u32, u32)]) {
-        let survivors: Arc<Vec<NodeId>> = Arc::new(survivors.iter().map(|&n| NodeId(n)).collect());
-        let plans: Arc<Vec<(u32, u32, u32)>> = Arc::new(plans.to_vec());
-        for input in &self.inputs {
-            let _ = input.send(Input::Isolate { dead: NodeId(dead) });
-            let _ = input.send(Input::PeerDown {
-                dead: NodeId(dead),
-                survivors: Arc::clone(&survivors),
-                plans: Arc::clone(&plans),
-            });
-        }
+        let survivors = Arc::new(survivors.iter().map(|&n| NodeId(n)).collect());
+        self.member
+            .repair(dead, &survivors, &Arc::new(plans.to_vec()));
     }
 
     /// Socket-path failure detector: peers whose TCP link to this member
@@ -408,22 +255,9 @@ impl Node {
             .peer_resets()
             .iter()
             .enumerate()
-            .filter(|&(peer, &resets)| peer as u32 != self.me && resets > 0)
+            .filter(|&(peer, &resets)| peer as u32 != self.id() && resets > 0)
             .map(|(peer, _)| peer as u32)
             .collect()
-    }
-
-    /// Test hook: push a raw wire payload into this member's shard-0
-    /// worker as if node `from` had sent it, bypassing the socket (so
-    /// tests can exercise the decode-error and epoch-fence paths without a
-    /// cooperating remote).
-    #[doc(hidden)]
-    pub fn inject_frame(&self, from: u32, frame: Vec<u8>) {
-        self.in_flight.fetch_add(1, Ordering::Relaxed);
-        let _ = self.inputs[0].send(Input::Net {
-            from: NodeId(from * self.shards as u32),
-            frame: Bytes::from(frame),
-        });
     }
 }
 
@@ -464,13 +298,6 @@ pub fn audit_surviving_states(
         .iter()
         .map(|s| s.iter().map(|(lock, node)| (*lock, node)).collect())
         .collect();
-    let fresh = |node: usize| {
-        if node == 0 {
-            HierNode::with_token(NodeId(0), protocol)
-        } else {
-            HierNode::new(NodeId(node as u32), NodeId(0), protocol)
-        }
-    };
     let mut errors = Vec::new();
     for lock in touched {
         let members: Vec<HierNode> = (0..nodes)
@@ -479,7 +306,7 @@ pub fn audit_surviving_states(
                 by_node[n]
                     .get(&lock)
                     .map(|s| (*s).clone())
-                    .unwrap_or_else(|| fresh(n))
+                    .unwrap_or_else(|| fresh_state(NodeId(n as u32), protocol))
             })
             .collect();
         errors.extend(audit(&members, &[], true));

@@ -440,7 +440,7 @@ impl Endpoint {
 
 /// The lock id of the wrapped protocol frame (its first four bytes), for
 /// trace stamping; [`crate::transport::TRANSPORT_LOCK`] if too short.
-fn peek_lock(payload: &Bytes) -> u32 {
+pub(crate) fn peek_lock(payload: &Bytes) -> u32 {
     match payload.as_ref().get(0..4) {
         Some(b) => u32::from_le_bytes([b[0], b[1], b[2], b[3]]),
         None => crate::transport::TRANSPORT_LOCK,

@@ -1,6 +1,7 @@
-//! The cluster runtime: sharded per-node worker threads, the pluggable
-//! transport, the optional reliability shim, per-link frame coalescing, and
-//! lifecycle management.
+//! The in-process cluster: N [`Member`]s (one per node, each a set of shard
+//! worker threads around a [`crate::engine::ShardEngine`]) wired to one
+//! in-process transport, plus the crash/suspect/recover coordinator and the
+//! live metrics exporter.
 //!
 //! # Sharded workers
 //!
@@ -13,10 +14,10 @@
 //! folded back to node granularity.
 //!
 //! Each worker owns its shard's protocol instances (created lazily on first
-//! touch, so a node can host millions of mostly-idle locks), its own
-//! [`EffectBuf`] and codec scratch, its own reliability endpoint, and a
-//! bounded application-ingress gate ([`crate::shard::ShardGate`]) that sheds
-//! new load with [`ClusterError::Overloaded`] instead of queueing without
+//! touch, so a node can host millions of mostly-idle locks), its own effect
+//! and codec scratch, its own reliability endpoint, and a bounded
+//! application-ingress gate ([`crate::shard::ShardGate`]) that sheds
+//! new load with [`crate::ClusterError::Overloaded`] instead of queueing without
 //! bound.
 //!
 //! # Coalescing
@@ -29,38 +30,20 @@
 //! [`LinkReport::proto_sent`]/[`LinkReport::wire_sent`] counters report the
 //! achieved packing ratio.
 
-use crate::codec;
-use crate::handle::{ClusterError, Completion, NodeHandle, OpKind, PipeOp, Reply};
-use crate::reliable::{Endpoint, PeerSnapshot, ReliableConfig, TransportClass};
-use crate::shard::{effective_shards, shard_of, FastMap, ShardGate};
-use crate::transport::{
-    Delayed, Direct, Faulty, LinkFaults, SocketLinkStat, Transport, TransportKind, TRANSPORT_LOCK,
-};
-use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use dlm_core::{
-    audit, AuditError, Effect, EffectBuf, HierNode, LockId, Mode, NodeId, ProtocolConfig,
-};
+use crate::engine::Input;
+use crate::handle::NodeHandle;
+use crate::member::{self, Counters, Member};
+use crate::node::audit_surviving_states;
+use crate::reliable::{ReliableConfig, TransportClass};
+use crate::shard::effective_shards;
+use crate::transport::{Direct, Faulty, Transport, TransportKind};
+use dlm_core::{AuditError, NodeId, ProtocolConfig};
 use dlm_metrics::Histogram;
-use dlm_trace::{
-    merge_records, NullObserver, Observer, ProtocolEvent, Recorder, RingRecorder, Stamp,
-    TraceRecord,
-};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
+use dlm_trace::TraceRecord;
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// Upper bound on inputs a worker processes before it flushes its coalesce
-/// buffers (and reliability acks). Large enough to pack hot links well,
-/// small enough to keep retransmission ticks timely.
-const BATCH: usize = 256;
-
-/// How often an otherwise idle worker wakes to refresh its heartbeat stamp.
-/// Bounds failure-detection latency from below: [`Cluster::suspects`] should
-/// use a staleness threshold of several multiples of this.
-const HEARTBEAT: Duration = Duration::from_millis(25);
 
 /// Cluster construction parameters.
 #[derive(Debug, Clone, Copy)]
@@ -90,13 +73,9 @@ pub struct ClusterConfig {
     /// (the default) reproduces the classic one-thread-per-node runtime.
     pub shards: usize,
     /// Bound on queued application operations per shard worker; operations
-    /// beyond it are refused with [`ClusterError::Overloaded`]. Network
+    /// beyond it are refused with [`crate::ClusterError::Overloaded`]. Network
     /// frames are never gated.
     pub shard_queue: usize,
-    /// Pack protocol frames sharing a destination within one input batch
-    /// into a single container wire frame. On by default; turn off to
-    /// measure the per-frame transport cost it amortizes.
-    pub coalesce: bool,
 }
 
 impl Default for ClusterConfig {
@@ -110,74 +89,8 @@ impl Default for ClusterConfig {
             trace_capacity: 0,
             shards: 1,
             shard_queue: 8192,
-            coalesce: true,
         }
     }
-}
-
-/// What a worker thread receives.
-pub(crate) enum Input {
-    /// An encoded wire frame from worker slot `from`.
-    Net { from: NodeId, frame: Bytes },
-    /// Application request: acquire `lock` in `mode`; answer on `reply`.
-    Acquire {
-        lock: LockId,
-        mode: Mode,
-        reply: Reply,
-    },
-    /// Application request: acquire `lock` in `mode` only if that is
-    /// possible locally without waiting; answer on `reply` with
-    /// `Ok(granted)`.
-    TryAcquire {
-        lock: LockId,
-        mode: Mode,
-        reply: crate::handle::TryReply,
-    },
-    /// Application request: Rule 7 upgrade on `lock`.
-    Upgrade { lock: LockId, reply: Reply },
-    /// Application request: release `lock`.
-    Release { lock: LockId, reply: Reply },
-    /// A pipelined batch of operations. Outcomes settled while processing
-    /// the batch are answered as one vector on `tx`; deferred grants follow
-    /// later as singleton vectors.
-    Ops {
-        ops: Vec<PipeOp>,
-        tx: Sender<Vec<Completion>>,
-    },
-    /// Simulated node crash: the worker abandons its protocol state and
-    /// enters a silent drain loop — incoming frames are discarded and
-    /// application operations fail with [`ClusterError::WorkerDied`] —
-    /// until `Shutdown`. It stops heartbeating, which is how the failure
-    /// detector notices.
-    Die,
-    /// Link-layer obituary: stop retransmitting to (and expecting acks
-    /// from) `dead`, whose silence would otherwise hold the unacked gauge —
-    /// and with it quiescence — hostage forever.
-    Isolate { dead: NodeId },
-    /// Report `(lock, has_token, epoch)` for every lock this worker hosts,
-    /// tagged with the worker's node id. The recovery coordinator scans
-    /// survivors with this before planning a repair wave.
-    Scan(Sender<ScanReport>),
-    /// Recovery wave (DESIGN.md §17): repair every planned lock owned by
-    /// this worker around the crashed node. Plans are
-    /// `(lock, new_root, new_epoch)`.
-    PeerDown {
-        dead: NodeId,
-        survivors: Arc<Vec<NodeId>>,
-        plans: Arc<Vec<(u32, u32, u32)>>,
-    },
-    /// Test hook: panic the worker thread, exercising the shutdown path
-    /// that reports [`ClusterReport::workers_died`] instead of propagating
-    /// the panic.
-    Panic,
-    /// Test hook: tear down the registered application waiter for the
-    /// outstanding operation on `lock`, leaving the operation active in
-    /// the protocol. The caller sees its reply channel close; the grant,
-    /// when it arrives, has nobody to answer and must be counted in
-    /// [`ClusterReport::replies_dropped`] instead of panicking the worker.
-    OrphanWaiter { lock: LockId },
-    /// Tear down the worker thread; it returns its protocol states.
-    Shutdown,
 }
 
 /// Per-directed-link telemetry merged from the reliability endpoints, the
@@ -212,7 +125,7 @@ pub struct LinkReport {
     /// Protocol frames carried over this link (the payload count).
     pub proto_sent: u64,
     /// Physical wire frames that carried them; `proto_sent / wire_sent`
-    /// is the link's coalescing ratio (1.0 with coalescing off).
+    /// is the link's coalescing ratio.
     pub wire_sent: u64,
     /// Payload bytes observed on a real wire for this link (socket
     /// transports only; 0 in-process).
@@ -236,7 +149,7 @@ pub struct ClusterReport {
     /// empty when [`ClusterConfig::trace_capacity`] is 0). Ordered by
     /// `(at, node)` with a fresh global sequence. Transport and reliability
     /// events that no lock can claim carry the sentinel lock id
-    /// [`TRANSPORT_LOCK`].
+    /// [`crate::transport::TRANSPORT_LOCK`].
     pub trace: Vec<TraceRecord>,
     /// Events evicted from the per-worker flight recorders before shutdown
     /// (0 means [`Self::trace`] is complete).
@@ -258,7 +171,7 @@ pub struct ClusterReport {
     /// Worker threads that terminated by panicking instead of returning
     /// their state at shutdown. Reported (and their states excluded from
     /// the audit) rather than propagating the panic; the live-cluster
-    /// analogue is [`ClusterError::WorkerDied`].
+    /// analogue is [`crate::ClusterError::WorkerDied`].
     pub workers_died: u64,
     /// Per-link reliability/coalescing/fault counters, sorted by
     /// `(from, to)`; empty when no link carried anything to report.
@@ -275,75 +188,17 @@ pub struct ClusterReport {
 /// An in-process cluster of protocol nodes, each running one worker thread
 /// per shard.
 pub struct Cluster {
-    /// One input channel per worker slot (`node * shards + shard`).
-    inputs: Vec<Sender<Input>>,
-    /// One admission gate per worker slot.
-    gates: Vec<Arc<ShardGate>>,
-    joins: Vec<JoinHandle<NodeExit>>,
+    members: Vec<Member>,
     transport: Arc<dyn Transport>,
-    messages: Arc<AtomicU64>,
-    replies_dropped: Arc<AtomicU64>,
-    /// Physical frames created but not yet fully processed by their
-    /// receiving worker (includes frames parked inside the transport and
-    /// protocol frames buffered for coalescing).
-    in_flight: Arc<AtomicU64>,
-    /// Data sequences sent but not yet cumulatively acked (reliability shim
-    /// only; 0 otherwise).
-    unacked: Arc<AtomicU64>,
-    /// Per-worker-slot request metrics, shared with the workers so
-    /// [`Cluster::metrics_snapshot`] can read them live. Each mutex is
-    /// touched once per completed *operation* (not per message), so the
-    /// steady-state message path never contends on it.
-    metrics: Vec<Arc<Mutex<NodeMetrics>>>,
-    /// Per-worker-slot heartbeat stamps (µs since `epoch`), refreshed by
-    /// every worker loop iteration; [`Cluster::suspects`] reads them.
-    beats: Arc<Vec<AtomicU64>>,
+    counters: Counters,
+    /// Time base of the workers' heartbeat stamps and trace records.
     epoch: Instant,
     /// Nodes administratively crashed via [`Cluster::crash_node`]; their
     /// final states are excluded from the shutdown audit.
     crashed: Mutex<BTreeSet<u32>>,
-    nodes: usize,
     locks: usize,
     shards: usize,
     protocol: ProtocolConfig,
-}
-
-/// Per-worker operation metrics: request latency/hop distributions and
-/// operation counters. Owned by the worker thread, read by
-/// [`Cluster::metrics_snapshot`] under a short-lived mutex.
-#[derive(Debug, Default)]
-pub(crate) struct NodeMetrics {
-    /// Wall-clock µs, issue → grant, for completed acquires and upgrades.
-    pub(crate) acquire_latency: Histogram,
-    /// Causal hop depth of the frame that delivered each grant.
-    pub(crate) acquire_hops: Histogram,
-    /// Completed acquire operations (blocking, pipelined, and try fast
-    /// path).
-    pub(crate) acquires: u64,
-    /// Completed Rule 7 upgrades.
-    pub(crate) upgrades: u64,
-    /// Completed releases.
-    pub(crate) releases: u64,
-}
-
-/// Per-peer coalescing counters a worker hands back at exit.
-pub(crate) struct CoalesceStat {
-    pub(crate) peer: u32,
-    pub(crate) proto_sent: u64,
-    pub(crate) wire_sent: u64,
-}
-
-/// What a worker thread hands back at shutdown.
-pub(crate) struct NodeExit {
-    /// This shard's protocol instances, keyed by lock id (only locks the
-    /// worker ever touched; empty if the worker crashed).
-    pub(crate) locks: FastMap<u32, HierNode>,
-    pub(crate) trace: Vec<TraceRecord>,
-    pub(crate) trace_dropped: u64,
-    pub(crate) decode_errors: u64,
-    pub(crate) frames_fenced: u64,
-    pub(crate) links: Vec<PeerSnapshot>,
-    pub(crate) coalesce: Vec<CoalesceStat>,
 }
 
 impl Cluster {
@@ -358,30 +213,17 @@ impl Cluster {
             .reliable
             .map(|cfg| cfg.resolved_for(TransportClass::InProcess));
         let shards = effective_shards(config.shards);
-        let slots = config.nodes * shards;
-        let messages = Arc::new(AtomicU64::new(0));
-        let replies_dropped = Arc::new(AtomicU64::new(0));
-        let in_flight = Arc::new(AtomicU64::new(0));
-        let unacked = Arc::new(AtomicU64::new(0));
+        let counters = Counters::default();
         // One epoch shared by every worker thread, so wall-clock trace
         // stamps are comparable across threads and merge into one timeline.
         let epoch = Instant::now();
-
-        let channels: Vec<(Sender<Input>, Receiver<Input>)> =
-            (0..slots).map(|_| unbounded()).collect();
-        let inputs: Vec<Sender<Input>> = channels.iter().map(|(tx, _)| tx.clone()).collect();
-        let gates: Vec<Arc<ShardGate>> = (0..slots)
-            .map(|_| Arc::new(ShardGate::new(config.shard_queue)))
-            .collect();
-
+        let (inputs, rxs) = member::channels(config.nodes * shards);
+        let in_flight = Arc::clone(&counters.in_flight);
         let transport: Arc<dyn Transport> = match config.transport {
-            TransportKind::Direct => Arc::new(Direct::new(inputs.clone(), Arc::clone(&in_flight))),
-            TransportKind::Delayed(delay) => {
-                Arc::new(Delayed::new(inputs.clone(), Arc::clone(&in_flight), delay))
-            }
+            TransportKind::Direct => Arc::new(Direct::new(inputs.clone(), in_flight)),
             TransportKind::Faulty(faults) => Arc::new(Faulty::new(
                 inputs.clone(),
-                Arc::clone(&in_flight),
+                in_flight,
                 faults,
                 config.nodes,
                 shards,
@@ -389,64 +231,26 @@ impl Cluster {
                 epoch,
             )),
         };
-
-        let metrics: Vec<Arc<Mutex<NodeMetrics>>> = (0..slots)
-            .map(|_| Arc::new(Mutex::new(NodeMetrics::default())))
+        let mut rxs = rxs.into_iter();
+        let members = (0..config.nodes)
+            .map(|id| {
+                Member::spawn(
+                    id as u32,
+                    config,
+                    inputs[id * shards..(id + 1) * shards].to_vec(),
+                    rxs.by_ref().take(shards).collect(),
+                    Arc::clone(&transport),
+                    &counters,
+                    epoch,
+                )
+            })
             .collect();
-        let beats: Arc<Vec<AtomicU64>> = Arc::new((0..slots).map(|_| AtomicU64::new(0)).collect());
-
-        let mut joins = Vec::with_capacity(slots);
-        for (slot, (_, rx)) in channels.into_iter().enumerate() {
-            let me = NodeId((slot / shards) as u32);
-            let shard = (slot % shards) as u32;
-            let link = Arc::clone(&transport);
-            let counter = Arc::clone(&messages);
-            let gauge = Arc::clone(&in_flight);
-            let unacked_gauge = Arc::clone(&unacked);
-            let dropped = Arc::clone(&replies_dropped);
-            let slot_metrics = Arc::clone(&metrics[slot]);
-            let gate = Arc::clone(&gates[slot]);
-            let slot_beats = Arc::clone(&beats);
-            let cfg = config;
-            let join = std::thread::Builder::new()
-                .name(format!("dlm-node-{}.{}", me.0, shard))
-                .spawn(move || {
-                    worker_loop(
-                        me,
-                        shard,
-                        shards as u32,
-                        cfg,
-                        rx,
-                        link,
-                        counter,
-                        gauge,
-                        unacked_gauge,
-                        dropped,
-                        epoch,
-                        slot_metrics,
-                        gate,
-                        slot_beats,
-                        slot,
-                    )
-                })
-                .expect("spawn worker thread");
-            joins.push(join);
-        }
-
         Cluster {
-            inputs,
-            gates,
-            joins,
+            members,
             transport,
-            messages,
-            replies_dropped,
-            in_flight,
-            unacked,
-            metrics,
-            beats,
+            counters,
             epoch,
             crashed: Mutex::new(BTreeSet::new()),
-            nodes: config.nodes,
             locks: config.locks,
             shards,
             protocol: config.protocol,
@@ -455,23 +259,17 @@ impl Cluster {
 
     /// A cloneable blocking handle to node `id`.
     pub fn handle(&self, id: u32) -> NodeHandle {
-        let base = id as usize * self.shards;
-        NodeHandle::new(
-            NodeId(id),
-            self.inputs[base..base + self.shards].to_vec(),
-            self.gates[base..base + self.shards].to_vec(),
-            Arc::clone(&self.replies_dropped),
-        )
+        self.members[id as usize].handle()
     }
 
     /// Number of nodes.
     pub fn len(&self) -> usize {
-        self.nodes
+        self.members.len()
     }
 
     /// Always false (a cluster has at least one node).
     pub fn is_empty(&self) -> bool {
-        self.nodes == 0
+        self.members.is_empty()
     }
 
     /// Worker threads per node (the effective, power-of-two shard count).
@@ -481,13 +279,13 @@ impl Cluster {
 
     /// Protocol messages transmitted so far.
     pub fn messages_sent(&self) -> u64 {
-        self.messages.load(Ordering::Relaxed)
+        self.counters.messages_sent()
     }
 
     /// Completion replies dropped so far because the application-side
     /// receiver was already gone (see [`ClusterReport::replies_dropped`]).
     pub fn replies_dropped(&self) -> u64 {
-        self.replies_dropped.load(Ordering::Relaxed)
+        self.counters.replies_dropped.load(Ordering::Relaxed)
     }
 
     /// Render a Prometheus-text-format snapshot of the cluster's live
@@ -499,110 +297,108 @@ impl Cluster {
     /// Safe to call at any time; each worker's metrics mutex is held only
     /// long enough to copy its histograms out.
     pub fn metrics_snapshot(&self) -> String {
-        use std::fmt::Write;
+        /// One exposition series: its header, then `name<suffix> value` per
+        /// row (the suffix is a label set, or `_sum`/`_count`).
+        fn series(
+            out: &mut String,
+            name: &str,
+            help: &str,
+            kind: &str,
+            rows: impl IntoIterator<Item = (String, u64)>,
+        ) {
+            use std::fmt::Write;
+            let _ = writeln!(out, "# HELP {name} {help}\n# TYPE {name} {kind}");
+            for (suffix, v) in rows {
+                let _ = writeln!(out, "{name}{suffix} {v}");
+            }
+        }
+        let one = |v: u64| [(String::new(), v)];
         let mut out = String::with_capacity(1024);
-        let counter = |out: &mut String, name: &str, help: &str, v: u64| {
-            let _ = writeln!(out, "# HELP {name} {help}");
-            let _ = writeln!(out, "# TYPE {name} counter");
-            let _ = writeln!(out, "{name} {v}");
-        };
-        counter(
+        series(
             &mut out,
             "dlm_messages_total",
             "Protocol messages transmitted.",
-            self.messages_sent(),
+            "counter",
+            one(self.messages_sent()),
         );
-        counter(
+        series(
             &mut out,
             "dlm_replies_dropped_total",
             "Completion replies whose receiver had gone away.",
-            self.replies_dropped(),
+            "counter",
+            one(self.replies_dropped()),
         );
-        let gauge = |out: &mut String, name: &str, help: &str, v: u64| {
-            let _ = writeln!(out, "# HELP {name} {help}");
-            let _ = writeln!(out, "# TYPE {name} gauge");
-            let _ = writeln!(out, "{name} {v}");
-        };
-        gauge(
+        series(
             &mut out,
             "dlm_frames_in_flight",
             "Physical frames sent but not yet fully processed.",
-            self.in_flight.load(Ordering::Relaxed),
+            "gauge",
+            one(self.counters.in_flight.load(Ordering::Relaxed)),
         );
-        gauge(
+        series(
             &mut out,
             "dlm_frames_unacked",
             "Data sequences sent but not yet cumulatively acked.",
-            self.unacked.load(Ordering::Relaxed),
+            "gauge",
+            one(self.counters.unacked.load(Ordering::Relaxed)),
         );
 
-        // Per-worker copies, folded into per-node aggregates below.
+        // Per node, per worker: `[acquires, upgrades, releases, queue depth,
+        // rejections, completed ops]`, copied out under the worker's
+        // metrics mutex.
         let mut latency = Histogram::new();
         let mut hops = Histogram::new();
-        let mut per_slot: Vec<(u64, u64, u64)> = Vec::with_capacity(self.metrics.len());
-        for m in &self.metrics {
-            let m = m.lock().expect("metrics mutex");
-            latency.merge(&m.acquire_latency);
-            hops.merge(&m.acquire_hops);
-            per_slot.push((m.acquires, m.upgrades, m.releases));
+        let mut per_node: Vec<Vec<[u64; 6]>> = Vec::with_capacity(self.members.len());
+        for member in &self.members {
+            let mut workers = Vec::with_capacity(self.shards);
+            for (gate, m) in member.workers() {
+                let m = m.lock().expect("metrics mutex");
+                latency.merge(&m.acquire_latency);
+                hops.merge(&m.acquire_hops);
+                let ops = m.acquires + m.upgrades + m.releases;
+                let (depth, rejections) = (gate.depth(), gate.rejections());
+                workers.push([m.acquires, m.upgrades, m.releases, depth, rejections, ops]);
+            }
+            per_node.push(workers);
         }
-        let per_node: Vec<(u64, u64, u64)> = per_slot
-            .chunks(self.shards)
-            .map(|c| {
-                c.iter().fold((0, 0, 0), |acc, row| {
-                    (acc.0 + row.0, acc.1 + row.1, acc.2 + row.2)
-                })
-            })
-            .collect();
-        for (name, help, pick) in [
-            (
-                "dlm_acquires_total",
-                "Completed acquire operations.",
-                0usize,
-            ),
+        for (name, help, col) in [
+            ("dlm_acquires_total", "Completed acquire operations.", 0),
             ("dlm_upgrades_total", "Completed Rule 7 upgrades.", 1),
             ("dlm_releases_total", "Completed releases.", 2),
         ] {
-            let _ = writeln!(out, "# HELP {name} {help}");
-            let _ = writeln!(out, "# TYPE {name} counter");
-            for (node, row) in per_node.iter().enumerate() {
-                let v = [row.0, row.1, row.2][pick];
-                let _ = writeln!(out, "{name}{{node=\"{node}\"}} {v}");
-            }
+            let rows = per_node.iter().enumerate().map(|(node, workers)| {
+                let v = workers.iter().map(|w| w[col]).sum();
+                (format!("{{node=\"{node}\"}}"), v)
+            });
+            series(&mut out, name, help, "counter", rows);
         }
-
-        // Per-shard series: queue depth and rejections from the admission
-        // gates, completed operations from the worker metrics.
-        for (name, help, kind) in [
+        for (name, help, kind, col) in [
             (
                 "dlm_shard_queue_depth",
                 "Application operations queued per shard worker.",
                 "gauge",
+                3,
             ),
             (
                 "dlm_shard_rejections_total",
                 "Operations refused because a shard queue was full.",
                 "counter",
+                4,
             ),
             (
                 "dlm_shard_ops_total",
                 "Operations completed per shard worker.",
                 "counter",
+                5,
             ),
         ] {
-            let _ = writeln!(out, "# HELP {name} {help}");
-            let _ = writeln!(out, "# TYPE {name} {kind}");
-            for (slot, (gate, row)) in self.gates.iter().zip(&per_slot).enumerate() {
-                let (node, shard) = (slot / self.shards, slot % self.shards);
-                let v = match name {
-                    "dlm_shard_queue_depth" => gate.depth(),
-                    "dlm_shard_rejections_total" => gate.rejections(),
-                    _ => row.0 + row.1 + row.2,
-                };
-                let _ = writeln!(out, "{name}{{node=\"{node}\",shard=\"{shard}\"}} {v}");
-            }
+            let rows = per_node.iter().enumerate().flat_map(|(node, workers)| {
+                workers.iter().enumerate().map(move |(shard, w)| {
+                    (format!("{{node=\"{node}\",shard=\"{shard}\"}}"), w[col])
+                })
+            });
+            series(&mut out, name, help, kind, rows);
         }
-
         for (name, help, h) in [
             (
                 "dlm_acquire_latency_us",
@@ -616,52 +412,38 @@ impl Cluster {
             ),
         ] {
             let p = h.percentiles();
-            let _ = writeln!(out, "# HELP {name} {help}");
-            let _ = writeln!(out, "# TYPE {name} summary");
-            let _ = writeln!(out, "{name}{{quantile=\"0.5\"}} {}", p.p50);
-            let _ = writeln!(out, "{name}{{quantile=\"0.95\"}} {}", p.p95);
-            let _ = writeln!(out, "{name}{{quantile=\"0.99\"}} {}", p.p99);
             let sum = (h.mean() * h.count() as f64).round() as u64;
-            let _ = writeln!(out, "{name}_sum {sum}");
-            let _ = writeln!(out, "{name}_count {}", h.count());
+            let rows = [
+                ("{quantile=\"0.5\"}", p.p50),
+                ("{quantile=\"0.95\"}", p.p95),
+                ("{quantile=\"0.99\"}", p.p99),
+                ("_sum", sum),
+                ("_count", h.count()),
+            ];
+            let rows = rows.map(|(suffix, v)| (suffix.to_string(), v));
+            series(&mut out, name, help, "summary", rows);
         }
         out
     }
 
-    /// Test hook: push a raw wire frame into the cluster as if node `from`
-    /// had sent it to node `to` (shard-0 workers on both ends). The frame
-    /// takes the normal transport path (so it is subject to delay and fault
-    /// injection) and counts as a physical frame but not as a protocol
-    /// message — fault-injection tests use this to exercise the
-    /// decode-error and reliability paths.
-    pub fn inject_frame(&self, from: u32, to: u32, frame: Vec<u8>) {
-        self.in_flight.fetch_add(1, Ordering::Relaxed);
-        self.transport.send(
-            NodeId(from * self.shards as u32),
-            NodeId(to * self.shards as u32),
-            Bytes::from(frame),
-        );
-    }
-
     /// Simulate the crash of node `id`: its workers abandon their protocol
     /// state, fail their waiting callers with
-    /// [`ClusterError::WorkerDied`], and go silent — they stop
+    /// [`crate::ClusterError::WorkerDied`], and go silent — they stop
     /// heartbeating (so [`Self::suspects`] flags the node) but keep
     /// draining their input channels so the in-flight accounting stays
     /// truthful. Every surviving worker's link layer is simultaneously
-    /// told to stop expecting acks from the dead node
-    /// ([`Input::Isolate`]), so quiescence still converges.
+    /// told to stop expecting acks from the dead node, so quiescence still
+    /// converges.
     ///
     /// The node's final state is excluded from the shutdown audit; call
     /// [`Self::recover`] to repair the survivors around it.
     pub fn crash_node(&self, id: u32) {
         self.crashed.lock().expect("crashed mutex").insert(id);
-        let base = id as usize * self.shards;
-        for (slot, tx) in self.inputs.iter().enumerate() {
-            if slot >= base && slot < base + self.shards {
-                let _ = tx.send(Input::Die);
+        for member in &self.members {
+            if member.id() == id {
+                member.broadcast(|| Input::Die);
             } else {
-                let _ = tx.send(Input::Isolate { dead: NodeId(id) });
+                member.broadcast(|| Input::Isolate { dead: NodeId(id) });
             }
         }
     }
@@ -669,25 +451,14 @@ impl Cluster {
     /// Heartbeat failure detector: node ids with at least one worker whose
     /// heartbeat stamp is older than `stale` or whose thread has
     /// terminated outright (panicked). Healthy workers refresh their
-    /// stamps at least every 25 ms ([`HEARTBEAT`]), so thresholds of a few
-    /// hundred milliseconds give a detector with no false positives on an
-    /// unloaded machine.
+    /// stamps at least every 25 ms, so thresholds of a few hundred
+    /// milliseconds give a detector with no false positives on an unloaded
+    /// machine.
     pub fn suspects(&self, stale: Duration) -> Vec<u32> {
         let now = self.epoch.elapsed().as_micros() as u64;
-        let stale_us = stale.as_micros() as u64;
-        let mut out = Vec::new();
-        for node in 0..self.nodes {
-            let base = node * self.shards;
-            let dead = (0..self.shards).any(|s| {
-                let slot = base + s;
-                self.joins[slot].is_finished()
-                    || now.saturating_sub(self.beats[slot].load(Ordering::Relaxed)) > stale_us
-            });
-            if dead {
-                out.push(node as u32);
-            }
-        }
-        out
+        let stale = stale.as_micros() as u64;
+        let suspect = self.members.iter().filter(|m| m.is_suspect(now, stale));
+        suspect.map(Member::id).collect()
     }
 
     /// Recover the survivors around crashed node `dead` (DESIGN.md §17):
@@ -698,14 +469,10 @@ impl Cluster {
     ///    this converges.)
     /// 2. *Scan* — every surviving worker reports `(lock, has_token,
     ///    epoch)` for the locks it hosts.
-    /// 3. *Plan* — per affected lock: the next epoch is one past the
-    ///    highest epoch seen, and the new root is the surviving token
-    ///    holder at that epoch if any, else the lowest-numbered survivor
-    ///    (which will regenerate the token, Rule R2). If node 0 died,
-    ///    every lock is affected: untouched locks' initial tokens lived
-    ///    there implicitly.
-    /// 4. *Repair* — broadcast the wave ([`Input::PeerDown`]) and wait for
-    ///    it to settle.
+    /// 3. *Plan* — [`plan_recovery`]: per affected lock, the next epoch and
+    ///    the new root.
+    /// 4. *Repair* — broadcast the wave to the survivors and wait for it to
+    ///    settle.
     ///
     /// Returns the number of locks repaired.
     pub fn recover(&self, dead: u32) -> usize {
@@ -720,64 +487,16 @@ impl Cluster {
     pub fn recover_within(&self, dead: u32, idle: Duration) -> usize {
         self.quiesce_within(idle, Duration::from_secs(10));
         let crashed = self.crashed.lock().expect("crashed mutex").clone();
-        let survivors: Vec<NodeId> = (0..self.nodes as u32)
-            .filter(|n| !crashed.contains(n))
-            .map(NodeId)
-            .collect();
-        let (tx, rx) = unbounded();
-        let mut expected = 0usize;
-        for node in &survivors {
-            let base = node.index() * self.shards;
-            for slot in base..base + self.shards {
-                let _ = self.inputs[slot].send(Input::Scan(tx.clone()));
-                expected += 1;
-            }
-        }
-        drop(tx);
-        let mut rows: Vec<ScanReport> = Vec::with_capacity(expected);
-        for _ in 0..expected {
-            let Ok(row) = rx.recv_timeout(Duration::from_secs(5)) else {
-                break;
-            };
-            rows.push(row);
-        }
-        let survivor_ids: Vec<u32> = survivors.iter().map(|n| n.0).collect();
-        let plans: Arc<Vec<(u32, u32, u32)>> =
-            Arc::new(plan_recovery(&rows, dead, &survivor_ids, self.locks));
-        let survivors = Arc::new(survivors);
-        for node in survivors.iter() {
-            let base = node.index() * self.shards;
-            for slot in base..base + self.shards {
-                let _ = self.inputs[slot].send(Input::PeerDown {
-                    dead: NodeId(dead),
-                    survivors: Arc::clone(&survivors),
-                    plans: Arc::clone(&plans),
-                });
-            }
+        let survivors = || self.members.iter().filter(|m| !crashed.contains(&m.id()));
+        let ids: Vec<u32> = survivors().map(Member::id).collect();
+        let rows = member::scan(survivors());
+        let plans = Arc::new(plan_recovery(&rows, dead, &ids, self.locks));
+        let ids = Arc::new(ids.into_iter().map(NodeId).collect());
+        for member in survivors() {
+            member.repair(dead, &ids, &plans);
         }
         self.quiesce_within(idle, Duration::from_secs(10));
         plans.len()
-    }
-
-    /// Test hook: make one worker thread of `node` panic, exercising the
-    /// shutdown path that counts [`ClusterReport::workers_died`] instead
-    /// of propagating the panic. The node's (now partial) state is
-    /// excluded from the shutdown audit, like a crashed node's.
-    #[doc(hidden)]
-    pub fn inject_worker_panic(&self, node: u32) {
-        self.crashed.lock().expect("crashed mutex").insert(node);
-        let _ = self.inputs[node as usize * self.shards].send(Input::Panic);
-    }
-
-    /// Test hook: tear down the application waiter registered for the
-    /// outstanding operation on `lock` at `node` (see
-    /// [`Input::OrphanWaiter`]). The blocked caller observes
-    /// [`ClusterError::Disconnected`]; the eventual grant is counted in
-    /// [`ClusterReport::replies_dropped`] instead of panicking the worker.
-    #[doc(hidden)]
-    pub fn orphan_waiter(&self, node: u32, lock: LockId) {
-        let shard = shard_of(lock, self.shards);
-        let _ = self.inputs[node as usize * self.shards + shard].send(Input::OrphanWaiter { lock });
     }
 
     /// Quiescence wait: returns once the message counter has stayed stable
@@ -791,157 +510,47 @@ impl Cluster {
     /// [`Self::quiesce`] with an explicit upper bound: returns the final
     /// message count once the cluster is idle for `idle`, or whatever the
     /// count is when `timeout` elapses first.
-    ///
-    /// "Idle" consults the in-flight gauge, not just the send counter: a
-    /// frame parked in a [`TransportKind::Delayed`] router (or a dropped
-    /// frame awaiting retransmission, or a protocol frame buffered for
-    /// coalescing) produces no sends for longer than a small `idle` window,
-    /// and judging by counter stability alone would declare quiescence
-    /// while the cluster still owes itself traffic.
     pub fn quiesce_within(&self, idle: Duration, timeout: Duration) -> u64 {
-        let start = Instant::now();
-        let tick = (idle / 8).max(Duration::from_micros(200)).min(idle);
-        let mut last = self.messages_sent();
-        let mut stable_since = Instant::now();
-        loop {
-            if start.elapsed() >= timeout {
-                return self.messages_sent();
-            }
-            std::thread::sleep(tick);
-            let count = self.messages_sent();
-            let busy = self.in_flight.load(Ordering::Relaxed) > 0
-                || self.unacked.load(Ordering::Relaxed) > 0;
-            if count != last || busy {
-                last = count;
-                stable_since = Instant::now();
-            } else if stable_since.elapsed() >= idle {
-                return count;
-            }
-        }
+        self.counters.quiesce_within(idle, timeout)
     }
 
-    /// Shut down all threads and audit the final protocol states per lock.
+    /// Shut down all threads (drain, stop the transport, stop the workers —
+    /// in that order, so no parked frame is lost) and audit the final
+    /// protocol states per lock.
     ///
-    /// Teardown order matters:
-    /// 1. *Drain* — wait (bounded) until no physical frame is in flight and
-    ///    no data sequence is unacked, so nothing is still parked in a
-    ///    router heap or a retransmission queue.
-    /// 2. *Stop the transport* — any straggler still parked is flushed into
-    ///    its destination channel while the worker threads are alive.
-    /// 3. *Stop the workers* — `Shutdown` is queued behind the flushed
-    ///    frames, so every worker processes all delivered traffic first.
-    ///
-    /// The original teardown ran 3 before 2 and lost parked frames: nodes
-    /// exited, then the router flushed into channels nobody would read,
-    /// and the final audit saw a cluster missing messages it was owed.
+    /// The audit covers every lock any node ever touched; an untouched lock
+    /// holds its initial (token-at-node-0) state on every node by
+    /// construction, and nodes that never touched a *touched* lock
+    /// contribute a synthesized initial state. Crashed nodes are excluded:
+    /// their state died with them, and after a recovery wave the survivors
+    /// form a complete, self-consistent hierarchy on their own.
     pub fn shutdown(self) -> ClusterReport {
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while self.in_flight.load(Ordering::Relaxed) > 0 || self.unacked.load(Ordering::Relaxed) > 0
-        {
-            if Instant::now() >= deadline {
-                break;
-            }
-            std::thread::sleep(Duration::from_micros(200));
-        }
-        let transport_report = self.transport.shutdown();
-
-        for tx in &self.inputs {
-            let _ = tx.send(Input::Shutdown);
-        }
-        // One state map per node, merged from its workers (disjoint by
-        // shard assignment).
-        let crashed = self.crashed.lock().expect("crashed mutex").clone();
-        let mut states: Vec<HashMap<u32, HierNode>> =
-            (0..self.nodes).map(|_| HashMap::new()).collect();
-        let mut traces: Vec<Vec<TraceRecord>> = Vec::with_capacity(self.joins.len() + 1);
-        let mut trace_dropped = transport_report.trace_dropped;
-        let mut decode_errors = 0;
-        let mut frames_fenced = 0;
-        let mut workers_died: u64 = 0;
-        let mut per_node: Vec<(u32, Vec<PeerSnapshot>)> = Vec::new();
-        let mut coalesce: Vec<(u32, Vec<CoalesceStat>)> = Vec::new();
-        for (slot, join) in self.joins.into_iter().enumerate() {
-            let node = (slot / self.shards) as u32;
-            // A worker that panicked is reported, not propagated: its
-            // shard's state is simply gone, exactly as if the node crashed.
-            let exit = match join.join() {
-                Ok(exit) => exit,
-                Err(_) => {
-                    workers_died += 1;
-                    continue;
-                }
-            };
-            states[node as usize].extend(exit.locks);
-            traces.push(exit.trace);
-            trace_dropped += exit.trace_dropped;
-            decode_errors += exit.decode_errors;
-            frames_fenced += exit.frames_fenced;
-            if !exit.links.is_empty() {
-                per_node.push((node, exit.links));
-            }
-            if !exit.coalesce.is_empty() {
-                coalesce.push((node, exit.coalesce));
-            }
-        }
-        traces.push(transport_report.trace);
-
-        // Audit every lock any node ever touched; an untouched lock holds
-        // its initial (token-at-node-0) state on every node by
-        // construction. Nodes that never touched a *touched* lock
-        // contribute a synthesized initial state. Crashed nodes are
-        // excluded: their state died with them, and after a recovery wave
-        // the survivors form a complete, self-consistent hierarchy on
-        // their own.
-        let touched: BTreeSet<u32> = states.iter().flat_map(|m| m.keys().copied()).collect();
-        let fresh = |node: usize| {
-            if node == 0 {
-                HierNode::with_token(NodeId(0), self.protocol)
-            } else {
-                HierNode::new(NodeId(node as u32), NodeId(0), self.protocol)
-            }
-        };
-        let survivors: Vec<usize> = (0..self.nodes)
-            .filter(|n| !crashed.contains(&(*n as u32)))
+        let done = member::shutdown(self.members, &*self.transport, &self.counters);
+        let crashed: Vec<u32> = self
+            .crashed
+            .into_inner()
+            .expect("crashed mutex")
+            .into_iter()
             .collect();
-        let mut audit_errors = Vec::new();
-        for lock in touched {
-            let nodes: Vec<HierNode> = survivors
-                .iter()
-                .map(|&n| states[n].get(&lock).cloned().unwrap_or_else(|| fresh(n)))
-                .collect();
-            audit_errors.extend(audit(&nodes, &[], true));
-        }
-        let mut acquire_latency = Histogram::new();
-        let mut acquire_hops = Histogram::new();
-        for m in &self.metrics {
-            let m = m.lock().expect("metrics mutex");
-            acquire_latency.merge(&m.acquire_latency);
-            acquire_hops.merge(&m.acquire_hops);
-        }
         ClusterReport {
-            messages_sent: self.messages.load(Ordering::Relaxed),
-            audit_errors,
-            trace: merge_records(traces),
-            trace_dropped,
-            replies_dropped: self.replies_dropped.load(Ordering::Relaxed),
-            decode_errors,
-            frames_fenced,
-            workers_died,
-            links: merge_links(
-                &per_node,
-                &transport_report.faults,
-                &coalesce,
-                &transport_report.socket,
-            ),
-            acquire_latency,
-            acquire_hops,
+            messages_sent: self.counters.messages_sent(),
+            audit_errors: audit_surviving_states(self.protocol, &done.states, &crashed),
+            trace: done.trace,
+            trace_dropped: done.trace_dropped,
+            replies_dropped: self.counters.replies_dropped.load(Ordering::Relaxed),
+            decode_errors: done.decode_errors,
+            frames_fenced: done.frames_fenced,
+            workers_died: done.workers_died,
+            links: done.links,
+            acquire_latency: done.acquire_latency,
+            acquire_hops: done.acquire_hops,
         }
     }
 }
 
 /// One survivor's recovery scan report: its node id plus a `(lock,
-/// has_token, epoch)` row for every lock its workers host. Produced by
-/// [`Input::Scan`] in-process and by [`crate::Node::scan_locks`] in the
+/// has_token, epoch)` row for every lock its workers host. Produced by the
+/// recovery scan in-process and by [`crate::Node::scan_locks`] in the
 /// multi-process path; consumed by [`plan_recovery`].
 pub type ScanReport = (u32, Vec<(u32, bool, u32)>);
 
@@ -949,8 +558,8 @@ pub type ScanReport = (u32, Vec<(u32, bool, u32)>);
 /// new_epoch)` triple per affected lock.
 ///
 /// `rows` is one `(node, [(lock, has_token, epoch)])` entry per surviving
-/// worker ([`Input::Scan`] output, or a [`crate::Node::scan_locks`] report
-/// per member in the multi-process path). Per lock, the next epoch is one
+/// worker (or a [`crate::Node::scan_locks`] report per member in the
+/// multi-process path). Per lock, the next epoch is one
 /// past the highest epoch any survivor reported, and the new root is the
 /// surviving token holder at that epoch if there is one — otherwise the
 /// lowest-numbered survivor, which will regenerate the token (Rule R2).
@@ -991,1024 +600,39 @@ pub fn plan_recovery(
         .collect()
 }
 
-/// Combine per-worker reliability snapshots, coalescing counters,
-/// transport fault tallies, and socket wire counters into one
-/// directed-link table.
-pub(crate) fn merge_links(
-    per_node: &[(u32, Vec<PeerSnapshot>)],
-    faults: &[LinkFaults],
-    coalesce: &[(u32, Vec<CoalesceStat>)],
-    socket: &[SocketLinkStat],
-) -> Vec<LinkReport> {
-    fn slot(map: &mut BTreeMap<(u32, u32), LinkReport>, from: u32, to: u32) -> &mut LinkReport {
-        map.entry((from, to)).or_insert_with(|| LinkReport {
-            from,
-            to,
-            ..LinkReport::default()
-        })
-    }
-    let mut map: BTreeMap<(u32, u32), LinkReport> = BTreeMap::new();
-    for (node, snaps) in per_node {
-        for s in snaps {
-            // `s` is `node`'s endpoint state for peer `s.peer`: the sender
-            // half describes the `node → peer` link, the receiver half (and
-            // the acks it produced) describes `peer → node`.
-            let tx = slot(&mut map, *node, s.peer);
-            tx.data_sent += s.data_sent;
-            tx.retransmits += s.retransmits;
-            let rx = slot(&mut map, s.peer, *node);
-            rx.acks_sent += s.acks_sent;
-            rx.dups_suppressed += s.dups_suppressed;
-            rx.reorders_buffered += s.reorders_buffered;
-        }
-    }
-    for (node, stats) in coalesce {
-        for c in stats {
-            let link = slot(&mut map, *node, c.peer);
-            link.proto_sent += c.proto_sent;
-            link.wire_sent += c.wire_sent;
-        }
-    }
-    for f in faults {
-        let link = slot(&mut map, f.from, f.to);
-        link.dropped += f.dropped;
-        link.duplicated += f.duplicated;
-        link.reordered += f.reordered;
-    }
-    for s in socket {
-        let link = slot(&mut map, s.from, s.to);
-        link.wire_bytes += s.bytes;
-        link.resets += s.resets;
-    }
-    map.into_values().collect()
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{LockId, Mode};
 
-/// A blocked application operation: its reply channel plus the request-span
-/// identity and issue time used for grant-side metrics and trace events.
-struct Waiter {
-    reply: Reply,
-    /// Request id assigned at issue (`node << 32 | per-worker counter`).
-    req: u64,
-    /// Wall-clock issue time, for the acquire-latency histogram.
-    started: Instant,
-}
-
-/// Long-lived per-worker-thread state threaded through every protocol entry
-/// point: trace recorder, application waiters, reliability endpoint, encode
-/// scratch, effect sink, coalesce buffers, shared metrics, and the
-/// request-id allocator.
-///
-/// Bundling these lets [`NodeCtx::flush`] — the one place effects become
-/// frames, grants, and metrics — borrow them together without a
-/// ten-argument function.
-struct NodeCtx<'a> {
-    me: NodeId,
-    /// This worker's shard index — used to filter recovery plans down to
-    /// the locks this worker owns.
-    shard: u32,
-    /// The node's shard count — the stride of this worker's request-id
-    /// counter and the slot-to-node divisor for transport addresses.
-    shards: u32,
-    epoch: Instant,
-    /// Frames dropped by the epoch fence (Rule R3); folded into
-    /// [`ClusterReport::frames_fenced`] at shutdown.
-    fenced: u64,
-    recorder: Option<RingRecorder>,
-    /// Application waiters keyed by `(lock, request id)`. The protocol
-    /// still admits one *pending* operation per lock per node (enforced via
-    /// `active`), but the key shape keeps every waiter's identity distinct
-    /// across locks — any number of locks can have an operation in flight
-    /// concurrently from one node.
-    waiters: FastMap<(u32, u64), Waiter>,
-    /// The outstanding request id per lock, if any ([`ClusterError::Busy`]
-    /// guards it).
-    active: FastMap<u32, u64>,
-    endpoint: Option<Endpoint>,
-    encode_scratch: bytes::BytesMut,
-    container_scratch: bytes::BytesMut,
-    effect_buf: EffectBuf,
-    metrics: &'a Mutex<NodeMetrics>,
-    messages: Arc<AtomicU64>,
-    in_flight: Arc<AtomicU64>,
-    replies_dropped: Arc<AtomicU64>,
-    next_req: u64,
-    /// Coalescing state: per-peer-node buffered protocol frames, the peers
-    /// with a non-empty buffer (in first-touch order), and per-peer packing
-    /// counters.
-    coalesce_on: bool,
-    pending: Vec<Vec<Bytes>>,
-    pending_peers: Vec<u32>,
-    proto_sent: Vec<u64>,
-    wire_sent: Vec<u64>,
-    /// Completions settled synchronously while processing one pipelined
-    /// [`Input::Ops`] chunk, shipped to the client as a single channel send
-    /// at chunk end. Deferred grants (waiters completed by later network
-    /// traffic) bypass this and send singletons.
-    comp_batch: Vec<Completion>,
-}
-
-impl NodeCtx<'_> {
-    /// Allocate a fresh, never-zero request id: `node << 32 | counter`,
-    /// where the counter is strided by the shard count so workers of one
-    /// node never collide (worker `s` issues `s + shards`, `s + 2·shards`,
-    /// …; the counter wraps at 32 bits).
-    fn alloc_req(&mut self) -> u64 {
-        self.next_req += self.shards as u64;
-        ((self.me.0 as u64) << 32) | (self.next_req & 0xFFFF_FFFF)
-    }
-
-    /// Record one span/transport event at this worker, if tracing is on.
-    fn trace(&mut self, lock: u32, event: ProtocolEvent) {
-        if let Some(ring) = &mut self.recorder {
-            ring.record(
-                self.epoch.elapsed().as_micros() as u64,
-                lock,
-                self.me.0,
-                event,
-            );
+    /// A panicking worker thread must not take the cluster down: the failure
+    /// detector flags its node (a finished thread is the strongest heartbeat
+    /// silence), the other nodes keep serving, and shutdown reports the death
+    /// in `workers_died` instead of propagating the panic.
+    #[test]
+    fn worker_panic_is_reported_not_propagated() {
+        let c = Cluster::new(ClusterConfig {
+            nodes: 3,
+            ..Default::default()
+        });
+        let h0 = c.handle(0);
+        h0.acquire(LockId::TABLE, Mode::Write).unwrap();
+        h0.release(LockId::TABLE).unwrap();
+        // The node's (now partial) state is excluded from the shutdown
+        // audit, like a crashed node's.
+        c.crashed.lock().unwrap().insert(2);
+        c.members[2].broadcast(|| Input::Panic);
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !c.suspects(Duration::from_millis(300)).contains(&2) {
+            assert!(Instant::now() < deadline, "detector never flagged node 2");
+            std::thread::sleep(Duration::from_millis(10));
         }
-    }
-
-    /// Drive one protocol entry point, stamping its events with wall-clock
-    /// µs since the cluster epoch when this worker records a trace.
-    fn observed<T>(
-        &mut self,
-        lock: LockId,
-        f: impl FnOnce(&mut dyn Observer, &mut EffectBuf) -> T,
-    ) -> T {
-        match &mut self.recorder {
-            Some(ring) => {
-                let mut stamp = Stamp {
-                    at: self.epoch.elapsed().as_micros() as u64,
-                    lock: lock.0,
-                    sink: ring,
-                };
-                f(&mut stamp, &mut self.effect_buf)
-            }
-            None => f(&mut NullObserver, &mut self.effect_buf),
-        }
-    }
-
-    /// Fast path for a protocol step whose only effect is the local grant
-    /// (the token is here and nothing conflicts — the case a well-sharded
-    /// single node hits millions of times per second): complete the reply
-    /// immediately and skip the waiter registration the generic path would
-    /// insert and remove again within the same call. Returns the reply back
-    /// when the step produced anything else and the slow path must run.
-    fn fast_grant(&mut self, lock: LockId, req: u64, reply: Reply) -> Option<Reply> {
-        let upgraded = match (self.effect_buf.len(), self.effect_buf.iter().next()) {
-            (1, Some(Effect::Granted { .. })) => false,
-            (1, Some(Effect::Upgraded)) => true,
-            _ => return Some(reply),
-        };
-        self.effect_buf.clear();
-        {
-            let mut m = self.metrics.lock().expect("metrics mutex");
-            // A same-call grant never left the worker; its service time is
-            // below the histogram's µs resolution, so record it as 0 rather
-            // than pay two `Instant::now` reads per fast-path op.
-            m.acquire_latency.record(0);
-            m.acquire_hops.record(0);
-            if upgraded {
-                m.upgrades += 1;
-            } else {
-                m.acquires += 1;
-            }
-        }
-        if self.recorder.is_some() {
-            self.trace(lock.0, ProtocolEvent::RequestGrant { req, hops: 0 });
-        }
-        reply.complete_into(Ok(()), &mut self.comp_batch);
-        None
-    }
-
-    /// Drain the effects of one protocol entry point. Sends are encoded
-    /// with the correlated frame header — `req` is the request chain being
-    /// extended (0 = uncorrelated) and `hops` the causal depth of whatever
-    /// triggered this step, so outgoing frames carry `hops + 1`. With
-    /// coalescing on, encoded frames are buffered per destination (raising
-    /// the in-flight gauge so quiescence can't be declared under them) and
-    /// flushed at batch end; otherwise they are wrapped and transmitted
-    /// immediately. Grants complete the lock's waiting application call,
-    /// record its latency/hop metrics, and close its trace span.
-    fn flush(
-        &mut self,
-        lock: LockId,
-        req: u64,
-        hops: u16,
-        node_epoch: u32,
-        put: &dyn Fn(NodeId, Bytes),
-    ) {
-        let NodeCtx {
-            me,
-            epoch,
-            recorder,
-            waiters,
-            active,
-            endpoint,
-            encode_scratch,
-            effect_buf,
-            metrics,
-            messages,
-            in_flight,
-            replies_dropped,
-            coalesce_on,
-            pending,
-            pending_peers,
-            proto_sent,
-            wire_sent,
-            ..
-        } = self;
-        for effect in effect_buf.drain() {
-            let upgraded = matches!(effect, Effect::Upgraded);
-            match effect {
-                Effect::Send { to, message } => {
-                    messages.fetch_add(1, Ordering::Relaxed);
-                    let payload = codec::encode_corr_into(
-                        lock,
-                        req,
-                        hops.saturating_add(1),
-                        node_epoch,
-                        &message,
-                        encode_scratch,
-                    );
-                    if *coalesce_on {
-                        // The buffered frame is already owed to the wire:
-                        // raise the gauge now so a quiescence probe between
-                        // here and the batch-end flush sees a busy cluster.
-                        in_flight.fetch_add(1, Ordering::Relaxed);
-                        let buf = &mut pending[to.index()];
-                        if buf.is_empty() {
-                            pending_peers.push(to.0);
-                        }
-                        buf.push(payload);
-                    } else {
-                        proto_sent[to.index()] += 1;
-                        wire_sent[to.index()] += 1;
-                        let frame = match endpoint {
-                            Some(ep) => ep.wrap_data(to, lock.0, payload, Instant::now()),
-                            None => payload,
-                        };
-                        put(to, frame);
-                    }
-                }
-                Effect::Granted { .. } | Effect::Upgraded => {
-                    if let Some(req0) = active.remove(&lock.0) {
-                        // A grant without a matching waiter can occur after a
-                        // recovery wave re-issues an operation whose original
-                        // waiter was already torn down; count the dropped
-                        // completion instead of panicking the worker.
-                        let Some(w) = waiters.remove(&(lock.0, req0)) else {
-                            replies_dropped.fetch_add(1, Ordering::Relaxed);
-                            continue;
-                        };
-                        let latency = w.started.elapsed().as_micros() as u64;
-                        {
-                            let mut m = metrics.lock().expect("metrics mutex");
-                            m.acquire_latency.record(latency);
-                            m.acquire_hops.record(hops as u64);
-                            if upgraded {
-                                m.upgrades += 1;
-                            } else {
-                                m.acquires += 1;
-                            }
-                        }
-                        if let Some(ring) = recorder {
-                            ring.record(
-                                epoch.elapsed().as_micros() as u64,
-                                lock.0,
-                                me.0,
-                                ProtocolEvent::RequestGrant {
-                                    req: w.req,
-                                    hops: hops as u32,
-                                },
-                            );
-                        }
-                        w.reply.complete(Ok(()));
-                    }
-                }
-            }
-        }
-    }
-
-    /// Transmit every coalesce buffer: one wire frame per destination with
-    /// pending traffic (a container when more than one protocol frame is
-    /// packed). Called at the end of each input batch.
-    fn flush_pending(&mut self, put: &dyn Fn(NodeId, Bytes)) {
-        if self.pending_peers.is_empty() {
-            return;
-        }
-        let NodeCtx {
-            endpoint,
-            container_scratch,
-            in_flight,
-            pending,
-            pending_peers,
-            proto_sent,
-            wire_sent,
-            ..
-        } = self;
-        for &peer in pending_peers.iter() {
-            let frames = &mut pending[peer as usize];
-            let k = frames.len();
-            debug_assert!(k > 0, "registered peer has buffered frames");
-            let payload = if k == 1 {
-                frames.pop().expect("one frame")
-            } else {
-                let c = codec::encode_container_into(frames, container_scratch);
-                frames.clear();
-                c
-            };
-            proto_sent[peer as usize] += k as u64;
-            wire_sent[peer as usize] += 1;
-            // Containers peek as TRANSPORT_LOCK (their marker occupies the
-            // lock-id slot); single frames keep their lock for trace
-            // stamping of retransmissions.
-            let lock = payload
-                .as_ref()
-                .get(0..4)
-                .map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-                .unwrap_or(TRANSPORT_LOCK);
-            let to = NodeId(peer);
-            let frame = match endpoint {
-                Some(ep) => ep.wrap_data(to, lock, payload, Instant::now()),
-                None => payload,
-            };
-            put(to, frame);
-            // The physical frame replaced k buffered protocol frames on the
-            // gauge; `put` raised it by one, settle the difference after so
-            // the gauge never transiently reads idle.
-            in_flight.fetch_sub(k as u64, Ordering::Relaxed);
-        }
-        pending_peers.clear();
-    }
-}
-
-/// This worker's protocol instance for `lock`, created on first touch
-/// (node 0 holds every token initially).
-fn lock_state(
-    locks: &mut FastMap<u32, HierNode>,
-    me: NodeId,
-    protocol: ProtocolConfig,
-    lock: LockId,
-) -> &mut HierNode {
-    locks.entry(lock.0).or_insert_with(|| {
-        if me == NodeId(0) {
-            HierNode::with_token(me, protocol)
-        } else {
-            HierNode::new(me, NodeId(0), protocol)
-        }
-    })
-}
-
-/// Process one blocking-or-pipelined acquire.
-fn do_acquire(
-    ctx: &mut NodeCtx<'_>,
-    locks: &mut FastMap<u32, HierNode>,
-    protocol: ProtocolConfig,
-    lock: LockId,
-    mode: Mode,
-    reply: Reply,
-    put: &dyn Fn(NodeId, Bytes),
-) {
-    // A second outstanding op on this lock would race the protocol's
-    // single-pending model; refuse loudly instead. Operations on *other*
-    // locks are unaffected — waiters are keyed `(lock, req)`.
-    if ctx.active.contains_key(&lock.0) {
-        reply.complete_into(Err(ClusterError::Busy), &mut ctx.comp_batch);
-        return;
-    }
-    let req = ctx.alloc_req();
-    ctx.trace(
-        lock.0,
-        ProtocolEvent::RequestStart {
-            req,
-            mode,
-            upgrade: false,
-        },
-    );
-    let node = lock_state(locks, ctx.me, protocol, lock);
-    let result = ctx.observed(lock, |obs, buf| node.on_acquire_into(mode, 0, buf, obs));
-    let node_epoch = node.epoch();
-    match result {
-        Ok(()) => {
-            let Some(reply) = ctx.fast_grant(lock, req, reply) else {
-                return;
-            };
-            // Only ops that actually wait pay for a start timestamp.
-            let started = Instant::now();
-            ctx.active.insert(lock.0, req);
-            ctx.waiters.insert(
-                (lock.0, req),
-                Waiter {
-                    reply,
-                    req,
-                    started,
-                },
-            );
-            ctx.flush(lock, req, 0, node_epoch, put);
-        }
-        Err(e) => reply.complete_into(Err(ClusterError::Acquire(e)), &mut ctx.comp_batch),
-    }
-}
-
-/// Process one blocking-or-pipelined Rule 7 upgrade.
-fn do_upgrade(
-    ctx: &mut NodeCtx<'_>,
-    locks: &mut FastMap<u32, HierNode>,
-    protocol: ProtocolConfig,
-    lock: LockId,
-    reply: Reply,
-    put: &dyn Fn(NodeId, Bytes),
-) {
-    if ctx.active.contains_key(&lock.0) {
-        reply.complete_into(Err(ClusterError::Busy), &mut ctx.comp_batch);
-        return;
-    }
-    let req = ctx.alloc_req();
-    ctx.trace(
-        lock.0,
-        ProtocolEvent::RequestStart {
-            req,
-            mode: Mode::Write,
-            upgrade: true,
-        },
-    );
-    let node = lock_state(locks, ctx.me, protocol, lock);
-    let result = ctx.observed(lock, |obs, buf| node.on_upgrade_into(buf, obs));
-    let node_epoch = node.epoch();
-    match result {
-        Ok(()) => {
-            let Some(reply) = ctx.fast_grant(lock, req, reply) else {
-                return;
-            };
-            let started = Instant::now();
-            ctx.active.insert(lock.0, req);
-            ctx.waiters.insert(
-                (lock.0, req),
-                Waiter {
-                    reply,
-                    req,
-                    started,
-                },
-            );
-            ctx.flush(lock, req, 0, node_epoch, put);
-        }
-        Err(e) => reply.complete_into(Err(ClusterError::Upgrade(e)), &mut ctx.comp_batch),
-    }
-}
-
-/// Process one blocking-or-pipelined release.
-fn do_release(
-    ctx: &mut NodeCtx<'_>,
-    locks: &mut FastMap<u32, HierNode>,
-    protocol: ProtocolConfig,
-    lock: LockId,
-    reply: Reply,
-    put: &dyn Fn(NodeId, Bytes),
-) {
-    let node = lock_state(locks, ctx.me, protocol, lock);
-    let result = ctx.observed(lock, |obs, buf| node.on_release_into(buf, obs));
-    let node_epoch = node.epoch();
-    match result {
-        Ok(()) => {
-            // Releases open no span: their frames travel with req 0
-            // (uncorrelated).
-            ctx.flush(lock, 0, 0, node_epoch, put);
-            ctx.metrics.lock().expect("metrics mutex").releases += 1;
-            reply.complete_into(Ok(()), &mut ctx.comp_batch);
-        }
-        Err(e) => reply.complete_into(Err(ClusterError::Release(e)), &mut ctx.comp_batch),
-    }
-}
-
-/// Decode and apply one correlated protocol frame (possibly one sub-frame
-/// of a container). Returns false if the frame was malformed.
-fn on_protocol_frame(
-    ctx: &mut NodeCtx<'_>,
-    locks: &mut FastMap<u32, HierNode>,
-    protocol: ProtocolConfig,
-    from: NodeId,
-    payload: Bytes,
-    put: &dyn Fn(NodeId, Bytes),
-) -> bool {
-    match codec::decode_corr(payload) {
-        Ok((lock, req, hops, frame_epoch, message)) => {
-            // One network leg of request `req`'s causal chain landed here;
-            // record it before the handler so the hop precedes its
-            // consequences.
-            if req != 0 {
-                ctx.trace(
-                    lock.0,
-                    ProtocolEvent::RequestHop {
-                        req,
-                        hop: hops as u32,
-                    },
-                );
-            }
-            let node = lock_state(locks, ctx.me, protocol, lock);
-            // Rule R3: frames stamped with a generation other than the
-            // receiving node's are fenced (dropped) instead of delivered;
-            // `Recover` frames bypass the fence because they *install* the
-            // new generation.
-            let delivered = ctx.observed(lock, |obs, buf| {
-                node.on_frame_into(from, frame_epoch, message, buf, obs)
-            });
-            if !delivered {
-                ctx.fenced += 1;
-            }
-            let node_epoch = node.epoch();
-            ctx.flush(lock, req, hops, node_epoch, put);
-            true
-        }
-        Err(_) => false,
-    }
-}
-
-/// What the worker loop should do after one input.
-#[derive(PartialEq, Eq)]
-enum Flow {
-    /// Keep serving.
-    Run,
-    /// Clean shutdown: return protocol state.
-    Stop,
-    /// Simulated crash: abandon state and enter the silent drain loop.
-    Crash,
-}
-
-/// Handle one worker input.
-#[allow(clippy::too_many_arguments)]
-fn handle_input(
-    input: Input,
-    ctx: &mut NodeCtx<'_>,
-    locks: &mut FastMap<u32, HierNode>,
-    config: &ClusterConfig,
-    gate: &ShardGate,
-    decode_errors: &mut u64,
-    inbox: &mut Vec<Bytes>,
-    subframes: &mut Vec<Bytes>,
-    rel_events: &mut Vec<(u32, ProtocolEvent)>,
-    in_flight: &AtomicU64,
-    put: &dyn Fn(NodeId, Bytes),
-) -> Flow {
-    match input {
-        Input::Net { from, frame } => {
-            // Transport addresses are worker slots; fold back to the node.
-            let from = NodeId(from.0 / ctx.shards);
-            let mut direct = None;
-            let mut malformed = false;
-            match ctx.endpoint.as_mut() {
-                Some(ep) => {
-                    malformed = ep
-                        .on_frame(
-                            from,
-                            frame,
-                            &mut |payload| inbox.push(payload),
-                            &mut |lock, event| rel_events.push((lock, event)),
-                        )
-                        .is_err();
-                }
-                None => direct = Some(frame),
-            }
-            for payload in direct.into_iter().chain(inbox.drain(..)) {
-                if codec::is_container(&payload) {
-                    match codec::decode_container_into(payload, subframes) {
-                        Ok(()) => {
-                            for sub in subframes.drain(..) {
-                                if !on_protocol_frame(ctx, locks, config.protocol, from, sub, put) {
-                                    malformed = true;
-                                }
-                            }
-                        }
-                        Err(_) => malformed = true,
-                    }
-                } else if !on_protocol_frame(ctx, locks, config.protocol, from, payload, put) {
-                    malformed = true;
-                }
-            }
-            if malformed {
-                *decode_errors += 1;
-                ctx.trace(TRANSPORT_LOCK, ProtocolEvent::DecodeError { from: from.0 });
-            }
-            // This physical frame is fully absorbed; any traffic it caused
-            // has already raised the gauge above.
-            in_flight.fetch_sub(1, Ordering::Relaxed);
-            Flow::Run
-        }
-        Input::Acquire { lock, mode, reply } => {
-            gate.leave(1);
-            do_acquire(ctx, locks, config.protocol, lock, mode, reply, put);
-            Flow::Run
-        }
-        Input::TryAcquire { lock, mode, reply } => {
-            gate.leave(1);
-            let node = lock_state(locks, ctx.me, config.protocol, lock);
-            if node.can_admit_locally(mode) {
-                let req = ctx.alloc_req();
-                ctx.trace(
-                    lock.0,
-                    ProtocolEvent::RequestStart {
-                        req,
-                        mode,
-                        upgrade: false,
-                    },
-                );
-                ctx.observed(lock, |obs, buf| {
-                    node.on_acquire_into(mode, 0, buf, obs)
-                        .expect("local admit is well-formed")
-                });
-                // `can_admit_locally` promises "zero messages": the admit
-                // may produce only the local grant, never a Send.
-                debug_assert!(
-                    ctx.effect_buf
-                        .iter()
-                        .all(|e| matches!(e, Effect::Granted { .. })),
-                    "try_acquire fast path emitted network traffic"
-                );
-                // The fast path registers no waiter, so close the span and
-                // count the zero-message, zero-hop grant here.
-                let node_epoch = node.epoch();
-                ctx.flush(lock, req, 0, node_epoch, put);
-                {
-                    let mut m = ctx.metrics.lock().expect("metrics mutex");
-                    m.acquire_latency.record(0);
-                    m.acquire_hops.record(0);
-                    m.acquires += 1;
-                }
-                ctx.trace(lock.0, ProtocolEvent::RequestGrant { req, hops: 0 });
-                reply.complete(true);
-            } else {
-                reply.complete(false);
-            }
-            Flow::Run
-        }
-        Input::Upgrade { lock, reply } => {
-            gate.leave(1);
-            do_upgrade(ctx, locks, config.protocol, lock, reply, put);
-            Flow::Run
-        }
-        Input::Release { lock, reply } => {
-            gate.leave(1);
-            do_release(ctx, locks, config.protocol, lock, reply, put);
-            Flow::Run
-        }
-        Input::Ops { ops, tx } => {
-            gate.leave(ops.len());
-            // Synchronously-settled outcomes accumulate in the chunk batch
-            // and ship as one channel send below; only deferred grants pay
-            // a per-completion send (later, when they resolve).
-            debug_assert!(ctx.comp_batch.is_empty());
-            ctx.comp_batch.reserve(ops.len());
-            for op in ops {
-                let reply = Reply::shared(tx.clone(), op.lock, op.tag, &ctx.replies_dropped);
-                match op.kind {
-                    OpKind::Acquire(mode) => {
-                        do_acquire(ctx, locks, config.protocol, op.lock, mode, reply, put)
-                    }
-                    OpKind::Upgrade => do_upgrade(ctx, locks, config.protocol, op.lock, reply, put),
-                    OpKind::Release => do_release(ctx, locks, config.protocol, op.lock, reply, put),
-                }
-            }
-            if !ctx.comp_batch.is_empty() {
-                let n = ctx.comp_batch.len() as u64;
-                if tx.send(std::mem::take(&mut ctx.comp_batch)).is_err() {
-                    ctx.replies_dropped.fetch_add(n, Ordering::Relaxed);
-                }
-            }
-            Flow::Run
-        }
-        Input::Die => Flow::Crash,
-        Input::Panic => panic!("injected worker panic (Input::Panic test hook)"),
-        Input::OrphanWaiter { lock } => {
-            if let Some(&req) = ctx.active.get(&lock.0) {
-                // Dropping the Reply un-completed closes the caller's
-                // channel; `active` stays, so the eventual grant exercises
-                // the orphaned-completion accounting in `flush`.
-                ctx.waiters.remove(&(lock.0, req));
-            }
-            Flow::Run
-        }
-        Input::Isolate { dead } => {
-            if let Some(ep) = ctx.endpoint.as_mut() {
-                ep.forget_peer(dead);
-            }
-            Flow::Run
-        }
-        Input::Scan(tx) => {
-            let rows: Vec<(u32, bool, u32)> = locks
-                .iter()
-                .map(|(&l, n)| (l, n.has_token(), n.epoch()))
-                .collect();
-            // The coordinator may have timed out and gone; that is its
-            // problem, not ours.
-            let _ = tx.send((ctx.me.0, rows));
-            Flow::Run
-        }
-        Input::PeerDown {
-            dead,
-            survivors,
-            plans,
-        } => {
-            ctx.trace(
-                TRANSPORT_LOCK,
-                ProtocolEvent::NodeSuspected { node: dead.0 },
-            );
-            // The link layer must stop expecting acks from the dead node
-            // even if no explicit `Isolate` preceded this wave.
-            if let Some(ep) = ctx.endpoint.as_mut() {
-                ep.forget_peer(dead);
-            }
-            for &(lock, new_root, new_epoch) in plans.iter() {
-                if shard_of(LockId(lock), ctx.shards as usize) != ctx.shard as usize {
-                    continue;
-                }
-                let lock = LockId(lock);
-                let node = lock_state(locks, ctx.me, config.protocol, lock);
-                ctx.observed(lock, |obs, buf| {
-                    node.on_peer_down_into(dead, NodeId(new_root), new_epoch, &survivors, buf, obs)
-                });
-                let node_epoch = node.epoch();
-                ctx.flush(lock, 0, 0, node_epoch, put);
-            }
-            Flow::Run
-        }
-        Input::Shutdown => Flow::Stop,
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn worker_loop(
-    me: NodeId,
-    shard: u32,
-    shards: u32,
-    config: ClusterConfig,
-    rx: Receiver<Input>,
-    transport: Arc<dyn Transport>,
-    messages: Arc<AtomicU64>,
-    in_flight: Arc<AtomicU64>,
-    unacked: Arc<AtomicU64>,
-    replies_dropped: Arc<AtomicU64>,
-    epoch: Instant,
-    metrics: Arc<Mutex<NodeMetrics>>,
-    gate: Arc<ShardGate>,
-    beats: Arc<Vec<AtomicU64>>,
-    beat_slot: usize,
-) -> NodeExit {
-    // This shard's protocol instances, created on first touch: a node
-    // hosting a million locks pays only for the ones it uses. The table is
-    // pre-sized to the shard's expected share so a million-lock churn run
-    // never stalls on mid-run rehashes of a multi-hundred-megabyte map.
-    let mut locks: FastMap<u32, HierNode> =
-        FastMap::with_capacity_and_hasher(config.locks / shards as usize + 1, Default::default());
-    let mut ctx = NodeCtx {
-        me,
-        shard,
-        shards,
-        epoch,
-        fenced: 0,
-        recorder: (config.trace_capacity > 0).then(|| RingRecorder::new(config.trace_capacity)),
-        waiters: FastMap::default(),
-        active: FastMap::default(),
-        endpoint: config
-            .reliable
-            .map(|cfg| Endpoint::new(me, config.nodes, cfg, Arc::clone(&unacked))),
-        // One long-lived encode buffer per worker: every outgoing frame is
-        // built in place and copied out, so steady-state transmission does
-        // no buffer growth. The container scratch is separate because a
-        // container is assembled from frames the encode scratch already
-        // produced.
-        encode_scratch: bytes::BytesMut::with_capacity(64),
-        container_scratch: bytes::BytesMut::with_capacity(256),
-        // One long-lived effect sink per worker: every protocol entry point
-        // drains into it via the `*_into` API, so steady-state protocol
-        // steps do no heap allocation for effects.
-        effect_buf: EffectBuf::new(),
-        metrics: &metrics,
-        messages,
-        in_flight: Arc::clone(&in_flight),
-        replies_dropped,
-        next_req: shard as u64,
-        coalesce_on: config.coalesce,
-        pending: (0..config.nodes).map(|_| Vec::new()).collect(),
-        pending_peers: Vec::with_capacity(config.nodes),
-        proto_sent: vec![0; config.nodes],
-        wire_sent: vec![0; config.nodes],
-        comp_batch: Vec::new(),
-    };
-    let mut decode_errors: u64 = 0;
-
-    // Every physical frame leaving this worker raises the in-flight gauge;
-    // the gauge falls when the receiving worker finishes processing it (or
-    // when the transport kills it). Peers are addressed by node; the slot
-    // is the same shard on the destination (lock → shard is
-    // node-independent, so lock state for this shard's locks lives on this
-    // shard everywhere).
-    let my_slot = NodeId(me.0 * shards + shard);
-    let put = |to: NodeId, frame: Bytes| {
-        in_flight.fetch_add(1, Ordering::Relaxed);
-        transport.send(my_slot, NodeId(to.0 * shards + shard), frame);
-    };
-
-    // Reused per-iteration scratch for the reliability shim's outputs and
-    // container unpacking.
-    let mut inbox: Vec<Bytes> = Vec::new();
-    let mut subframes: Vec<Bytes> = Vec::new();
-    let mut rel_events: Vec<(u32, ProtocolEvent)> = Vec::new();
-
-    'outer: loop {
-        // Refresh the heartbeat every iteration; a worker that stops
-        // looping (crashed, panicked, wedged) goes stale and the failure
-        // detector flags its node.
-        beats[beat_slot].store(epoch.elapsed().as_micros() as u64, Ordering::Relaxed);
-        // With unacked frames outstanding, sleep only until the earliest
-        // retransmission deadline; either way wake at least every
-        // `HEARTBEAT` so the stamp above stays fresh while idle.
-        let wait = match ctx.endpoint.as_ref().and_then(Endpoint::next_due) {
-            Some(due) => due.saturating_duration_since(Instant::now()).min(HEARTBEAT),
-            None => HEARTBEAT,
-        };
-        let first = match rx.recv_timeout(wait) {
-            Ok(input) => Some(input),
-            Err(RecvTimeoutError::Timeout) => None,
-            Err(RecvTimeoutError::Disconnected) => break 'outer,
-        };
-        // Drain a batch: the first (blocking) input plus whatever else is
-        // already queued, bounded so coalesce flushes and retransmission
-        // ticks stay timely under sustained load.
-        let mut flow = Flow::Run;
-        if let Some(input) = first {
-            flow = handle_input(
-                input,
-                &mut ctx,
-                &mut locks,
-                &config,
-                &gate,
-                &mut decode_errors,
-                &mut inbox,
-                &mut subframes,
-                &mut rel_events,
-                &in_flight,
-                &put,
-            );
-            let mut drained = 1;
-            while flow == Flow::Run && drained < BATCH {
-                match rx.try_recv() {
-                    Ok(input) => {
-                        flow = handle_input(
-                            input,
-                            &mut ctx,
-                            &mut locks,
-                            &config,
-                            &gate,
-                            &mut decode_errors,
-                            &mut inbox,
-                            &mut subframes,
-                            &mut rel_events,
-                            &in_flight,
-                            &put,
-                        );
-                        drained += 1;
-                    }
-                    Err(_) => break,
-                }
-            }
-        }
-        if flow == Flow::Crash {
-            // Simulated node death. Everything buffered dies with the node
-            // *before* the batch-boundary flush below would transmit it: a
-            // crashed node sends nothing, ever again.
-            for (_, w) in ctx.waiters.drain() {
-                w.reply.complete(Err(ClusterError::WorkerDied));
-            }
-            ctx.active.clear();
-            for &peer in &ctx.pending_peers {
-                let k = ctx.pending[peer as usize].len() as u64;
-                ctx.pending[peer as usize].clear();
-                in_flight.fetch_sub(k, Ordering::Relaxed);
-            }
-            ctx.pending_peers.clear();
-            ctx.effect_buf.clear();
-            // Stop owing the link layer anything (and release whatever it
-            // still counted against the unacked gauge on our behalf).
-            if let Some(ep) = ctx.endpoint.as_mut() {
-                for n in 0..config.nodes as u32 {
-                    ep.forget_peer(NodeId(n));
-                }
-            }
-            crashed_loop(&rx, &gate, &in_flight);
-            let (trace, trace_dropped) = match ctx.recorder {
-                Some(ring) => {
-                    let dropped = ring.dropped();
-                    (ring.into_records(), dropped)
-                }
-                None => (Vec::new(), 0),
-            };
-            // An empty lock map: a dead node's state is gone, and the
-            // shutdown audit must not see it.
-            return NodeExit {
-                locks: FastMap::default(),
-                trace,
-                trace_dropped,
-                decode_errors,
-                frames_fenced: ctx.fenced,
-                links: Vec::new(),
-                coalesce: Vec::new(),
-            };
-        }
-        // Batch boundary: transmit coalesced traffic, then let the
-        // reliability shim retransmit and flush acks.
-        ctx.flush_pending(&put);
-        if let Some(ep) = ctx.endpoint.as_mut() {
-            let now = Instant::now();
-            if ep.next_due().is_some_and(|due| due <= now) {
-                ep.on_tick(now, &mut |to, frame| put(to, frame), &mut |lock, event| {
-                    rel_events.push((lock, event))
-                });
-            }
-            // Flush cumulative acks owed after this round of input.
-            ep.take_acks(&mut |to, frame| put(to, frame));
-            if let Some(ring) = &mut ctx.recorder {
-                for (lock, event) in rel_events.drain(..) {
-                    ring.record(epoch.elapsed().as_micros() as u64, lock, me.0, event);
-                }
-            }
-            rel_events.clear();
-        }
-        if flow == Flow::Stop {
-            break;
-        }
-    }
-    let (trace, trace_dropped) = match ctx.recorder {
-        Some(ring) => {
-            let dropped = ring.dropped();
-            (ring.into_records(), dropped)
-        }
-        None => (Vec::new(), 0),
-    };
-    let coalesce = ctx
-        .proto_sent
-        .iter()
-        .zip(ctx.wire_sent.iter())
-        .enumerate()
-        .filter(|(_, (&p, &w))| p + w > 0)
-        .map(|(peer, (&p, &w))| CoalesceStat {
-            peer: peer as u32,
-            proto_sent: p,
-            wire_sent: w,
-        })
-        .collect();
-    NodeExit {
-        locks,
-        trace,
-        trace_dropped,
-        decode_errors,
-        frames_fenced: ctx.fenced,
-        links: ctx.endpoint.map(|ep| ep.snapshots()).unwrap_or_default(),
-        coalesce,
-    }
-}
-
-/// The post-crash drain loop: a dead node neither sends nor processes, but
-/// it must keep *consuming* so the cluster's accounting stays truthful —
-/// every arriving physical frame still decrements the in-flight gauge, and
-/// every application operation is refused with
-/// [`ClusterError::WorkerDied`] instead of hanging its caller. Exits on
-/// `Shutdown` (or channel closure).
-fn crashed_loop(rx: &Receiver<Input>, gate: &ShardGate, in_flight: &AtomicU64) {
-    loop {
-        match rx.recv() {
-            Ok(Input::Net { .. }) => {
-                in_flight.fetch_sub(1, Ordering::Relaxed);
-            }
-            Ok(Input::Acquire { reply, .. })
-            | Ok(Input::Upgrade { reply, .. })
-            | Ok(Input::Release { reply, .. }) => {
-                gate.leave(1);
-                reply.complete(Err(ClusterError::WorkerDied));
-            }
-            Ok(Input::TryAcquire { reply, .. }) => {
-                gate.leave(1);
-                reply.complete(false);
-            }
-            Ok(Input::Ops { ops, tx }) => {
-                gate.leave(ops.len());
-                let comps: Vec<Completion> = ops
-                    .iter()
-                    .map(|op| Completion {
-                        lock: op.lock,
-                        tag: op.tag,
-                        result: Err(ClusterError::WorkerDied),
-                    })
-                    .collect();
-                let _ = tx.send(comps);
-            }
-            Ok(Input::Scan(_))
-            | Ok(Input::Die)
-            | Ok(Input::Isolate { .. })
-            | Ok(Input::PeerDown { .. })
-            | Ok(Input::Panic)
-            | Ok(Input::OrphanWaiter { .. }) => {}
-            Ok(Input::Shutdown) | Err(_) => break,
-        }
+        let h1 = c.handle(1);
+        h1.acquire(LockId::TABLE, Mode::Read).unwrap();
+        h1.release(LockId::TABLE).unwrap();
+        let report = c.shutdown();
+        assert_eq!(report.workers_died, 1, "the panicked worker is counted");
+        assert!(report.audit_errors.is_empty(), "{:?}", report.audit_errors);
+        assert_eq!(report.replies_dropped, 0);
     }
 }

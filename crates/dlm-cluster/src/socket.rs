@@ -46,8 +46,8 @@
 //! [`crate::Node`](crate::Node)): quiescence stays sound without a shared
 //! gauge.
 
-use crate::runtime::Input;
-use crate::transport::{LinkFaults, SocketLinkStat, Transport, TransportReport};
+use crate::engine::Input;
+use crate::transport::{LinkFaults, SocketLinkStat, SplitMix64, Transport, TransportReport};
 use bytes::{BufMut, Bytes, BytesMut};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use dlm_core::NodeId;
@@ -330,22 +330,6 @@ struct Conn {
     alive: bool,
 }
 
-struct SplitMix64(u64);
-
-impl SplitMix64 {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn chance(&mut self, p: f64) -> bool {
-        p > 0.0 && (self.next() >> 11) as f64 * (1.0 / (1u64 << 53) as f64) < p
-    }
-}
-
 enum Wire {
     Tcp {
         /// Per-peer outgoing queues (index = node id; `me`'s entry unused).
@@ -467,7 +451,7 @@ impl SocketTransport {
                     wire: Wire::Udp {
                         socket,
                         loss,
-                        rng: Mutex::new(SplitMix64(seed)),
+                        rng: Mutex::new(SplitMix64::new(seed)),
                     },
                     shutting_down,
                     threads: Mutex::new(Vec::new()),
@@ -485,7 +469,7 @@ impl SocketTransport {
 
     /// Hand a received wire frame to the local worker it addresses. The
     /// receiving process claims its own in-flight slot (the sender's was
-    /// retired when the frame hit the wire), mirroring `inject_frame`.
+    /// retired when the frame hit the wire).
     fn deliver_local(&self, from_slot: u32, to_slot: u32, frame: Bytes) {
         let to = to_slot as usize;
         if to / self.shards != self.me {

@@ -2,16 +2,17 @@
 //!
 //! The node threads never talk to each other directly: every encoded frame
 //! goes through a [`Transport`], the seam where link behavior is decided.
-//! Three implementations ship with the runtime, selected by
-//! [`TransportKind`]:
+//! Two in-process implementations ship with the runtime, selected by
+//! [`TransportKind`] (the third, [`crate::SocketTransport`], puts a member
+//! on a real wire):
 //!
 //! * [`Direct`] — frames land in the receiver's input channel immediately
-//!   (today's perfect in-process links; zero extra hops or threads),
-//! * [`Delayed`] — a router thread parks every frame in a deadline-sorted
-//!   heap for a constant per-message latency (the paper's LAN model),
-//! * [`Faulty`] — the same router, plus seeded drop / duplicate / reorder
-//!   injection at configurable rates ([`FaultConfig`]) — the adversarial
-//!   link the reliability shim in [`crate::reliable`] is built to survive.
+//!   (perfect in-process links; zero extra hops or threads),
+//! * [`Faulty`] — a router thread parks every frame in a deadline-sorted
+//!   heap for [`FaultConfig::delay`] (the paper's LAN model), with seeded
+//!   drop / duplicate / reorder injection at configurable rates — the
+//!   adversarial link the reliability shim in [`crate::reliable`] is built
+//!   to survive. With every rate at zero it is a constant-latency link.
 //!
 //! Fault decisions are drawn from a seeded SplitMix64 stream, so a given
 //! seed produces a reproducible fault pattern for a given frame arrival
@@ -22,7 +23,7 @@
 //! don't belong to a lock the transport can see, so they are stamped with
 //! the sentinel lock id [`TRANSPORT_LOCK`].
 
-use crate::runtime::Input;
+use crate::engine::Input;
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use dlm_core::NodeId;
@@ -43,10 +44,9 @@ pub enum TransportKind {
     /// Perfect in-process channels, zero added latency.
     #[default]
     Direct,
-    /// Constant one-way per-message latency through a router thread.
-    Delayed(Duration),
-    /// Seeded drop / duplicate / reorder / delay injection. Pair with
-    /// [`crate::ReliableConfig`] unless the test *wants* lost frames.
+    /// A router thread: constant one-way latency plus seeded drop /
+    /// duplicate / reorder injection. Pair with [`crate::ReliableConfig`]
+    /// unless every rate is zero (or the test *wants* lost frames).
     Faulty(FaultConfig),
 }
 
@@ -202,7 +202,7 @@ impl Transport for Direct {
     }
 }
 
-// ------------------------------------------------- Delayed / Faulty router
+// ----------------------------------------------------------- Faulty router
 
 enum RouterMsg {
     Forward {
@@ -244,86 +244,15 @@ impl Ord for Parked {
     }
 }
 
-/// The shared router chassis: a thread parking frames in a deadline heap.
-/// `Delayed` runs it fault-free; `Faulty` adds the fault stage at ingress.
-struct Router {
+/// Lossy, duplicating, reordering, delaying links (seeded): a thread
+/// parking frames in a deadline heap behind a fault stage at ingress.
+pub struct Faulty {
     tx: Sender<RouterMsg>,
     join: Mutex<Option<JoinHandle<TransportReport>>>,
     /// Post-shutdown fallback path (and death accounting).
     outs: Vec<Sender<Input>>,
     in_flight: Arc<AtomicU64>,
 }
-
-impl Router {
-    fn spawn(
-        outs: Vec<Sender<Input>>,
-        in_flight: Arc<AtomicU64>,
-        delay: Duration,
-        faults: Option<FaultState>,
-    ) -> Self {
-        let (tx, rx) = unbounded::<RouterMsg>();
-        let louts = outs.clone();
-        let lgauge = Arc::clone(&in_flight);
-        let join = std::thread::Builder::new()
-            .name("dlm-router".into())
-            .spawn(move || router_loop(rx, louts, lgauge, delay, faults))
-            .expect("spawn router");
-        Router {
-            tx,
-            join: Mutex::new(Some(join)),
-            outs,
-            in_flight,
-        }
-    }
-
-    fn send(&self, from: NodeId, to: NodeId, frame: Bytes) {
-        // After shutdown the router channel is disconnected; deliver
-        // directly so late frames (e.g. cascades triggered by the flush)
-        // still reach their node before it exits.
-        if let Err(crossbeam::channel::SendError(RouterMsg::Forward { from, to, frame })) =
-            self.tx.send(RouterMsg::Forward { from, to, frame })
-        {
-            deliver(&self.outs, &self.in_flight, from, to, frame);
-        }
-    }
-
-    fn shutdown(&self) -> TransportReport {
-        let join = self.join.lock().expect("router join lock").take();
-        match join {
-            Some(handle) => {
-                let _ = self.tx.send(RouterMsg::Shutdown);
-                handle.join().expect("router thread panicked")
-            }
-            None => TransportReport::default(),
-        }
-    }
-}
-
-/// Constant-latency links through the deadline-heap router.
-pub struct Delayed(Router);
-
-impl Delayed {
-    pub(crate) fn new(
-        outs: Vec<Sender<Input>>,
-        in_flight: Arc<AtomicU64>,
-        delay: Duration,
-    ) -> Self {
-        Delayed(Router::spawn(outs, in_flight, delay, None))
-    }
-}
-
-impl Transport for Delayed {
-    fn send(&self, from: NodeId, to: NodeId, frame: Bytes) {
-        self.0.send(from, to, frame);
-    }
-
-    fn shutdown(&self) -> TransportReport {
-        self.0.shutdown()
-    }
-}
-
-/// Lossy, duplicating, reordering links (seeded).
-pub struct Faulty(Router);
 
 impl Faulty {
     pub(crate) fn new(
@@ -344,17 +273,43 @@ impl Faulty {
             recorder: (trace_capacity > 0).then(|| RingRecorder::new(trace_capacity)),
             epoch,
         };
-        Faulty(Router::spawn(outs, in_flight, config.delay, Some(faults)))
+        let (tx, rx) = unbounded::<RouterMsg>();
+        let louts = outs.clone();
+        let lgauge = Arc::clone(&in_flight);
+        let join = std::thread::Builder::new()
+            .name("dlm-router".into())
+            .spawn(move || router_loop(rx, louts, lgauge, faults))
+            .expect("spawn router");
+        Faulty {
+            tx,
+            join: Mutex::new(Some(join)),
+            outs,
+            in_flight,
+        }
     }
 }
 
 impl Transport for Faulty {
     fn send(&self, from: NodeId, to: NodeId, frame: Bytes) {
-        self.0.send(from, to, frame);
+        // After shutdown the router channel is disconnected; deliver
+        // directly so late frames (e.g. cascades triggered by the flush)
+        // still reach their node before it exits.
+        if let Err(crossbeam::channel::SendError(RouterMsg::Forward { from, to, frame })) =
+            self.tx.send(RouterMsg::Forward { from, to, frame })
+        {
+            deliver(&self.outs, &self.in_flight, from, to, frame);
+        }
     }
 
     fn shutdown(&self) -> TransportReport {
-        self.0.shutdown()
+        let join = self.join.lock().expect("router join lock").take();
+        match join {
+            Some(handle) => {
+                let _ = self.tx.send(RouterMsg::Shutdown);
+                handle.join().expect("router thread panicked")
+            }
+            None => TransportReport::default(),
+        }
     }
 }
 
@@ -391,8 +346,7 @@ fn router_loop(
     rx: Receiver<RouterMsg>,
     outs: Vec<Sender<Input>>,
     in_flight: Arc<AtomicU64>,
-    delay: Duration,
-    mut faults: Option<FaultState>,
+    mut f: FaultState,
 ) -> TransportReport {
     // Deadline-sorted delivery: every frame is stamped `ingress + delay` on
     // arrival and parked in a min-heap; each wakeup drains *all* frames
@@ -406,43 +360,41 @@ fn router_loop(
     let mut parked: BinaryHeap<Parked> = BinaryHeap::new();
     let mut seq = 0u64;
     let mut ingress = |parked: &mut BinaryHeap<Parked>,
-                       faults: &mut Option<FaultState>,
+                       f: &mut FaultState,
                        from: NodeId,
                        to: NodeId,
                        frame: Bytes| {
-        let mut due = Instant::now() + delay;
-        if let Some(f) = faults {
-            if f.rng.chance(f.config.drop) {
-                f.tally(from, to).dropped += 1;
-                in_flight.fetch_sub(1, Ordering::Relaxed);
-                let (from_node, to_node) = (f.node_of(from), f.node_of(to));
-                if let Some(ring) = &mut f.recorder {
-                    ring.record(
-                        f.epoch.elapsed().as_micros() as u64,
-                        TRANSPORT_LOCK,
-                        from_node,
-                        ProtocolEvent::FrameDropped { to: to_node },
-                    );
-                }
-                return;
+        let mut due = Instant::now() + f.config.delay;
+        if f.rng.chance(f.config.drop) {
+            f.tally(from, to).dropped += 1;
+            in_flight.fetch_sub(1, Ordering::Relaxed);
+            let (from_node, to_node) = (f.node_of(from), f.node_of(to));
+            if let Some(ring) = &mut f.recorder {
+                ring.record(
+                    f.epoch.elapsed().as_micros() as u64,
+                    TRANSPORT_LOCK,
+                    from_node,
+                    ProtocolEvent::FrameDropped { to: to_node },
+                );
             }
-            if f.rng.chance(f.config.reorder) {
-                f.tally(from, to).reordered += 1;
-                due += f.rng.jitter(f.config.jitter);
-            }
-            if f.rng.chance(f.config.duplicate) {
-                f.tally(from, to).duplicated += 1;
-                in_flight.fetch_add(1, Ordering::Relaxed);
-                let copy_due = due + f.rng.jitter(f.config.jitter);
-                parked.push(Parked {
-                    due: copy_due,
-                    seq,
-                    from,
-                    to,
-                    frame: frame.clone(),
-                });
-                seq += 1;
-            }
+            return;
+        }
+        if f.rng.chance(f.config.reorder) {
+            f.tally(from, to).reordered += 1;
+            due += f.rng.jitter(f.config.jitter);
+        }
+        if f.rng.chance(f.config.duplicate) {
+            f.tally(from, to).duplicated += 1;
+            in_flight.fetch_add(1, Ordering::Relaxed);
+            let copy_due = due + f.rng.jitter(f.config.jitter);
+            parked.push(Parked {
+                due: copy_due,
+                seq,
+                from,
+                to,
+                frame: frame.clone(),
+            });
+            seq += 1;
         }
         parked.push(Parked {
             due,
@@ -453,18 +405,18 @@ fn router_loop(
         });
         seq += 1;
     };
-    let report = |faults: Option<FaultState>| {
-        let mut report = TransportReport::default();
-        if let Some(f) = faults {
-            report.faults = f
+    let report = |f: FaultState| {
+        let mut report = TransportReport {
+            faults: f
                 .tallies
                 .into_iter()
                 .filter(|t| t.dropped + t.duplicated + t.reordered > 0)
-                .collect();
-            if let Some(ring) = f.recorder {
-                report.trace_dropped = ring.dropped();
-                report.trace = ring.into_records();
-            }
+                .collect(),
+            ..TransportReport::default()
+        };
+        if let Some(ring) = f.recorder {
+            report.trace_dropped = ring.dropped();
+            report.trace = ring.into_records();
         }
         report
     };
@@ -488,7 +440,7 @@ fn router_loop(
         };
         match msg {
             Some(RouterMsg::Forward { from, to, frame }) => {
-                ingress(&mut parked, &mut faults, from, to, frame);
+                ingress(&mut parked, &mut f, from, to, frame);
             }
             // Shutdown (or all senders gone): flush whatever is still
             // parked without honoring deadlines — the cluster is going
@@ -498,7 +450,7 @@ fn router_loop(
                 while let Some(d) = parked.pop() {
                     deliver(&outs, &in_flight, d.from, d.to, d.frame);
                 }
-                return report(faults);
+                return report(f);
             }
         }
     }
@@ -507,11 +459,11 @@ fn router_loop(
 // ------------------------------------------------------------------- PRNG
 
 /// SplitMix64: tiny, seedable, dependency-free. Good enough for fault
-/// injection; not for cryptography.
-struct SplitMix64(u64);
+/// injection (here and in the UDP socket mode); not for cryptography.
+pub(crate) struct SplitMix64(u64);
 
 impl SplitMix64 {
-    fn new(seed: u64) -> Self {
+    pub(crate) fn new(seed: u64) -> Self {
         SplitMix64(seed)
     }
 
@@ -529,7 +481,7 @@ impl SplitMix64 {
     }
 
     /// True with probability `p`.
-    fn chance(&mut self, p: f64) -> bool {
+    pub(crate) fn chance(&mut self, p: f64) -> bool {
         p > 0.0 && self.next_f64() < p
     }
 

@@ -1,10 +1,18 @@
 //! Integration tests for the threaded cluster runtime: the protocol under
 //! true parallelism, with wire-codec round-trips on every message.
 
-use dlm_cluster::{Cluster, ClusterConfig, ClusterError, LockId, Mode, TransportKind};
+use dlm_cluster::{Cluster, ClusterConfig, ClusterError, FaultConfig, LockId, Mode, TransportKind};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
+
+/// A fault-free link with constant one-way latency `delay`.
+fn delayed(delay: Duration) -> TransportKind {
+    TransportKind::Faulty(FaultConfig {
+        delay,
+        ..FaultConfig::default()
+    })
+}
 
 fn cluster(nodes: usize, locks: usize) -> Cluster {
     Cluster::new(ClusterConfig {
@@ -241,7 +249,7 @@ fn concurrent_delayed_messages_share_the_wire() {
     let c = Cluster::new(ClusterConfig {
         nodes: REQUESTERS as usize + 1,
         locks: REQUESTERS as usize + 1, // table + one entry per requester
-        transport: TransportKind::Delayed(Duration::from_millis(DELAY_MS)),
+        transport: delayed(Duration::from_millis(DELAY_MS)),
         ..Default::default()
     });
     // Each requester grabs its own entry lock: disjoint queues, so every
@@ -326,7 +334,7 @@ fn active_cluster_still_quiesces_fully() {
     let c = Cluster::new(ClusterConfig {
         nodes: 4,
         locks: 1,
-        transport: TransportKind::Delayed(Duration::from_millis(5)),
+        transport: delayed(Duration::from_millis(5)),
         ..Default::default()
     });
     let threads: Vec<_> = (0..4)
@@ -356,7 +364,7 @@ fn router_delay_variant_works() {
     let c = Cluster::new(ClusterConfig {
         nodes: 3,
         locks: 1,
-        transport: TransportKind::Delayed(Duration::from_micros(300)),
+        transport: delayed(Duration::from_micros(300)),
         ..Default::default()
     });
     let threads: Vec<_> = (0..3)

@@ -215,58 +215,156 @@ fn per_shard_metrics_are_exported() {
     assert!(report.audit_errors.is_empty(), "{:?}", report.audit_errors);
 }
 
-/// Drive a hot link with pipelined batches and compare the coalescing
-/// counters: many protocol frames per physical wire frame with coalescing
-/// on, exactly one with it off — and the protocol work (message count,
-/// grants) identical either way.
+/// Drive a hot link with pipelined batches and check the coalescing
+/// counters: every protocol frame is accounted to a link, and many of them
+/// share each physical wire frame.
 #[test]
 fn coalescing_packs_protocol_frames_per_wire_frame() {
     const LOCKS: u32 = 400;
-    let run = |coalesce: bool| {
-        let c = Cluster::new(ClusterConfig {
-            nodes: 2,
-            locks: LOCKS as usize,
-            coalesce,
-            ..Default::default()
-        });
-        let mut pipe = c.handle(1).pipeline();
-        for l in 0..LOCKS {
-            pipe.submit_acquire(LockId(l), Mode::Write, l as u64)
-                .unwrap();
-        }
-        for _ in 0..LOCKS {
-            assert!(pipe.recv().unwrap().result.is_ok());
-        }
-        for l in 0..LOCKS {
-            pipe.submit_release(LockId(l), l as u64).unwrap();
-        }
-        pipe.flush().unwrap();
-        c.quiesce(Duration::from_millis(10));
-        let report = c.shutdown();
-        assert!(report.audit_errors.is_empty(), "{:?}", report.audit_errors);
-        report
-    };
-    let packed = run(true);
-    let unpacked = run(false);
-    assert_eq!(
-        packed.messages_sent, unpacked.messages_sent,
-        "coalescing changes framing, not the protocol conversation"
-    );
-    let ratio = |links: &[dlm_cluster::LinkReport]| {
-        let (proto, wire) = links
-            .iter()
-            .fold((0, 0), |(p, w), l| (p + l.proto_sent, w + l.wire_sent));
-        assert_eq!(proto, packed.messages_sent, "every protocol frame counted");
-        (proto, wire)
-    };
-    let (proto_on, wire_on) = ratio(&packed.links);
-    let (_, wire_off) = ratio(&unpacked.links);
-    assert_eq!(wire_off, proto_on, "coalescing off: one wire frame each");
+    let c = Cluster::new(ClusterConfig {
+        nodes: 2,
+        locks: LOCKS as usize,
+        ..Default::default()
+    });
+    let mut pipe = c.handle(1).pipeline();
+    for l in 0..LOCKS {
+        pipe.submit_acquire(LockId(l), Mode::Write, l as u64)
+            .unwrap();
+    }
+    for _ in 0..LOCKS {
+        assert!(pipe.recv().unwrap().result.is_ok());
+    }
+    for l in 0..LOCKS {
+        pipe.submit_release(LockId(l), l as u64).unwrap();
+    }
+    pipe.flush().unwrap();
+    c.quiesce(Duration::from_millis(10));
+    let report = c.shutdown();
+    assert!(report.audit_errors.is_empty(), "{:?}", report.audit_errors);
+    let (proto, wire) = report
+        .links
+        .iter()
+        .fold((0, 0), |(p, w), l| (p + l.proto_sent, w + l.wire_sent));
+    assert_eq!(proto, report.messages_sent, "every protocol frame counted");
     assert!(
-        wire_on * 2 <= proto_on,
+        wire * 2 <= proto,
         "hot links must pack >2 protocol frames per wire frame on average \
-         ({proto_on} proto / {wire_on} wire)"
+         ({proto} proto / {wire} wire)"
     );
+}
+
+/// A pipeline dropped with unshipped operations must give their admission
+/// slots back: they were reserved at submission, and only the worker that
+/// dequeues an operation releases its slot. The leak used to pin
+/// `dlm_shard_queue_depth` above 0 forever and, once `shard_queue` slots had
+/// leaked, made the shard answer `Overloaded` to everyone.
+#[test]
+fn dropped_pipeline_returns_its_unshipped_slots() {
+    let c = Cluster::new(ClusterConfig {
+        nodes: 1,
+        locks: 16,
+        shard_queue: 10,
+        ..Default::default()
+    });
+    let fill = |pipe: &mut dlm_cluster::Pipeline| {
+        for l in 0..10 {
+            pipe.submit_acquire(LockId(l), Mode::Read, l as u64)
+                .expect("admitted");
+        }
+    };
+    let mut abandoned = c.handle(0).pipeline();
+    fill(&mut abandoned);
+    drop(abandoned); // never flushed: the worker never sees these ten
+    let snap = c.metrics_snapshot();
+    assert!(
+        snap.contains("dlm_shard_queue_depth{node=\"0\",shard=\"0\"} 0\n"),
+        "slots leaked:\n{snap}"
+    );
+    // The whole queue is available again to a fresh pipeline.
+    let mut pipe = c.handle(0).pipeline();
+    fill(&mut pipe);
+    for _ in 0..10 {
+        assert!(pipe.recv().unwrap().result.is_ok());
+    }
+    for l in 0..10 {
+        pipe.submit_release(LockId(l), 0).unwrap();
+    }
+    for _ in 0..10 {
+        assert!(pipe.recv().unwrap().result.is_ok());
+    }
+    let report = c.shutdown();
+    assert!(report.audit_errors.is_empty(), "{:?}", report.audit_errors);
+}
+
+/// The exposition format is an interface (`dlm-api`, `msgstats` and the
+/// benchmark parse it): pin every byte of a fresh cluster's snapshot.
+#[test]
+fn metrics_snapshot_format_is_pinned() {
+    let c = Cluster::new(ClusterConfig {
+        nodes: 2,
+        shards: 2,
+        ..Default::default()
+    });
+    let expected = "\
+# HELP dlm_messages_total Protocol messages transmitted.
+# TYPE dlm_messages_total counter
+dlm_messages_total 0
+# HELP dlm_replies_dropped_total Completion replies whose receiver had gone away.
+# TYPE dlm_replies_dropped_total counter
+dlm_replies_dropped_total 0
+# HELP dlm_frames_in_flight Physical frames sent but not yet fully processed.
+# TYPE dlm_frames_in_flight gauge
+dlm_frames_in_flight 0
+# HELP dlm_frames_unacked Data sequences sent but not yet cumulatively acked.
+# TYPE dlm_frames_unacked gauge
+dlm_frames_unacked 0
+# HELP dlm_acquires_total Completed acquire operations.
+# TYPE dlm_acquires_total counter
+dlm_acquires_total{node=\"0\"} 0
+dlm_acquires_total{node=\"1\"} 0
+# HELP dlm_upgrades_total Completed Rule 7 upgrades.
+# TYPE dlm_upgrades_total counter
+dlm_upgrades_total{node=\"0\"} 0
+dlm_upgrades_total{node=\"1\"} 0
+# HELP dlm_releases_total Completed releases.
+# TYPE dlm_releases_total counter
+dlm_releases_total{node=\"0\"} 0
+dlm_releases_total{node=\"1\"} 0
+# HELP dlm_shard_queue_depth Application operations queued per shard worker.
+# TYPE dlm_shard_queue_depth gauge
+dlm_shard_queue_depth{node=\"0\",shard=\"0\"} 0
+dlm_shard_queue_depth{node=\"0\",shard=\"1\"} 0
+dlm_shard_queue_depth{node=\"1\",shard=\"0\"} 0
+dlm_shard_queue_depth{node=\"1\",shard=\"1\"} 0
+# HELP dlm_shard_rejections_total Operations refused because a shard queue was full.
+# TYPE dlm_shard_rejections_total counter
+dlm_shard_rejections_total{node=\"0\",shard=\"0\"} 0
+dlm_shard_rejections_total{node=\"0\",shard=\"1\"} 0
+dlm_shard_rejections_total{node=\"1\",shard=\"0\"} 0
+dlm_shard_rejections_total{node=\"1\",shard=\"1\"} 0
+# HELP dlm_shard_ops_total Operations completed per shard worker.
+# TYPE dlm_shard_ops_total counter
+dlm_shard_ops_total{node=\"0\",shard=\"0\"} 0
+dlm_shard_ops_total{node=\"0\",shard=\"1\"} 0
+dlm_shard_ops_total{node=\"1\",shard=\"0\"} 0
+dlm_shard_ops_total{node=\"1\",shard=\"1\"} 0
+# HELP dlm_acquire_latency_us Issue-to-grant wall-clock latency of completed operations (microseconds).
+# TYPE dlm_acquire_latency_us summary
+dlm_acquire_latency_us{quantile=\"0.5\"} 0
+dlm_acquire_latency_us{quantile=\"0.95\"} 0
+dlm_acquire_latency_us{quantile=\"0.99\"} 0
+dlm_acquire_latency_us_sum 0
+dlm_acquire_latency_us_count 0
+# HELP dlm_acquire_hops Causal network hops on each completed operation's granting chain.
+# TYPE dlm_acquire_hops summary
+dlm_acquire_hops{quantile=\"0.5\"} 0
+dlm_acquire_hops{quantile=\"0.95\"} 0
+dlm_acquire_hops{quantile=\"0.99\"} 0
+dlm_acquire_hops_sum 0
+dlm_acquire_hops_count 0
+";
+    assert_eq!(c.metrics_snapshot(), expected);
+    c.shutdown();
 }
 
 /// The chaos bar, sharded: multiple workers per node over 10% loss +

@@ -12,6 +12,12 @@ cargo fmt --all -- --check
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> sans-IO guard: the shard engine reads no clock, owns no thread, receives from no channel"
+if grep -nE 'Instant::now|\.elapsed\(\)|thread::|recv' crates/dlm-cluster/src/engine.rs; then
+  echo "crates/dlm-cluster/src/engine.rs must stay sans-IO: time and frames are arguments of step/end_batch" >&2
+  exit 1
+fi
+
 echo "==> tier-1: cargo build --release"
 cargo build --release
 
@@ -20,6 +26,12 @@ cargo test -q
 
 echo "==> workspace tests: cargo test -q --workspace"
 cargo test -q --workspace
+
+echo "==> benchmark crate: cargo test --release --offline --manifest-path benchmark/Cargo.toml"
+# benchmark/ is a workspace of its own, so `cargo test --workspace` never
+# compiles it; without this an API break in dlm-cluster would surface only
+# when the benchmark pipeline runs.
+cargo test --release --offline --manifest-path benchmark/Cargo.toml
 
 echo "==> chaos smoke: seeded lossy-link schedules (DLM_CHAOS_CASES=${DLM_CHAOS_CASES:-4})"
 DLM_CHAOS_CASES="${DLM_CHAOS_CASES:-4}" cargo test -q -p dlm-cluster --test chaos
