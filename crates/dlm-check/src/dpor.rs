@@ -5,7 +5,7 @@
 //! # Why reduction is possible
 //!
 //! Every transition of the explored system executes at exactly one node: a
-//! delivery pops one channel head and runs `on_message` at the receiver; a
+//! delivery pops one channel head and runs `on_message_into` at the receiver; a
 //! script step runs one entry point at its node. Sends only *append* to
 //! channel tails, and a FIFO pop-head commutes with an append-tail, so two
 //! transitions at **distinct nodes commute** — executing them in either

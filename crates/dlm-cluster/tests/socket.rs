@@ -51,7 +51,7 @@ fn member_config(nodes: usize, locks: usize) -> ClusterConfig {
 }
 
 /// Wait until every member is simultaneously idle with a stable global
-/// message count — the cross-process quiescence criterion (each member's
+/// message count — the cross-process quiescence condition (each member's
 /// own idleness is necessary but not sufficient).
 fn quiesce_all(nodes: &[Node], timeout: Duration) {
     quiesce_refs(&nodes.iter().collect::<Vec<_>>(), timeout)

@@ -128,8 +128,7 @@ impl<T> EffectBuf<T> {
         self.spill.clear();
     }
 
-    /// Drain into a fresh `Vec` (the compatibility shim the `Vec`-returning
-    /// wrappers are built on).
+    /// Drain into a fresh `Vec`.
     #[must_use = "the drained effects are the protocol's instructions to its runtime; dropping them un-executed loses messages"]
     pub fn take_vec(&mut self) -> Vec<T> {
         self.drain().collect()
@@ -140,6 +139,16 @@ impl<T> Default for EffectBuf<T> {
     fn default() -> Self {
         EffectBuf::new()
     }
+}
+
+/// What one `*_into` entry-point call pushes into a fresh sink.
+#[cfg(test)]
+pub(crate) fn effects_of(
+    call: impl FnOnce(&mut EffectBuf, &mut dlm_trace::NullObserver),
+) -> Vec<Effect> {
+    let mut buf = EffectBuf::new();
+    call(&mut buf, &mut dlm_trace::NullObserver);
+    buf.take_vec()
 }
 
 #[cfg(test)]

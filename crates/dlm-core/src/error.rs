@@ -8,17 +8,17 @@
 use core::fmt;
 use dlm_modes::Mode;
 
-/// Why `HierNode::on_acquire` refused to start a request.
+/// Why `HierNode::on_acquire_into` refused to start a request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AcquireError {
     /// The node already holds the lock. Acquiring a second mode on the same
     /// lock from the same node would self-deadlock whenever the modes
     /// conflict; the protocol's answer to read-then-write is the `U` mode
-    /// plus `on_upgrade` (Rule 7).
+    /// plus `on_upgrade_into` (Rule 7).
     AlreadyHeld(Mode),
     /// A request is already outstanding; a node has one pending slot.
     AlreadyPending(Mode),
-    /// `NoLock` cannot be requested; use `on_release`.
+    /// `NoLock` cannot be requested; use `on_release_into`.
     NoLockRequested,
 }
 
@@ -38,7 +38,7 @@ impl fmt::Display for AcquireError {
 
 impl std::error::Error for AcquireError {}
 
-/// Why `HierNode::on_upgrade` refused.
+/// Why `HierNode::on_upgrade_into` refused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum UpgradeError {
     /// Rule 7 upgrades are only defined from a held `U` lock.
@@ -62,7 +62,7 @@ impl fmt::Display for UpgradeError {
 
 impl std::error::Error for UpgradeError {}
 
-/// Why `HierNode::on_release` refused.
+/// Why `HierNode::on_release_into` refused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReleaseError {
     /// Nothing is held.

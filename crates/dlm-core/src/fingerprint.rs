@@ -284,6 +284,7 @@ impl Fingerprintable for Message {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::effect::effects_of;
     use crate::node::HierNode;
 
     #[test]
@@ -344,9 +345,9 @@ mod tests {
         let mut active = idle.clone();
         let fp_idle = idle.fingerprint();
         assert_eq!(fp_idle, active.fingerprint(), "clone hashes identically");
-        active.on_acquire(Mode::Write).unwrap();
+        effects_of(|b, o| active.on_acquire_into(Mode::Write, 0, b, o).unwrap());
         assert_ne!(fp_idle, active.fingerprint(), "held mode must be visible");
-        active.on_release().unwrap();
+        effects_of(|b, o| active.on_release_into(b, o).unwrap());
         assert_eq!(
             fp_idle,
             active.fingerprint(),

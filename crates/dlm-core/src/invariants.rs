@@ -346,6 +346,7 @@ pub fn frozen_residue(nodes: &[HierNode]) -> Vec<AuditError> {
 mod tests {
     use super::*;
     use crate::config::ProtocolConfig;
+    use crate::effect::effects_of;
 
     fn three_nodes() -> Vec<HierNode> {
         vec![
@@ -367,13 +368,15 @@ mod tests {
         // Reach held states through the public API to keep caches coherent:
         // n0 (token) takes W locally; hand-craft n1 as a bogus R holder by
         // driving it with a forged grant.
-        let eff = nodes[0].on_acquire(Mode::Write).unwrap();
+        let eff = effects_of(|b, o| nodes[0].on_acquire_into(Mode::Write, 0, b, o).unwrap());
         assert!(eff
             .iter()
             .any(|e| matches!(e, crate::Effect::Granted { .. })));
-        let eff = nodes[1].on_acquire(Mode::Read).unwrap();
+        let eff = effects_of(|b, o| nodes[1].on_acquire_into(Mode::Read, 0, b, o).unwrap());
         assert_eq!(eff.len(), 1); // request sent, not granted
-        let _ = nodes[1].on_message(NodeId(0), Message::Grant { mode: Mode::Read });
+        effects_of(|b, o| {
+            nodes[1].on_message_into(NodeId(0), Message::Grant { mode: Mode::Read }, b, o)
+        });
         let errors = audit(&nodes, &[], false);
         assert!(errors
             .iter()
@@ -404,7 +407,7 @@ mod tests {
     #[test]
     fn stuck_request_reported_at_quiescence_only() {
         let mut nodes = three_nodes();
-        let _ = nodes[1].on_acquire(Mode::Write).unwrap();
+        effects_of(|b, o| nodes[1].on_acquire_into(Mode::Write, 0, b, o).unwrap());
         assert!(audit(&nodes, &[], false)
             .iter()
             .all(|e| !matches!(e, AuditError::StuckRequest(..))));
@@ -468,16 +471,22 @@ mod tests {
         // trade-off, not a convergence failure: exempt.
         let mut set = dlm_modes::ModeSet::new();
         set.insert(Mode::Read);
-        let _ = nodes[1].on_message(NodeId(0), Message::SetFrozen { modes: set });
+        effects_of(|b, o| {
+            nodes[1].on_message_into(NodeId(0), Message::SetFrozen { modes: set }, b, o)
+        });
         assert!(frozen_residue(&nodes).is_empty());
 
         // The token node freezes R while an incompatible W waits behind a
         // held R; if that survived to a terminal state it would be residue.
-        let _ = nodes[0].on_acquire(Mode::Read).unwrap();
-        let _ = nodes[0].on_message(
-            NodeId(2),
-            Message::Request(crate::message::QueuedRequest::plain(NodeId(2), Mode::Write)),
-        );
+        effects_of(|b, o| nodes[0].on_acquire_into(Mode::Read, 0, b, o).unwrap());
+        effects_of(|b, o| {
+            nodes[0].on_message_into(
+                NodeId(2),
+                Message::Request(crate::message::QueuedRequest::plain(NodeId(2), Mode::Write)),
+                b,
+                o,
+            )
+        });
         assert!(!nodes[0].frozen().is_empty(), "W behind R must freeze");
         let errors = frozen_residue(&nodes);
         assert_eq!(errors.len(), 1);

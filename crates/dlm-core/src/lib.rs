@@ -4,12 +4,14 @@
 //!
 //! Each participating node runs one [`HierNode`] per lock object. The state
 //! machine has no clock and performs no IO: every entry point
-//! ([`HierNode::on_acquire`], [`HierNode::on_upgrade`],
-//! [`HierNode::on_release`], [`HierNode::on_message`]) returns a list of
-//! [`Effect`]s — messages to send and local grant notifications — which the
-//! caller (the discrete-event simulator in `dlm-sim`, or the threaded cluster
-//! runtime in `dlm-cluster`) executes. This makes the protocol deterministic,
-//! directly unit-testable, and byte-identical across substrates.
+//! ([`HierNode::on_acquire_into`], [`HierNode::on_upgrade_into`],
+//! [`HierNode::on_release_into`], [`HierNode::on_message_into`]) pushes
+//! [`Effect`]s — messages to send and local grant notifications — into a
+//! caller-owned, reusable [`EffectBuf`], which the caller (the discrete-event
+//! simulator in `dlm-sim`, or the threaded cluster runtime in `dlm-cluster`)
+//! drains and executes. This makes the protocol deterministic, directly
+//! unit-testable, byte-identical across substrates, and allocation-free per
+//! step in steady state.
 //!
 //! # Protocol recap
 //!

@@ -47,7 +47,7 @@ impl QueuedRequest {
 }
 
 /// A protocol message between two nodes. Senders are identified by the
-/// transport (`HierNode::on_message` receives the sender id).
+/// transport (`HierNode::on_message_into` receives the sender id).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Message {
     /// A lock request travelling up the parent chain (Rules 2–4). Forwarding

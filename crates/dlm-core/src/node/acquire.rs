@@ -6,10 +6,10 @@ use crate::effect::{Effect, EffectBuf};
 use crate::error::{AcquireError, ReleaseError, UpgradeError};
 use crate::message::{Message, QueuedRequest};
 use dlm_modes::{compatible, Mode};
-use dlm_trace::{NullObserver, Observer, ProtocolEvent};
+use dlm_trace::{Observer, ProtocolEvent};
 
 impl HierNode {
-    /// True if an [`Self::on_acquire`] for `mode` would be admitted locally,
+    /// True if an [`Self::on_acquire_into`] for `mode` would be admitted locally,
     /// with zero messages and zero waiting (the Rule 2 / Rule 3.2 fast
     /// path). This is what a CosConcurrency-style `try_lock` consults: a
     /// *conservative*, purely local test — it never initiates remote
@@ -49,43 +49,18 @@ impl HierNode {
     /// forces a request, so the token can order us behind the queued request
     /// that caused the freeze.
     ///
-    /// On a local admit, the returned effects contain [`Effect::Granted`]; on
-    /// a sent request, the grant arrives later through [`Self::on_message`].
+    /// On a local admit, the pushed effects contain [`Effect::Granted`]; on a
+    /// sent request, the grant arrives later through
+    /// [`Self::on_message_into`].
     ///
-    /// Convenience wrapper over [`Self::on_acquire_into`] that allocates a
-    /// fresh `Vec` per call; hot paths keep a reusable [`EffectBuf`] instead.
-    pub fn on_acquire(&mut self, mode: Mode) -> Result<Vec<Effect>, AcquireError> {
-        self.on_acquire_observed(mode, 0, &mut NullObserver)
-    }
-
-    /// [`Self::on_acquire`] with a request priority (the prior-work
-    /// extension; see [`crate::QueuedRequest::priority`]). Priority 0 is the
-    /// paper's plain FIFO protocol.
-    pub fn on_acquire_with_priority(
-        &mut self,
-        mode: Mode,
-        priority: u8,
-    ) -> Result<Vec<Effect>, AcquireError> {
-        self.on_acquire_observed(mode, priority, &mut NullObserver)
-    }
-
-    /// [`Self::on_acquire_with_priority`] with an [`Observer`] receiving the
-    /// structured protocol events of this operation, returning a fresh `Vec`.
-    pub fn on_acquire_observed<O: Observer + ?Sized>(
-        &mut self,
-        mode: Mode,
-        priority: u8,
-        obs: &mut O,
-    ) -> Result<Vec<Effect>, AcquireError> {
-        let mut effects = EffectBuf::new();
-        self.on_acquire_into(mode, priority, &mut effects, obs)?;
-        Ok(effects.take_vec())
-    }
-
-    /// The allocation-free acquire entry point: effects are pushed into the
-    /// caller-owned `effects` sink. All acquire entry points funnel here.
-    /// The observer is a generic parameter so the [`NullObserver`] path
-    /// monomorphizes to straight-line code with every event site removed.
+    /// `priority` is the prior-work extension (see
+    /// [`crate::QueuedRequest::priority`]); 0 is the paper's plain FIFO
+    /// protocol. Effects are pushed into the caller-owned `effects` sink, so
+    /// a runtime that reuses one [`EffectBuf`] allocates nothing per step.
+    /// `obs` receives the structured protocol events of this operation; it
+    /// is a generic parameter so the [`NullObserver`](dlm_trace::NullObserver)
+    /// path monomorphizes to straight-line code with every event site
+    /// removed.
     pub fn on_acquire_into<O: Observer + ?Sized>(
         &mut self,
         mode: Mode,
@@ -164,23 +139,8 @@ impl HierNode {
     /// The upgraded request travels (or queues) like a `W` request, except
     /// that compatibility checks exclude the requester's own `U`
     /// contribution — upgrades only wait for *other* nodes.
-    pub fn on_upgrade(&mut self) -> Result<Vec<Effect>, UpgradeError> {
-        self.on_upgrade_observed(&mut NullObserver)
-    }
-
-    /// [`Self::on_upgrade`] with an [`Observer`] receiving the structured
-    /// protocol events of this operation, returning a fresh `Vec`.
-    pub fn on_upgrade_observed<O: Observer + ?Sized>(
-        &mut self,
-        obs: &mut O,
-    ) -> Result<Vec<Effect>, UpgradeError> {
-        let mut effects = EffectBuf::new();
-        self.on_upgrade_into(&mut effects, obs)?;
-        Ok(effects.take_vec())
-    }
-
-    /// The allocation-free upgrade entry point (Rule 7); see
-    /// [`Self::on_acquire_into`] for the sink/observer contract.
+    ///
+    /// See [`Self::on_acquire_into`] for the sink/observer contract.
     pub fn on_upgrade_into<O: Observer + ?Sized>(
         &mut self,
         effects: &mut EffectBuf,
@@ -247,23 +207,8 @@ impl HierNode {
     /// node notifies its parent only if the release weakened its owned mode
     /// (unless release suppression is ablated, in which case it always
     /// notifies — the "eager variant" of §3.2).
-    pub fn on_release(&mut self) -> Result<Vec<Effect>, ReleaseError> {
-        self.on_release_observed(&mut NullObserver)
-    }
-
-    /// [`Self::on_release`] with an [`Observer`] receiving the structured
-    /// protocol events of this operation, returning a fresh `Vec`.
-    pub fn on_release_observed<O: Observer + ?Sized>(
-        &mut self,
-        obs: &mut O,
-    ) -> Result<Vec<Effect>, ReleaseError> {
-        let mut effects = EffectBuf::new();
-        self.on_release_into(&mut effects, obs)?;
-        Ok(effects.take_vec())
-    }
-
-    /// The allocation-free release entry point (Rule 5); see
-    /// [`Self::on_acquire_into`] for the sink/observer contract.
+    ///
+    /// See [`Self::on_acquire_into`] for the sink/observer contract.
     pub fn on_release_into<O: Observer + ?Sized>(
         &mut self,
         effects: &mut EffectBuf,

@@ -7,35 +7,13 @@ use crate::message::{Message, QueuedRequest};
 use dlm_modes::{
     child_can_grant, compatible, queue_or_forward, Mode, ModeSet, QueueOrForward, REQUEST_MODES,
 };
-use dlm_trace::{NullObserver, Observer, ProtocolEvent};
+use dlm_trace::{Observer, ProtocolEvent};
 
 impl HierNode {
     /// Dispatch a received protocol message. `from` is the transport-level
     /// sender (the immediate hop, not necessarily the original requester).
     ///
-    /// Convenience wrapper over [`Self::on_message_into`] that allocates a
-    /// fresh `Vec` per call; hot paths keep a reusable [`EffectBuf`] instead.
-    pub fn on_message(&mut self, from: NodeId, message: Message) -> Vec<Effect> {
-        self.on_message_observed(from, message, &mut NullObserver)
-    }
-
-    /// [`Self::on_message`] with an [`Observer`] receiving the structured
-    /// protocol events of this operation, returning a fresh `Vec`.
-    pub fn on_message_observed<O: Observer + ?Sized>(
-        &mut self,
-        from: NodeId,
-        message: Message,
-        obs: &mut O,
-    ) -> Vec<Effect> {
-        let mut effects = EffectBuf::new();
-        self.on_message_into(from, message, &mut effects, obs);
-        effects.take_vec()
-    }
-
-    /// The allocation-free message entry point: effects are pushed into the
-    /// caller-owned `effects` sink. The observer is a generic parameter so
-    /// the [`NullObserver`] path monomorphizes to straight-line code with
-    /// every event site removed.
+    /// See [`Self::on_acquire_into`] for the sink/observer contract.
     pub fn on_message_into<O: Observer + ?Sized>(
         &mut self,
         from: NodeId,

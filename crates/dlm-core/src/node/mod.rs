@@ -20,33 +20,40 @@ use std::collections::VecDeque;
 /// The paper's per-node state is the tuple `(MO, MH, MP)` — owned, held and
 /// pending mode — plus the parent link, the copyset, the local queue, the
 /// frozen-mode set and the token flag. All protocol activity goes through
-/// four entry points which return [`crate::Effect`]s for the runtime:
+/// four entry points, each pushing [`crate::Effect`]s for the runtime into a
+/// caller-owned, reusable [`crate::EffectBuf`] and reporting structured
+/// events to an [`Observer`]:
 ///
-/// * [`HierNode::on_acquire`] — the application requests the lock (Rule 2),
-/// * [`HierNode::on_upgrade`] — atomic `U`→`W` upgrade (Rule 7),
-/// * [`HierNode::on_release`] — the application leaves its critical section
-///   (Rule 5),
-/// * [`HierNode::on_message`] — a protocol message arrived (Rules 3–6).
+/// * [`HierNode::on_acquire_into`] — the application requests the lock
+///   (Rule 2),
+/// * [`HierNode::on_upgrade_into`] — atomic `U`→`W` upgrade (Rule 7),
+/// * [`HierNode::on_release_into`] — the application leaves its critical
+///   section (Rule 5),
+/// * [`HierNode::on_message_into`] — a protocol message arrived (Rules 3–6).
 ///
 /// ```
-/// use dlm_core::{Effect, HierNode, Message, Mode, NodeId, ProtocolConfig, QueuedRequest};
+/// use dlm_core::{
+///     Effect, EffectBuf, HierNode, Message, Mode, NodeId, NullObserver, ProtocolConfig,
+/// };
 ///
 /// // A two-node system driven by hand: node 0 has the token.
 /// let mut token = HierNode::with_token(NodeId(0), ProtocolConfig::paper());
 /// let mut leaf = HierNode::new(NodeId(1), NodeId(0), ProtocolConfig::paper());
+/// // One sink, drained after every step.
+/// let (mut effects, mut obs) = (EffectBuf::new(), NullObserver);
 ///
 /// // The leaf requests Read; one request message comes out.
-/// let effects = leaf.on_acquire(Mode::Read).unwrap();
-/// let Effect::Send { to, message } = &effects[0] else { panic!() };
-/// assert_eq!(*to, NodeId(0));
+/// leaf.on_acquire_into(Mode::Read, 0, &mut effects, &mut obs).unwrap();
+/// let Some(Effect::Send { to, message }) = effects.drain().next() else { panic!() };
+/// assert_eq!(to, NodeId(0));
 ///
 /// // Deliver it to the token node: an idle token copy-grants shared modes.
-/// let effects = token.on_message(NodeId(1), message.clone());
-/// let Effect::Send { message: grant, .. } = &effects[0] else { panic!() };
+/// token.on_message_into(NodeId(1), message, &mut effects, &mut obs);
+/// let Some(Effect::Send { message: grant, .. }) = effects.drain().next() else { panic!() };
 ///
 /// // Deliver the grant: the leaf enters its critical section.
-/// let effects = leaf.on_message(NodeId(0), grant.clone());
-/// assert!(effects.iter().any(|e| matches!(e, Effect::Granted { mode: Mode::Read })));
+/// leaf.on_message_into(NodeId(0), grant, &mut effects, &mut obs);
+/// assert!(effects.drain().any(|e| matches!(e, Effect::Granted { mode: Mode::Read })));
 /// assert_eq!(leaf.held(), Mode::Read);
 /// assert_eq!(token.owned(), Mode::Read); // the copyset records the grant
 /// ```
@@ -98,7 +105,7 @@ pub struct HierNode {
     /// node receiving its own already-answered request). Zero in every test.
     anomalies: u64,
     /// Crash-recovery generation number (DESIGN.md §17). Starts at 0 and is
-    /// bumped by every view change (`on_peer_down` / `Message::Recover`).
+    /// bumped by every view change (`on_peer_down_into` / `Message::Recover`).
     /// Frames are stamped with the sender's epoch at send time; a receiver
     /// fences (drops) any frame whose stamp differs from its own epoch, so a
     /// token or grant from a dead generation can never resurrect authority.
@@ -311,11 +318,12 @@ impl HierNode {
     ///
     /// The protocol never orders or compares node ids except for equality, so
     /// relabelling through a bijection commutes with every entry point: for a
-    /// permutation σ, `σ(n).on_message(σ(from), σ(m))` produces `σ` of the
-    /// effects of `n.on_message(from, m)`. The model checker's symmetry
-    /// reduction (`dlm-check`) relies on exactly this equivariance to collapse
-    /// permuted clusters into one canonical state. Sorted flat maps are
-    /// rebuilt, so iteration order stays canonical under the new labels.
+    /// permutation σ, `σ(n).on_message_into(σ(from), σ(m), ..)` pushes `σ` of
+    /// the effects of `n.on_message_into(from, m, ..)`. The model checker's
+    /// symmetry reduction (`dlm-check`) relies on exactly this equivariance
+    /// to collapse permuted clusters into one canonical state. Sorted flat
+    /// maps are rebuilt, so iteration order stays canonical under the new
+    /// labels.
     pub fn relabeled(&self, map: impl Fn(NodeId) -> NodeId) -> HierNode {
         let relabel_req = |q: &QueuedRequest| QueuedRequest {
             from: map(q.from),

@@ -47,7 +47,7 @@ use crate::flatmap::FlatMap;
 use crate::ids::NodeId;
 use crate::message::Message;
 use dlm_modes::{Mode, ModeSet};
-use dlm_trace::{NullObserver, Observer, ProtocolEvent};
+use dlm_trace::{Observer, ProtocolEvent};
 
 impl HierNode {
     /// Rule R1/R2: the failure detector (or a gossiped
@@ -126,27 +126,6 @@ impl HierNode {
         } else {
             self.repair_as_child(new_root, effects, obs);
         }
-    }
-
-    /// [`Self::on_peer_down_into`] returning a fresh `Vec` (test/tool
-    /// convenience).
-    pub fn on_peer_down(
-        &mut self,
-        dead: NodeId,
-        new_root: NodeId,
-        new_epoch: u32,
-        survivors: &[NodeId],
-    ) -> Vec<Effect> {
-        let mut effects = EffectBuf::new();
-        self.on_peer_down_into(
-            dead,
-            new_root,
-            new_epoch,
-            survivors,
-            &mut effects,
-            &mut NullObserver,
-        );
-        effects.take_vec()
     }
 
     /// Rule R2 at the new root: keep (or regenerate) the token and seed the
@@ -317,27 +296,15 @@ impl HierNode {
         self.on_message_into(from, message, effects, obs);
         true
     }
-
-    /// [`Self::on_frame_into`] returning the effects as a fresh `Vec`;
-    /// `None` means the frame was fenced.
-    pub fn on_frame(
-        &mut self,
-        from: NodeId,
-        frame_epoch: u32,
-        message: Message,
-    ) -> Option<Vec<Effect>> {
-        let mut effects = EffectBuf::new();
-        let delivered =
-            self.on_frame_into(from, frame_epoch, message, &mut effects, &mut NullObserver);
-        delivered.then(|| effects.take_vec())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::ProtocolConfig;
+    use crate::effect::effects_of;
     use crate::invariants::{audit, InFlight};
+    use dlm_trace::NullObserver;
 
     fn cfg() -> ProtocolConfig {
         ProtocolConfig::paper()
@@ -351,15 +318,14 @@ mod tests {
             let Some(node) = nodes.iter_mut().find(|n| n.id() == to) else {
                 continue; // destination crashed
             };
-            match node.on_frame(from, epoch, msg) {
-                None => fenced += 1,
-                Some(effects) => {
-                    let sender_epoch = node.epoch();
-                    for e in effects {
-                        if let Effect::Send { to: next, message } = e {
-                            pending.push((to, next, sender_epoch, message));
-                        }
-                    }
+            let mut effects = EffectBuf::new();
+            if !node.on_frame_into(from, epoch, msg, &mut effects, &mut NullObserver) {
+                fenced += 1;
+            }
+            let sender_epoch = node.epoch();
+            for e in effects.drain() {
+                if let Effect::Send { to: next, message } = e {
+                    pending.push((to, next, sender_epoch, message));
                 }
             }
         }
@@ -391,18 +357,19 @@ mod tests {
             HierNode::new(NodeId(2), NodeId(0), cfg()),
         ];
         // Node 1 holds R (granted by the token), node 2 has a W pending.
-        let req = nodes[1].on_acquire(Mode::Read).unwrap();
+        let req = effects_of(|b, o| nodes[1].on_acquire_into(Mode::Read, 0, b, o).unwrap());
         let mut flight = sends(req, NodeId(1), 0);
         assert_eq!(settle(&mut nodes, std::mem::take(&mut flight)), 0);
         assert_eq!(nodes[1].held(), Mode::Read);
-        let req = nodes[2].on_acquire(Mode::Write).unwrap();
+        let req = effects_of(|b, o| nodes[2].on_acquire_into(Mode::Write, 0, b, o).unwrap());
         let w_request = sends(req, NodeId(2), 0);
         // Node 0 (token) crashes before the W request is delivered.
         nodes.remove(0);
         let survivors = [NodeId(1), NodeId(2)];
         let mut pending = w_request; // stale request toward the dead node
         for n in nodes.iter_mut() {
-            let effects = n.on_peer_down(NodeId(0), NodeId(1), 1, &survivors);
+            let effects =
+                effects_of(|b, o| n.on_peer_down_into(NodeId(0), NodeId(1), 1, &survivors, b, o));
             let from = n.id();
             let epoch = n.epoch();
             pending.extend(sends(effects, from, epoch));
@@ -415,11 +382,11 @@ mod tests {
         assert_eq!(nodes[1].held(), Mode::NoLock, "W still pending behind R");
         assert_eq!(nodes[1].pending(), Some(Mode::Write));
         // Release the R; the re-issued W must now be served.
-        let rel = nodes[0].on_release().unwrap();
+        let rel = effects_of(|b, o| nodes[0].on_release_into(b, o).unwrap());
         let pending = sends(rel, NodeId(1), 1);
         let _ = settle(&mut nodes, pending);
         assert_eq!(nodes[1].held(), Mode::Write);
-        let rel = nodes[1].on_release().unwrap();
+        let rel = effects_of(|b, o| nodes[1].on_release_into(b, o).unwrap());
         let pending = sends(rel, NodeId(2), 1);
         let _ = settle(&mut nodes, pending);
         assert_eq!(audit(&nodes, &[], true), vec![]);
@@ -435,11 +402,11 @@ mod tests {
             HierNode::new(NodeId(2), NodeId(0), cfg()),
         ];
         // Node 1 requests W; the token answers with a transfer…
-        let req = nodes[1].on_acquire(Mode::Write).unwrap();
+        let req = effects_of(|b, o| nodes[1].on_acquire_into(Mode::Write, 0, b, o).unwrap());
         let [(_, _, _, request)] = &sends(req, NodeId(1), 0)[..] else {
             panic!("expected one request send");
         };
-        let effects = nodes[0].on_message(NodeId(1), request.clone());
+        let effects = effects_of(|b, o| nodes[0].on_message_into(NodeId(1), request.clone(), b, o));
         let token_frame = effects
             .into_iter()
             .find_map(|e| match e {
@@ -457,7 +424,8 @@ mod tests {
         let survivors = [NodeId(1), NodeId(2)];
         let mut pending = Vec::new();
         for n in nodes.iter_mut() {
-            let effects = n.on_peer_down(NodeId(0), NodeId(1), 1, &survivors);
+            let effects =
+                effects_of(|b, o| n.on_peer_down_into(NodeId(0), NodeId(1), 1, &survivors, b, o));
             let from = n.id();
             let epoch = n.epoch();
             pending.extend(sends(effects, from, epoch));
@@ -468,7 +436,13 @@ mod tests {
 
         // The dead owner's token frame finally arrives, stamped epoch 0.
         assert!(
-            nodes[0].on_frame(NodeId(0), 0, token_frame).is_none(),
+            !nodes[0].on_frame_into(
+                NodeId(0),
+                0,
+                token_frame,
+                &mut EffectBuf::new(),
+                &mut NullObserver
+            ),
             "stale token must be fenced"
         );
         let token_count = nodes.iter().filter(|n| n.has_token()).count();
@@ -476,7 +450,7 @@ mod tests {
         // The re-issued W was self-served by the regenerated root once node
         // 2's re-report cleared the pessimistic entry.
         assert_eq!(nodes[0].held(), Mode::Write);
-        let rel = nodes[0].on_release().unwrap();
+        let rel = effects_of(|b, o| nodes[0].on_release_into(b, o).unwrap());
         let pending = sends(rel, NodeId(1), 1);
         let _ = settle(&mut nodes, pending);
         assert_eq!(audit(&nodes, &[], true), vec![]);
@@ -491,7 +465,7 @@ mod tests {
             HierNode::new(NodeId(1), NodeId(0), cfg()),
             HierNode::new(NodeId(2), NodeId(0), cfg()),
         ];
-        let req = nodes[1].on_acquire(Mode::Read).unwrap();
+        let req = effects_of(|b, o| nodes[1].on_acquire_into(Mode::Read, 0, b, o).unwrap());
         let pending = sends(req, NodeId(1), 0);
         let _ = settle(&mut nodes, pending);
         assert_eq!(nodes[1].held(), Mode::Read);
@@ -501,7 +475,8 @@ mod tests {
         let survivors = [NodeId(0), NodeId(1)];
         let mut pending = Vec::new();
         for n in nodes.iter_mut() {
-            let effects = n.on_peer_down(NodeId(2), NodeId(0), 1, &survivors);
+            let effects =
+                effects_of(|b, o| n.on_peer_down_into(NodeId(2), NodeId(0), 1, &survivors, b, o));
             let from = n.id();
             let epoch = n.epoch();
             pending.extend(sends(effects, from, epoch));
@@ -514,7 +489,7 @@ mod tests {
             Some(&Mode::Read),
             "re-report replaced the pessimistic entry"
         );
-        let rel = nodes[1].on_release().unwrap();
+        let rel = effects_of(|b, o| nodes[1].on_release_into(b, o).unwrap());
         let pending = sends(rel, NodeId(1), 1);
         let _ = settle(&mut nodes, pending);
         assert_eq!(audit(&nodes, &[], true), vec![]);
@@ -526,14 +501,18 @@ mod tests {
     fn repair_is_idempotent_and_false_suspicion_is_ignored() {
         let mut node = HierNode::new(NodeId(1), NodeId(0), cfg());
         let survivors = [NodeId(1), NodeId(2)];
-        let first = node.on_peer_down(NodeId(0), NodeId(1), 1, &survivors);
+        let first =
+            effects_of(|b, o| node.on_peer_down_into(NodeId(0), NodeId(1), 1, &survivors, b, o));
         assert!(node.has_token());
         assert!(!first.is_empty());
-        let again = node.on_peer_down(NodeId(0), NodeId(1), 1, &survivors);
+        let again =
+            effects_of(|b, o| node.on_peer_down_into(NodeId(0), NodeId(1), 1, &survivors, b, o));
         assert!(again.is_empty(), "same-epoch repair is a no-op");
 
         let mut falsely_dead = HierNode::new(NodeId(2), NodeId(0), cfg());
-        let effects = falsely_dead.on_peer_down(NodeId(2), NodeId(1), 1, &[NodeId(1)]);
+        let effects = effects_of(|b, o| {
+            falsely_dead.on_peer_down_into(NodeId(2), NodeId(1), 1, &[NodeId(1)], b, o)
+        });
         assert!(effects.is_empty());
         assert_eq!(falsely_dead.epoch(), 0, "a node ignores its own obituary");
     }
@@ -542,9 +521,10 @@ mod tests {
     #[test]
     fn regenerated_root_grants_nothing_until_reports_arrive() {
         let mut root = HierNode::new(NodeId(1), NodeId(0), cfg());
-        let _ = root.on_acquire(Mode::Read).unwrap(); // pending R
+        effects_of(|b, o| root.on_acquire_into(Mode::Read, 0, b, o).unwrap()); // pending R
         let survivors = [NodeId(1), NodeId(2), NodeId(3)];
-        let effects = root.on_peer_down(NodeId(0), NodeId(1), 1, &survivors);
+        let effects =
+            effects_of(|b, o| root.on_peer_down_into(NodeId(0), NodeId(1), 1, &survivors, b, o));
         assert!(root.has_token());
         assert_eq!(root.owned(), Mode::Write, "pessimistic copyset");
         assert!(
@@ -562,15 +542,12 @@ mod tests {
     }
 
     fn node_report(root: &mut HierNode, from: NodeId, owned: Mode) -> Vec<Effect> {
-        root.on_frame(
-            from,
-            root.epoch(),
-            Message::Release {
-                new_owned: owned,
-                ack: 0,
-            },
-        )
-        .expect("report delivered")
+        let report = Message::Release {
+            new_owned: owned,
+            ack: 0,
+        };
+        let epoch = root.epoch();
+        effects_of(|b, o| assert!(root.on_frame_into(from, epoch, report, b, o)))
     }
 
     /// The audit groups tokens by epoch: a fenced-off stale token plus the
@@ -578,7 +555,7 @@ mod tests {
     #[test]
     fn audit_counts_tokens_per_epoch() {
         let mut survivor = HierNode::new(NodeId(1), NodeId(0), cfg());
-        let _ = survivor.on_peer_down(NodeId(0), NodeId(1), 1, &[NodeId(1)]);
+        effects_of(|b, o| survivor.on_peer_down_into(NodeId(0), NodeId(1), 1, &[NodeId(1)], b, o));
         assert!(survivor.has_token());
         // A stale epoch-0 token still in flight from the dead owner.
         let stale = InFlight {

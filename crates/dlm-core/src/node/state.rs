@@ -23,13 +23,9 @@ use std::collections::VecDeque;
 
 /// Layout version; bump on any change to the byte format.
 ///
-/// v2 added the crash-recovery `epoch` (a `u32` directly after the node id)
-/// and a trailing copy of the version byte. The decoder still accepts v1
-/// blobs — a pre-recovery peer's state is a valid epoch-0 state — but never
-/// mixes layouts: the version appears at both ends of a v2 blob, so a
-/// version byte promising one layout over the other's body fails the
-/// trailer or exact-length check even where the two layouts would otherwise
-/// re-align.
+/// The version appears at both ends of a blob and the decoder accepts no
+/// other: every producer writes this layout and no older blob is persisted
+/// anywhere, so a foreign version byte means a foreign or corrupt body.
 const STATE_VERSION: u8 = 2;
 
 const FLAG_HAS_TOKEN: u8 = 1 << 0;
@@ -181,12 +177,11 @@ impl HierNode {
     /// input or an unknown layout version — never panics.
     pub fn decode_state(buf: &[u8], config: ProtocolConfig) -> Option<HierNode> {
         let mut c = Cursor { buf, pos: 0 };
-        let version = c.u8()?;
-        if version == 0 || version > STATE_VERSION {
+        if c.u8()? != STATE_VERSION {
             return None;
         }
         let id = NodeId(c.u32()?);
-        let epoch = if version >= 2 { c.u32()? } else { 0 };
+        let epoch = c.u32()?;
         let flags = c.u8()?;
         if flags & !(FLAG_HAS_TOKEN | FLAG_PARENT | FLAG_PENDING | FLAG_REGISTERED) != 0 {
             return None;
@@ -233,10 +228,7 @@ impl HierNode {
             let node = NodeId(c.u32()?);
             grants_received.insert(node, c.u64()?);
         }
-        if version >= 2 && c.u8()? != version {
-            return None;
-        }
-        if c.pos != buf.len() {
+        if c.u8()? != STATE_VERSION || c.pos != buf.len() {
             return None;
         }
         Some(HierNode {
@@ -263,7 +255,7 @@ impl HierNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::effect::Effect;
+    use crate::effect::{effects_of, Effect};
 
     fn encoded(node: &HierNode) -> Vec<u8> {
         let mut out = Vec::new();
@@ -295,17 +287,17 @@ mod tests {
         let mut token = HierNode::with_token(NodeId(0), config);
         let mut leaf = HierNode::new(NodeId(1), NodeId(0), config);
 
-        let effects = leaf.on_acquire(Mode::Read).unwrap();
+        let effects = effects_of(|b, o| leaf.on_acquire_into(Mode::Read, 0, b, o).unwrap());
         let Effect::Send { message, .. } = &effects[0] else {
             panic!("expected a request send");
         };
-        let effects = token.on_message(NodeId(1), message.clone());
+        let effects = effects_of(|b, o| token.on_message_into(NodeId(1), message.clone(), b, o));
         let Effect::Send { message: grant, .. } = &effects[0] else {
             panic!("expected a grant send");
         };
-        leaf.on_message(NodeId(0), grant.clone());
+        effects_of(|b, o| leaf.on_message_into(NodeId(0), grant.clone(), b, o));
         // A conflicting local request leaves `pending` occupied at the token.
-        let _ = token.on_acquire(Mode::Write);
+        effects_of(|b, o| token.on_acquire_into(Mode::Write, 0, b, o).unwrap());
 
         for node in [&token, &leaf] {
             let bytes = encoded(node);
@@ -322,80 +314,63 @@ mod tests {
     #[test]
     fn malformed_input_is_rejected() {
         let config = ProtocolConfig::paper();
-        let node = HierNode::with_token(NodeId(0), config);
+        let mut node = HierNode::with_token(NodeId(0), config);
+        effects_of(|b, o| node.on_peer_down_into(NodeId(1), NodeId(0), 7, &[NodeId(0)], b, o));
         let bytes = encoded(&node);
+        assert!(HierNode::decode_state(&bytes, config).is_some());
         assert!(HierNode::decode_state(&[], config).is_none(), "empty");
-        assert!(
-            HierNode::decode_state(&bytes[..bytes.len() - 1], config).is_none(),
-            "truncated"
-        );
-        let mut wrong_version = bytes.clone();
-        wrong_version[0] = 99;
-        assert!(HierNode::decode_state(&wrong_version, config).is_none());
-        wrong_version[0] = 0;
-        assert!(HierNode::decode_state(&wrong_version, config).is_none());
-        let mut trailing = bytes;
+        for cut in 0..bytes.len() {
+            assert!(
+                HierNode::decode_state(&bytes[..cut], config).is_none(),
+                "truncated to {cut} bytes"
+            );
+        }
+        // Any version but the current one, at both ends or at either.
+        for version in [0, 1, STATE_VERSION + 1, 99, u8::MAX] {
+            let mut relabelled = bytes.clone();
+            relabelled[0] = version;
+            assert!(
+                HierNode::decode_state(&relabelled, config).is_none(),
+                "leading version {version}"
+            );
+            *relabelled.last_mut().unwrap() = version;
+            assert!(
+                HierNode::decode_state(&relabelled, config).is_none(),
+                "version {version} at both ends"
+            );
+            relabelled[0] = STATE_VERSION;
+            assert!(
+                HierNode::decode_state(&relabelled, config).is_none(),
+                "trailing version {version}"
+            );
+        }
+        let mut trailing = bytes.clone();
         trailing.push(0);
         assert!(HierNode::decode_state(&trailing, config).is_none());
-    }
 
-    /// A v2 blob with its epoch bytes and trailer spliced out is exactly a
-    /// v1 blob; the decoder accepts it with epoch 0.
-    fn as_v1(bytes: &[u8]) -> Vec<u8> {
-        let mut v1 = bytes.to_vec();
+        // A well-formed v1 blob — no epoch after the id, no trailer — is a
+        // foreign layout, not an epoch-0 state.
+        let mut v1 = bytes;
         v1[0] = 1;
-        v1.drain(5..9); // the epoch u32 sits directly after the id u32
-        v1.pop(); // v1 has no trailing version byte
-        v1
-    }
-
-    #[test]
-    fn v1_blobs_decode_with_epoch_zero() {
-        let config = ProtocolConfig::paper();
-        let mut node = HierNode::with_token(NodeId(0), config);
-        let _ = node.on_peer_down(NodeId(1), NodeId(0), 7, &[NodeId(0)]);
-        assert_eq!(node.epoch(), 7);
-        let v1 = as_v1(&encoded(&node));
-        let back = HierNode::decode_state(&v1, config).expect("v1 decodes");
-        assert_eq!(back.epoch(), 0, "v1 predates epochs");
-        assert_eq!(back.id(), node.id());
-        assert_eq!(back.has_token(), node.has_token());
+        v1.drain(5..9);
+        v1.pop();
+        assert!(HierNode::decode_state(&v1, config).is_none(), "v1 blob");
     }
 
     proptest::proptest! {
-        /// Epochs survive the round trip, and a blob whose version byte
-        /// promises the *other* layout is rejected in both directions —
-        /// a cross-version epoch can never be smuggled through the codec.
         #[test]
-        fn epoch_round_trips_and_cross_version_is_rejected(
-            epoch in 0u32..=u32::MAX,
-            id in 0u32..64,
-        ) {
+        fn epoch_round_trips(epoch in 0u32..=u32::MAX, id in 0u32..64) {
             let config = ProtocolConfig::paper();
             let mut node = HierNode::with_token(NodeId(id), config);
             if epoch > 0 {
-                let _ = node.on_peer_down(
-                    NodeId(id + 1), NodeId(id), epoch, &[NodeId(id)],
-                );
+                effects_of(|b, o| {
+                    node.on_peer_down_into(NodeId(id + 1), NodeId(id), epoch, &[NodeId(id)], b, o)
+                });
             }
-            let v2 = encoded(&node);
-            let back = HierNode::decode_state(&v2, config).expect("v2 decodes");
+            let blob = encoded(&node);
+            let back = HierNode::decode_state(&blob, config).expect("decodes");
             proptest::prop_assert_eq!(back.epoch(), epoch);
-            proptest::prop_assert_eq!(&encoded(&back), &v2);
-
-            // v2 body labelled v1: the epoch bytes shift the whole layout.
-            let mut mislabelled = v2.clone();
-            mislabelled[0] = 1;
-            proptest::prop_assert!(
-                HierNode::decode_state(&mislabelled, config).is_none()
-            );
-            // v1 body labelled v2: the decoder expects epoch bytes that are
-            // not there.
-            let mut v1 = as_v1(&v2);
-            v1[0] = 2;
-            proptest::prop_assert!(
-                HierNode::decode_state(&v1, config).is_none()
-            );
+            proptest::prop_assert_eq!(&encoded(&back), &blob);
         }
     }
 }

@@ -4,7 +4,7 @@
 //! reproduces the paper's protocol exactly.
 
 use dlm_core::testkit::LockStepNet;
-use dlm_core::{Mode, NodeId};
+use dlm_core::{EffectBuf, Mode, NodeId, NullObserver};
 
 /// Build a net where node 0 (token) holds W so that every later request
 /// queues; then release and observe the service order.
@@ -13,12 +13,13 @@ fn queue_three_writers(priorities: [u8; 3]) -> Vec<NodeId> {
     net.acquire(0, Mode::Write);
     for (i, &prio) in priorities.iter().enumerate() {
         let id = (i + 1) as u32;
-        let effects = {
-            // Issue with explicit priority through the node API.
-            let node = unsafe_node_hack(&mut net, id);
-            node.on_acquire_with_priority(Mode::Write, prio).unwrap()
-        };
-        absorb(&mut net, id, effects);
+        // The testkit's `acquire` is priority 0; issue with an explicit
+        // priority through the node API and feed the effects back.
+        let mut effects = EffectBuf::new();
+        net.node_mut(id)
+            .on_acquire_into(Mode::Write, prio, &mut effects, &mut NullObserver)
+            .unwrap();
+        net.inject_effects(NodeId(id), effects.take_vec());
         net.deliver_all();
     }
     net.release(0);
@@ -44,16 +45,6 @@ fn queue_three_writers(priorities: [u8; 3]) -> Vec<NodeId> {
     let errors = net.audit_now(true);
     assert!(errors.is_empty(), "{errors:?}");
     order
-}
-
-// The testkit drives nodes through `acquire` (priority 0); reach the
-// priority API through a thin helper that borrows the node mutably.
-fn unsafe_node_hack(net: &mut LockStepNet, id: u32) -> &mut dlm_core::HierNode {
-    net.node_mut(id)
-}
-
-fn absorb(net: &mut LockStepNet, from: u32, effects: Vec<dlm_core::Effect>) {
-    net.inject_effects(NodeId(from), effects);
 }
 
 #[test]

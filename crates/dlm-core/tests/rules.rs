@@ -2,12 +2,25 @@
 //! the state machine directly (no runtime) so each branch is pinned.
 
 use dlm_core::{
-    AcquireError, Effect, HierNode, Message, Mode, NodeId, ProtocolConfig, QueuedRequest,
-    ReleaseError, UpgradeError,
+    AcquireError, Effect, EffectBuf, HierNode, Message, Mode, NodeId, NullObserver, ProtocolConfig,
+    QueuedRequest, ReleaseError, UpgradeError,
 };
 
 fn paper() -> ProtocolConfig {
     ProtocolConfig::paper()
+}
+
+/// What one `*_into` entry-point call pushes into a fresh sink.
+fn fx(call: impl FnOnce(&mut EffectBuf, &mut NullObserver)) -> Vec<Effect> {
+    let mut buf = EffectBuf::new();
+    call(&mut buf, &mut NullObserver);
+    buf.take_vec()
+}
+
+/// Deliver node `from`'s own plain request for `mode` to `node`.
+fn request(node: &mut HierNode, from: u32, mode: Mode) -> Vec<Effect> {
+    let message = Message::Request(QueuedRequest::plain(NodeId(from), mode));
+    fx(|b, o| node.on_message_into(NodeId(from), message, b, o))
 }
 
 fn sends(effects: &[Effect]) -> usize {
@@ -25,7 +38,7 @@ mod rule2_request_sending {
     fn token_node_self_grants_anything_compatible() {
         for mode in [Mode::IntentRead, Mode::Read, Mode::Upgrade, Mode::Write] {
             let mut n = HierNode::with_token(NodeId(0), paper());
-            let eff = n.on_acquire(mode).unwrap();
+            let eff = fx(|b, o| n.on_acquire_into(mode, 0, b, o).unwrap());
             assert!(granted(&eff), "{mode}");
             assert_eq!(sends(&eff), 0, "{mode}: token self-grant is free");
         }
@@ -38,20 +51,15 @@ mod rule2_request_sending {
         // Simulate a past grant: receive a grant for R, then release while a
         // child keeps R alive. Simplest: become a granter via messages.
         let mut token = HierNode::with_token(NodeId(0), paper());
-        let eff = n.on_acquire(Mode::Read).unwrap();
+        let eff = fx(|b, o| n.on_acquire_into(Mode::Read, 0, b, o).unwrap());
         assert_eq!(sends(&eff), 1);
-        let eff = token.on_message(
-            NodeId(1),
-            Message::Request(QueuedRequest::plain(NodeId(1), Mode::Read)),
-        );
+        let eff = request(&mut token, 1, Mode::Read);
         assert_eq!(sends(&eff), 1, "copy grant");
-        let eff = n.on_message(NodeId(0), Message::Grant { mode: Mode::Read });
+        let eff =
+            fx(|b, o| n.on_message_into(NodeId(0), Message::Grant { mode: Mode::Read }, b, o));
         assert!(granted(&eff));
         // n now holds R; a grandchild asks for IR; n grants it itself.
-        let eff = n.on_message(
-            NodeId(2),
-            Message::Request(QueuedRequest::plain(NodeId(2), Mode::IntentRead)),
-        );
+        let eff = request(&mut n, 2, Mode::IntentRead);
         assert!(matches!(
             eff.as_slice(),
             [Effect::Send {
@@ -62,9 +70,9 @@ mod rule2_request_sending {
             }]
         ));
         // n releases; still owns IR through node 2 → re-acquiring IR is free.
-        let eff = n.on_release().unwrap();
+        let eff = fx(|b, o| n.on_release_into(b, o).unwrap());
         assert_eq!(sends(&eff), 1, "owned weakened R->IR: release to parent");
-        let eff = n.on_acquire(Mode::IntentRead).unwrap();
+        let eff = fx(|b, o| n.on_acquire_into(Mode::IntentRead, 0, b, o).unwrap());
         assert!(granted(&eff));
         assert_eq!(sends(&eff), 0, "Rule 2 free fast path");
     }
@@ -73,12 +81,9 @@ mod rule2_request_sending {
     fn incompatible_owned_forces_a_request() {
         // Node owns IW via child; wants R (incompatible) → must send.
         let mut n = HierNode::with_token(NodeId(0), paper());
-        n.on_acquire(Mode::IntentWrite).unwrap();
+        fx(|b, o| n.on_acquire_into(Mode::IntentWrite, 0, b, o).unwrap());
         // Hand the token away so n is a plain owner.
-        let eff = n.on_message(
-            NodeId(1),
-            Message::Request(QueuedRequest::plain(NodeId(1), Mode::Write)),
-        );
+        let eff = request(&mut n, 1, Mode::Write);
         // W is incompatible with IW: queued, not sent.
         assert_eq!(sends(&eff), 0);
         assert_eq!(n.queue_len(), 1);
@@ -91,11 +96,8 @@ mod rule3_granting {
     #[test]
     fn token_copy_grants_when_owned_dominates() {
         let mut t = HierNode::with_token(NodeId(0), paper());
-        t.on_acquire(Mode::Read).unwrap();
-        let eff = t.on_message(
-            NodeId(1),
-            Message::Request(QueuedRequest::plain(NodeId(1), Mode::IntentRead)),
-        );
+        fx(|b, o| t.on_acquire_into(Mode::Read, 0, b, o).unwrap());
+        let eff = request(&mut t, 1, Mode::IntentRead);
         assert!(matches!(
             eff.as_slice(),
             [Effect::Send {
@@ -110,11 +112,8 @@ mod rule3_granting {
     #[test]
     fn token_transfers_for_stronger_compatible_mode() {
         let mut t = HierNode::with_token(NodeId(0), paper());
-        t.on_acquire(Mode::IntentRead).unwrap();
-        let eff = t.on_message(
-            NodeId(1),
-            Message::Request(QueuedRequest::plain(NodeId(1), Mode::Read)),
-        );
+        fx(|b, o| t.on_acquire_into(Mode::IntentRead, 0, b, o).unwrap());
+        let eff = request(&mut t, 1, Mode::Read);
         assert!(matches!(
             eff.as_slice(),
             [Effect::Send {
@@ -136,10 +135,7 @@ mod rule3_granting {
             (Mode::Write, true),
         ] {
             let mut t = HierNode::with_token(NodeId(0), paper());
-            let eff = t.on_message(
-                NodeId(1),
-                Message::Request(QueuedRequest::plain(NodeId(1), mode)),
-            );
+            let eff = request(&mut t, 1, mode);
             let transferred = matches!(
                 eff.as_slice(),
                 [Effect::Send {
@@ -155,10 +151,7 @@ mod rule3_granting {
     fn literal_rule_3_2_always_transfers_from_idle() {
         for mode in [Mode::IntentRead, Mode::Read, Mode::IntentWrite] {
             let mut t = HierNode::with_token(NodeId(0), paper().literal_rule_3_2());
-            let eff = t.on_message(
-                NodeId(1),
-                Message::Request(QueuedRequest::plain(NodeId(1), mode)),
-            );
+            let eff = request(&mut t, 1, mode);
             assert!(
                 matches!(
                     eff.as_slice(),
@@ -178,12 +171,9 @@ mod rule3_granting {
         let mut n = HierNode::new(NodeId(1), NodeId(0), cfg);
         // Even with owned R (via forged grant path), a non-token node must
         // forward rather than grant.
-        let _ = n.on_acquire(Mode::Read).unwrap();
-        let _ = n.on_message(NodeId(0), Message::Grant { mode: Mode::Read });
-        let eff = n.on_message(
-            NodeId(2),
-            Message::Request(QueuedRequest::plain(NodeId(2), Mode::IntentRead)),
-        );
+        fx(|b, o| n.on_acquire_into(Mode::Read, 0, b, o).unwrap());
+        fx(|b, o| n.on_message_into(NodeId(0), Message::Grant { mode: Mode::Read }, b, o));
+        let eff = request(&mut n, 2, Mode::IntentRead);
         assert!(matches!(
             eff.as_slice(),
             [Effect::Send {
@@ -200,11 +190,8 @@ mod rule4_queue_or_forward {
     #[test]
     fn pending_node_queues_same_mode() {
         let mut n = HierNode::new(NodeId(1), NodeId(0), paper());
-        n.on_acquire(Mode::Read).unwrap();
-        let eff = n.on_message(
-            NodeId(2),
-            Message::Request(QueuedRequest::plain(NodeId(2), Mode::Read)),
-        );
+        fx(|b, o| n.on_acquire_into(Mode::Read, 0, b, o).unwrap());
+        let eff = request(&mut n, 2, Mode::Read);
         assert_eq!(sends(&eff), 0, "Table 1(c)[R][R] = Q");
         assert_eq!(n.queue_len(), 1);
     }
@@ -212,11 +199,8 @@ mod rule4_queue_or_forward {
     #[test]
     fn pending_node_forwards_compatible_other_mode() {
         let mut n = HierNode::new(NodeId(1), NodeId(0), paper());
-        n.on_acquire(Mode::Read).unwrap();
-        let eff = n.on_message(
-            NodeId(2),
-            Message::Request(QueuedRequest::plain(NodeId(2), Mode::IntentRead)),
-        );
+        fx(|b, o| n.on_acquire_into(Mode::Read, 0, b, o).unwrap());
+        let eff = request(&mut n, 2, Mode::IntentRead);
         assert_eq!(sends(&eff), 1, "Table 1(c)[R][IR] = F");
         assert_eq!(n.queue_len(), 0);
     }
@@ -225,11 +209,8 @@ mod rule4_queue_or_forward {
     fn local_queueing_ablation_always_forwards() {
         let cfg = paper().without(dlm_core::Ablation::LocalQueueing);
         let mut n = HierNode::new(NodeId(1), NodeId(0), cfg);
-        n.on_acquire(Mode::Read).unwrap();
-        let eff = n.on_message(
-            NodeId(2),
-            Message::Request(QueuedRequest::plain(NodeId(2), Mode::Read)),
-        );
+        fx(|b, o| n.on_acquire_into(Mode::Read, 0, b, o).unwrap());
+        let eff = request(&mut n, 2, Mode::Read);
         assert_eq!(sends(&eff), 1);
         assert_eq!(n.queue_len(), 0);
     }
@@ -243,34 +224,39 @@ mod rule5_release {
     #[test]
     fn stale_release_is_dropped() {
         let mut t = HierNode::with_token(NodeId(0), paper());
-        t.on_acquire(Mode::Read).unwrap();
+        fx(|b, o| t.on_acquire_into(Mode::Read, 0, b, o).unwrap());
         // Grant node 1 IR (grants_sent[1] becomes 1).
-        let _ = t.on_message(
-            NodeId(1),
-            Message::Request(QueuedRequest::plain(NodeId(1), Mode::IntentRead)),
-        );
+        let _ = request(&mut t, 1, Mode::IntentRead);
         assert_eq!(t.copyset().get(&NodeId(1)), Some(&Mode::IntentRead));
         // A release with ack=0 predates that grant: stale, dropped.
-        let _ = t.on_message(
-            NodeId(1),
-            Message::Release {
-                new_owned: Mode::NoLock,
-                ack: 0,
-            },
-        );
+        fx(|b, o| {
+            t.on_message_into(
+                NodeId(1),
+                Message::Release {
+                    new_owned: Mode::NoLock,
+                    ack: 0,
+                },
+                b,
+                o,
+            )
+        });
         assert_eq!(
             t.copyset().get(&NodeId(1)),
             Some(&Mode::IntentRead),
             "stale release must not clobber the fresh grant"
         );
         // The up-to-date release (ack=1) is applied.
-        let _ = t.on_message(
-            NodeId(1),
-            Message::Release {
-                new_owned: Mode::NoLock,
-                ack: 1,
-            },
-        );
+        fx(|b, o| {
+            t.on_message_into(
+                NodeId(1),
+                Message::Release {
+                    new_owned: Mode::NoLock,
+                    ack: 1,
+                },
+                b,
+                o,
+            )
+        });
         assert!(t.copyset().is_empty());
     }
 
@@ -278,26 +264,24 @@ mod rule5_release {
     fn eager_release_ablation_always_notifies() {
         let cfg = paper().without(dlm_core::Ablation::ReleaseSuppression);
         let mut t = HierNode::with_token(NodeId(0), cfg);
-        t.on_acquire(Mode::Read).unwrap();
-        let _ = t.on_message(
-            NodeId(1),
-            Message::Request(QueuedRequest::plain(NodeId(1), Mode::IntentRead)),
-        );
+        fx(|b, o| t.on_acquire_into(Mode::Read, 0, b, o).unwrap());
+        let _ = request(&mut t, 1, Mode::IntentRead);
         // Move the node under test into a child role: build a child directly.
         let mut c = HierNode::new(NodeId(1), NodeId(0), cfg);
-        let _ = c.on_acquire(Mode::IntentRead).unwrap();
-        let _ = c.on_message(
-            NodeId(0),
-            Message::Grant {
-                mode: Mode::IntentRead,
-            },
-        );
+        fx(|b, o| c.on_acquire_into(Mode::IntentRead, 0, b, o).unwrap());
+        fx(|b, o| {
+            c.on_message_into(
+                NodeId(0),
+                Message::Grant {
+                    mode: Mode::IntentRead,
+                },
+                b,
+                o,
+            )
+        });
         // Grant a grandchild, so c's owned mode survives its own release.
-        let _ = c.on_message(
-            NodeId(2),
-            Message::Request(QueuedRequest::plain(NodeId(2), Mode::IntentRead)),
-        );
-        let eff = c.on_release().unwrap();
+        let _ = request(&mut c, 2, Mode::IntentRead);
+        let eff = fx(|b, o| c.on_release_into(b, o).unwrap());
         assert_eq!(
             sends(&eff),
             1,
@@ -308,18 +292,19 @@ mod rule5_release {
     #[test]
     fn suppressed_release_when_owned_unchanged() {
         let mut c = HierNode::new(NodeId(1), NodeId(0), paper());
-        let _ = c.on_acquire(Mode::IntentRead).unwrap();
-        let _ = c.on_message(
-            NodeId(0),
-            Message::Grant {
-                mode: Mode::IntentRead,
-            },
-        );
-        let _ = c.on_message(
-            NodeId(2),
-            Message::Request(QueuedRequest::plain(NodeId(2), Mode::IntentRead)),
-        );
-        let eff = c.on_release().unwrap();
+        fx(|b, o| c.on_acquire_into(Mode::IntentRead, 0, b, o).unwrap());
+        fx(|b, o| {
+            c.on_message_into(
+                NodeId(0),
+                Message::Grant {
+                    mode: Mode::IntentRead,
+                },
+                b,
+                o,
+            )
+        });
+        let _ = request(&mut c, 2, Mode::IntentRead);
+        let eff = fx(|b, o| c.on_release_into(b, o).unwrap());
         assert_eq!(sends(&eff), 0, "Rule 5.2: owned still IR via the child");
     }
 }
@@ -330,16 +315,10 @@ mod rule6_freezing {
     #[test]
     fn token_freezes_on_incompatible_queue_and_notifies_capable_children() {
         let mut t = HierNode::with_token(NodeId(0), paper());
-        t.on_acquire(Mode::Read).unwrap();
+        fx(|b, o| t.on_acquire_into(Mode::Read, 0, b, o).unwrap());
         // Child holding IR (can grant IR → must be told about an IR freeze).
-        let _ = t.on_message(
-            NodeId(1),
-            Message::Request(QueuedRequest::plain(NodeId(1), Mode::IntentRead)),
-        );
-        let eff = t.on_message(
-            NodeId(2),
-            Message::Request(QueuedRequest::plain(NodeId(2), Mode::Write)),
-        );
+        let _ = request(&mut t, 1, Mode::IntentRead);
+        let eff = request(&mut t, 2, Mode::Write);
         assert!(t.frozen().contains(Mode::IntentRead));
         assert!(t.frozen().contains(Mode::Read));
         assert!(t.frozen().contains(Mode::Upgrade));
@@ -361,24 +340,29 @@ mod rule6_freezing {
     #[test]
     fn frozen_node_refuses_grants_it_could_otherwise_make() {
         let mut n = HierNode::new(NodeId(1), NodeId(0), paper());
-        let _ = n.on_acquire(Mode::IntentRead).unwrap();
-        let _ = n.on_message(
-            NodeId(0),
-            Message::Grant {
-                mode: Mode::IntentRead,
-            },
-        );
+        fx(|b, o| n.on_acquire_into(Mode::IntentRead, 0, b, o).unwrap());
+        fx(|b, o| {
+            n.on_message_into(
+                NodeId(0),
+                Message::Grant {
+                    mode: Mode::IntentRead,
+                },
+                b,
+                o,
+            )
+        });
         // Freeze IR at this node.
-        let _ = n.on_message(
-            NodeId(0),
-            Message::SetFrozen {
-                modes: dlm_core::ModeSet::from_modes([Mode::IntentRead]),
-            },
-        );
-        let eff = n.on_message(
-            NodeId(2),
-            Message::Request(QueuedRequest::plain(NodeId(2), Mode::IntentRead)),
-        );
+        fx(|b, o| {
+            n.on_message_into(
+                NodeId(0),
+                Message::SetFrozen {
+                    modes: dlm_core::ModeSet::from_modes([Mode::IntentRead]),
+                },
+                b,
+                o,
+            )
+        });
+        let eff = request(&mut n, 2, Mode::IntentRead);
         assert!(
             matches!(
                 eff.as_slice(),
@@ -394,29 +378,38 @@ mod rule6_freezing {
     #[test]
     fn unfreeze_restores_granting() {
         let mut n = HierNode::new(NodeId(1), NodeId(0), paper());
-        let _ = n.on_acquire(Mode::IntentRead).unwrap();
-        let _ = n.on_message(
-            NodeId(0),
-            Message::Grant {
-                mode: Mode::IntentRead,
-            },
-        );
-        let _ = n.on_message(
-            NodeId(0),
-            Message::SetFrozen {
-                modes: dlm_core::ModeSet::from_modes([Mode::IntentRead]),
-            },
-        );
-        let _ = n.on_message(
-            NodeId(0),
-            Message::SetFrozen {
-                modes: dlm_core::ModeSet::EMPTY,
-            },
-        );
-        let eff = n.on_message(
-            NodeId(2),
-            Message::Request(QueuedRequest::plain(NodeId(2), Mode::IntentRead)),
-        );
+        fx(|b, o| n.on_acquire_into(Mode::IntentRead, 0, b, o).unwrap());
+        fx(|b, o| {
+            n.on_message_into(
+                NodeId(0),
+                Message::Grant {
+                    mode: Mode::IntentRead,
+                },
+                b,
+                o,
+            )
+        });
+        fx(|b, o| {
+            n.on_message_into(
+                NodeId(0),
+                Message::SetFrozen {
+                    modes: dlm_core::ModeSet::from_modes([Mode::IntentRead]),
+                },
+                b,
+                o,
+            )
+        });
+        fx(|b, o| {
+            n.on_message_into(
+                NodeId(0),
+                Message::SetFrozen {
+                    modes: dlm_core::ModeSet::EMPTY,
+                },
+                b,
+                o,
+            )
+        });
+        let eff = request(&mut n, 2, Mode::IntentRead);
         assert!(matches!(
             eff.as_slice(),
             [Effect::Send {
@@ -433,8 +426,8 @@ mod rule7_upgrade {
     #[test]
     fn immediate_upgrade_when_alone() {
         let mut t = HierNode::with_token(NodeId(0), paper());
-        t.on_acquire(Mode::Upgrade).unwrap();
-        let eff = t.on_upgrade().unwrap();
+        fx(|b, o| t.on_acquire_into(Mode::Upgrade, 0, b, o).unwrap());
+        let eff = fx(|b, o| t.on_upgrade_into(b, o).unwrap());
         assert!(eff.iter().any(|e| matches!(e, Effect::Upgraded)));
         assert_eq!(t.held(), Mode::Write);
     }
@@ -443,12 +436,12 @@ mod rule7_upgrade {
     fn upgrade_errors() {
         let mut t = HierNode::with_token(NodeId(0), paper());
         assert_eq!(
-            t.on_upgrade(),
+            t.on_upgrade_into(&mut EffectBuf::new(), &mut NullObserver),
             Err(UpgradeError::NotHoldingUpgradeLock(Mode::NoLock))
         );
-        t.on_acquire(Mode::Read).unwrap();
+        fx(|b, o| t.on_acquire_into(Mode::Read, 0, b, o).unwrap());
         assert_eq!(
-            t.on_upgrade(),
+            t.on_upgrade_into(&mut EffectBuf::new(), &mut NullObserver),
             Err(UpgradeError::NotHoldingUpgradeLock(Mode::Read))
         );
     }
@@ -456,15 +449,15 @@ mod rule7_upgrade {
     #[test]
     fn release_during_pending_upgrade_is_rejected() {
         let mut t = HierNode::with_token(NodeId(0), paper());
-        t.on_acquire(Mode::Upgrade).unwrap();
+        fx(|b, o| t.on_acquire_into(Mode::Upgrade, 0, b, o).unwrap());
         // A reader child keeps the upgrade pending.
-        let _ = t.on_message(
-            NodeId(1),
-            Message::Request(QueuedRequest::plain(NodeId(1), Mode::IntentRead)),
-        );
-        let _ = t.on_upgrade().unwrap();
+        let _ = request(&mut t, 1, Mode::IntentRead);
+        fx(|b, o| t.on_upgrade_into(b, o).unwrap());
         assert!(t.pending_is_upgrade());
-        assert_eq!(t.on_release(), Err(ReleaseError::UpgradePending));
+        assert_eq!(
+            t.on_release_into(&mut EffectBuf::new(), &mut NullObserver),
+            Err(ReleaseError::UpgradePending)
+        );
         assert_eq!(t.held(), Mode::Upgrade, "U never released mid-upgrade");
     }
 }
@@ -476,18 +469,18 @@ mod api_misuse {
     fn acquire_errors() {
         let mut t = HierNode::with_token(NodeId(0), paper());
         assert_eq!(
-            t.on_acquire(Mode::NoLock),
+            t.on_acquire_into(Mode::NoLock, 0, &mut EffectBuf::new(), &mut NullObserver),
             Err(AcquireError::NoLockRequested)
         );
-        t.on_acquire(Mode::Read).unwrap();
+        fx(|b, o| t.on_acquire_into(Mode::Read, 0, b, o).unwrap());
         assert_eq!(
-            t.on_acquire(Mode::Read),
+            t.on_acquire_into(Mode::Read, 0, &mut EffectBuf::new(), &mut NullObserver),
             Err(AcquireError::AlreadyHeld(Mode::Read))
         );
         let mut n = HierNode::new(NodeId(1), NodeId(0), paper());
-        n.on_acquire(Mode::Write).unwrap();
+        fx(|b, o| n.on_acquire_into(Mode::Write, 0, b, o).unwrap());
         assert_eq!(
-            n.on_acquire(Mode::Read),
+            n.on_acquire_into(Mode::Read, 0, &mut EffectBuf::new(), &mut NullObserver),
             Err(AcquireError::AlreadyPending(Mode::Write))
         );
     }
@@ -495,7 +488,10 @@ mod api_misuse {
     #[test]
     fn release_without_holding() {
         let mut t = HierNode::with_token(NodeId(0), paper());
-        assert_eq!(t.on_release(), Err(ReleaseError::NotHeld));
+        assert_eq!(
+            t.on_release_into(&mut EffectBuf::new(), &mut NullObserver),
+            Err(ReleaseError::NotHeld)
+        );
     }
 
     #[test]
@@ -503,7 +499,7 @@ mod api_misuse {
         let mut t = HierNode::with_token(NodeId(0), paper());
         assert!(t.can_admit_locally(Mode::Write));
         assert!(!t.can_admit_locally(Mode::NoLock));
-        t.on_acquire(Mode::Read).unwrap();
+        fx(|b, o| t.on_acquire_into(Mode::Read, 0, b, o).unwrap());
         assert!(!t.can_admit_locally(Mode::Read), "already holding");
         let n = HierNode::new(NodeId(1), NodeId(0), paper());
         assert!(!n.can_admit_locally(Mode::IntentRead), "owns nothing");

@@ -7,9 +7,8 @@
 //! This is an integration-test target so it may host the (unsafe)
 //! counting `GlobalAlloc`; the library crates all `forbid(unsafe_code)`.
 
-use bench::effectbuf_reuse_run;
 use dlm_core::testkit::LockStepNet;
-use dlm_core::Mode;
+use dlm_core::{EffectBuf, HierNode, Mode, NodeId, NullObserver, ProtocolConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -83,8 +82,18 @@ fn steady_state_protocol_step_is_allocation_free() {
 
     // Single token node through the `*_into` API with a reused EffectBuf:
     // allocation-free from the very first operation (all state is inline).
+    let mut node = HierNode::with_token(NodeId(0), ProtocolConfig::paper());
+    let mut buf = EffectBuf::new();
+    let mut obs = NullObserver;
+    let mut effects = 0;
     let before = alloc_count();
-    let effects = effectbuf_reuse_run(100, Mode::Read);
+    for _ in 0..100 {
+        node.on_acquire_into(Mode::Read, 0, &mut buf, &mut obs)
+            .unwrap();
+        effects += buf.drain().count();
+        node.on_release_into(&mut buf, &mut obs).unwrap();
+        effects += buf.drain().count();
+    }
     let delta = alloc_count() - before;
     assert_eq!(effects, 100, "one grant per acquire, none per release");
     assert_eq!(delta, 0, "reused-buffer run allocated {delta} times");

@@ -9,9 +9,9 @@
 //! | Fig. 10 (latency vs nodes per ratio)    | [`fig10`] | mean wait (ms) |
 //! | §4.1 design claims | [`ablations`] | per-feature deltas |
 //!
-//! Every binary prints an aligned table and writes a TSV under `results/`.
-//! Runs are averaged over a small fixed seed set; everything is
-//! deterministic.
+//! The `figures` binary (`figures <name>|all`) prints an aligned table and
+//! writes a TSV under `results/` per figure. Runs are averaged over a small
+//! fixed seed set; everything is deterministic.
 //!
 //! Beyond the simulator, the [`sockload`] module drives the same workload
 //! over a **real socket cluster**: the `dlm-node` binary runs one member

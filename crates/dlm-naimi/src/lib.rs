@@ -147,16 +147,10 @@ impl NaimiNode {
     /// If this node is the idle root with the token, entry is immediate and
     /// message-free; otherwise one `Request` goes to the probable owner and
     /// this node becomes the new virtual root (`owner = None`).
-    pub fn on_acquire(&mut self) -> Result<Vec<NaimiEffect>, NaimiError> {
-        let mut effects = EffectBuf::new();
-        self.on_acquire_into(&mut effects)?;
-        Ok(effects.take_vec())
-    }
-
-    /// The allocation-free form of [`Self::on_acquire`]: effects go into the
-    /// caller-owned reusable sink (mirrors `HierNode::on_acquire_into`, so
-    /// the same runtimes can drive both protocols with one scratch buffer
-    /// discipline).
+    ///
+    /// Effects go into the caller-owned reusable sink (mirrors
+    /// `HierNode::on_acquire_into`, so the same runtimes can drive both
+    /// protocols with one scratch buffer discipline).
     pub fn on_acquire_into(
         &mut self,
         effects: &mut EffectBuf<NaimiEffect>,
@@ -184,13 +178,6 @@ impl NaimiNode {
 
     /// Leave the critical section; pass the token to the queued successor if
     /// one exists, keep it otherwise.
-    pub fn on_release(&mut self) -> Result<Vec<NaimiEffect>, NaimiError> {
-        let mut effects = EffectBuf::new();
-        self.on_release_into(&mut effects)?;
-        Ok(effects.take_vec())
-    }
-
-    /// The allocation-free form of [`Self::on_release`].
     pub fn on_release_into(
         &mut self,
         effects: &mut EffectBuf<NaimiEffect>,
@@ -213,13 +200,6 @@ impl NaimiNode {
     }
 
     /// Handle a received message.
-    pub fn on_message(&mut self, from: NodeId, message: NaimiMessage) -> Vec<NaimiEffect> {
-        let mut effects = EffectBuf::new();
-        self.on_message_into(from, message, &mut effects);
-        effects.take_vec()
-    }
-
-    /// The allocation-free form of [`Self::on_message`].
     pub fn on_message_into(
         &mut self,
         _from: NodeId,
@@ -285,20 +265,30 @@ pub mod testkit;
 mod tests {
     use super::*;
 
+    /// What one `*_into` entry-point call pushes into a fresh sink.
+    fn fx(call: impl FnOnce(&mut EffectBuf<NaimiEffect>)) -> Vec<NaimiEffect> {
+        let mut buf = EffectBuf::new();
+        call(&mut buf);
+        buf.take_vec()
+    }
+
     #[test]
     fn token_holder_enters_for_free() {
         let mut n = NaimiNode::with_token(NodeId(0));
-        let eff = n.on_acquire().unwrap();
+        let eff = fx(|b| n.on_acquire_into(b).unwrap());
         assert_eq!(eff, vec![NaimiEffect::Granted]);
         assert!(n.in_cs());
-        assert!(n.on_release().unwrap().is_empty(), "keeps idle token");
+        assert!(
+            fx(|b| n.on_release_into(b).unwrap()).is_empty(),
+            "keeps idle token"
+        );
         assert!(n.has_token());
     }
 
     #[test]
     fn acquire_sends_request_and_becomes_root() {
         let mut n = NaimiNode::new(NodeId(1), NodeId(0));
-        let eff = n.on_acquire().unwrap();
+        let eff = fx(|b| n.on_acquire_into(b).unwrap());
         assert_eq!(
             eff,
             vec![NaimiEffect::Send {
@@ -315,21 +305,30 @@ mod tests {
     #[test]
     fn double_acquire_and_bad_release_error() {
         let mut n = NaimiNode::with_token(NodeId(0));
-        n.on_acquire().unwrap();
-        assert_eq!(n.on_acquire(), Err(NaimiError::Busy));
+        fx(|b| n.on_acquire_into(b).unwrap());
+        assert_eq!(
+            n.on_acquire_into(&mut EffectBuf::new()),
+            Err(NaimiError::Busy)
+        );
         let mut m = NaimiNode::new(NodeId(1), NodeId(0));
-        assert_eq!(m.on_release(), Err(NaimiError::NotHeld));
+        assert_eq!(
+            m.on_release_into(&mut EffectBuf::new()),
+            Err(NaimiError::NotHeld)
+        );
     }
 
     #[test]
     fn idle_root_passes_token_and_reverses_path() {
         let mut root = NaimiNode::with_token(NodeId(0));
-        let eff = root.on_message(
-            NodeId(1),
-            NaimiMessage::Request {
-                requester: NodeId(1),
-            },
-        );
+        let eff = fx(|b| {
+            root.on_message_into(
+                NodeId(1),
+                NaimiMessage::Request {
+                    requester: NodeId(1),
+                },
+                b,
+            )
+        });
         assert_eq!(
             eff,
             vec![NaimiEffect::Send {
@@ -344,17 +343,20 @@ mod tests {
     #[test]
     fn busy_root_queues_successor() {
         let mut root = NaimiNode::with_token(NodeId(0));
-        root.on_acquire().unwrap(); // in CS
-        let eff = root.on_message(
-            NodeId(2),
-            NaimiMessage::Request {
-                requester: NodeId(2),
-            },
-        );
+        fx(|b| root.on_acquire_into(b).unwrap()); // in CS
+        let eff = fx(|b| {
+            root.on_message_into(
+                NodeId(2),
+                NaimiMessage::Request {
+                    requester: NodeId(2),
+                },
+                b,
+            )
+        });
         assert!(eff.is_empty());
         assert_eq!(root.next(), Some(NodeId(2)));
         // Release hands the token over.
-        let eff = root.on_release().unwrap();
+        let eff = fx(|b| root.on_release_into(b).unwrap());
         assert_eq!(
             eff,
             vec![NaimiEffect::Send {
@@ -367,12 +369,15 @@ mod tests {
     #[test]
     fn intermediate_node_forwards_and_reverses() {
         let mut mid = NaimiNode::new(NodeId(1), NodeId(0));
-        let eff = mid.on_message(
-            NodeId(2),
-            NaimiMessage::Request {
-                requester: NodeId(2),
-            },
-        );
+        let eff = fx(|b| {
+            mid.on_message_into(
+                NodeId(2),
+                NaimiMessage::Request {
+                    requester: NodeId(2),
+                },
+                b,
+            )
+        });
         assert_eq!(
             eff,
             vec![NaimiEffect::Send {

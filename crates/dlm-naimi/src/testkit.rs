@@ -2,7 +2,7 @@
 //! [`dlm_core::testkit`].
 
 use crate::{NaimiEffect, NaimiError, NaimiMessage, NaimiNode};
-use dlm_core::NodeId;
+use dlm_core::{EffectBuf, NodeId};
 use std::collections::VecDeque;
 
 /// An in-flight Naimi message.
@@ -25,6 +25,8 @@ pub struct NaimiNet {
     pub granted: Vec<NodeId>,
     /// Total messages sent.
     pub messages_sent: u64,
+    /// Reusable effect sink, drained after each entry-point call.
+    scratch: EffectBuf<NaimiEffect>,
 }
 
 impl NaimiNet {
@@ -45,6 +47,7 @@ impl NaimiNet {
             inbox: VecDeque::new(),
             granted: Vec::new(),
             messages_sent: 0,
+            scratch: EffectBuf::new(),
         }
     }
 
@@ -65,15 +68,15 @@ impl NaimiNet {
 
     /// Request the critical section.
     pub fn acquire(&mut self, id: u32) -> Result<(), NaimiError> {
-        let eff = self.nodes[id as usize].on_acquire()?;
-        self.absorb(NodeId(id), eff);
+        self.nodes[id as usize].on_acquire_into(&mut self.scratch)?;
+        self.absorb_scratch(NodeId(id));
         Ok(())
     }
 
     /// Leave the critical section.
     pub fn release(&mut self, id: u32) -> Result<(), NaimiError> {
-        let eff = self.nodes[id as usize].on_release()?;
-        self.absorb(NodeId(id), eff);
+        self.nodes[id as usize].on_release_into(&mut self.scratch)?;
+        self.absorb_scratch(NodeId(id));
         Ok(())
     }
 
@@ -82,8 +85,12 @@ impl NaimiNet {
         let Some(flight) = self.inbox.pop_front() else {
             return false;
         };
-        let eff = self.nodes[flight.to.index()].on_message(flight.from, flight.message);
-        self.absorb(flight.to, eff);
+        self.nodes[flight.to.index()].on_message_into(
+            flight.from,
+            flight.message,
+            &mut self.scratch,
+        );
+        self.absorb_scratch(flight.to);
         self.assert_safe();
         true
     }
@@ -111,8 +118,8 @@ impl NaimiNet {
         assert_eq!(tokens, 1, "token count {tokens}");
     }
 
-    fn absorb(&mut self, from: NodeId, effects: Vec<NaimiEffect>) {
-        for e in effects {
+    fn absorb_scratch(&mut self, from: NodeId) {
+        for e in self.scratch.drain() {
             match e {
                 NaimiEffect::Send { to, message } => {
                     self.messages_sent += 1;

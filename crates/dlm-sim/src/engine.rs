@@ -81,7 +81,7 @@ impl<M> Ctx<'_, M> {
     /// [`NullObserver`], so the protocol pays only the enabled-branch:
     ///
     /// ```ignore
-    /// let effects = ctx.observe(lock, |obs| node.on_message_observed(from, msg, obs));
+    /// ctx.observe(lock, |obs| node.on_message_into(from, msg, &mut effects, obs));
     /// ```
     ///
     /// Actors may also emit their own application-scope events through the

@@ -1,97 +1,58 @@
 #!/usr/bin/env bash
-# Bench-regression smoke gate: re-measures the gated numbers with a
-# BENCH_SMOKE=1 run (the churn, cluster-roundtrip, and socket-roundtrip
-# sections keep their full budgets under smoke, so the numbers are
-# comparable with the committed full-budget baseline) and
-# fails on regressions beyond the threshold against the baseline committed
-# in BENCH_sim.json:
+# Bench-regression gate: one `benchmark run`, every end-to-end metric of every
+# workload held against the pinned medians in results/benchmark_baseline.json
+# (itself a `run --out` record, so it carries nproc, commit and seed).
+# `better` and `bound` come from BENCHMARK.json; there is no threshold here.
+# The baseline is a ratchet: it moves only in a PR whose CHANGES.md line says so.
 #
-#   lower is better  (+threshold% ceiling):
-#     churn_ir_ns_per_op
-#     cluster_direct_roundtrip_ns        cluster_reliable_roundtrip_ns
-#     cluster_lossy10_roundtrip_ns       cluster_lossy10_wan_rto_roundtrip_ns
-#     socket_tcp_roundtrip_ns            socket_udp_lossy_roundtrip_ns
-#     recovery_latency_ms
-#   higher is better (-threshold% floor):
-#     check_states_per_sec_serial        shard_ops_per_sec
-#
-# The baseline is read from git (HEAD), not the working tree, because
-# scripts/bench.sh overwrites BENCH_sim.json in place. A metric missing
-# from the committed baseline is skipped (first run after adding one).
-#
-# Usage: scripts/bench_gate.sh [threshold-percent]   (default 25)
+# Usage: scripts/bench_gate.sh [--self-test]
 set -euo pipefail
 cd "$(dirname "$0")/.."
+BASELINE=results/benchmark_baseline.json
 
-THRESHOLD="${1:-25}"
-METRICS_LOW="churn_ir_ns_per_op
-cluster_direct_roundtrip_ns
-cluster_reliable_roundtrip_ns
-cluster_lossy10_roundtrip_ns
-cluster_lossy10_wan_rto_roundtrip_ns
-socket_tcp_roundtrip_ns
-socket_udp_lossy_roundtrip_ns
-recovery_latency_ms"
-METRICS_HIGH="check_states_per_sec_serial shard_ops_per_sec"
-
-OUT="$(mktemp -t bench_gate.XXXXXX.json)"
-BASELINE_JSON="$(mktemp -t bench_base.XXXXXX.json)"
-trap 'rm -f "$OUT" "$BASELINE_JSON"' EXIT
-
-extract() { # extract <metric> <file>
-  awk -F': ' -v m="\"$1\"" '$0 ~ m { gsub(/[ ,]/, "", $2); print $2 }' "$2"
+# compare <baseline> <new>: one line per offence, non-zero exit if there is any.
+compare() {
+  jq -rn --slurpfile manifest BENCHMARK.json --slurpfile base "$1" --slurpfile new "$2" '
+    def by_name: map({key: .name, value: .}) | from_entries;
+    ($base[0].workloads | by_name) as $old | ($new[0].workloads | by_name) as $now
+    | $manifest[0] as $m | $m.workloads[].name as $w
+    | if $now[$w].correct != true then "\($w): correct is not true"
+      elif $now[$w].failed != 0 then "\($w): \($now[$w].failed) operations failed"
+      else $m.end_to_end[] as $e
+        | $old[$w].metrics[$e.name].value as $a | $now[$w].metrics[$e.name].value as $b
+        | if ($a | type) != "number" or ($b | type) != "number" then "\($w).\($e.name): missing"
+          elif ($e.better == "lower" and $b > $a * (1 + $e.bound))
+            or ($e.better == "higher" and $b < $a * (1 - $e.bound))
+          then "\($w).\($e.name): \($b) against baseline \($a), \($e.better) is better, bound \($e.bound * 100)%"
+          else empty end
+      end' | awk '{ print "bench_gate: " $0; bad = 1 } END { exit bad }'
 }
 
-git show HEAD:BENCH_sim.json > "$BASELINE_JSON"
-any_gated=""
-for m in $METRICS_LOW $METRICS_HIGH; do
-  if [[ -n "$(extract "$m" "$BASELINE_JSON")" ]]; then
-    any_gated=1
-  fi
-done
-if [[ -z "$any_gated" ]]; then
-  echo "bench_gate: no gated metrics in committed BENCH_sim.json; skipping" >&2
+TMP="$(mktemp -d -t bench_gate.XXXXXX)"
+trap 'rm -rf "$TMP"' EXIT
+
+if [[ "${1:-}" == "--self-test" ]]; then
+  # expect <pass|fail> <jq edit of the baseline> [text the report must contain]
+  expect() {
+    jq "$2" "$BASELINE" > "$TMP/edited.json"
+    if report="$(compare "$BASELINE" "$TMP/edited.json")"; then got=pass; else got=fail; fi
+    if [[ "$got" != "$1" || "$report" != *"${3:-}"* ]]; then
+      echo "bench_gate self-test: '$2' gave $got, wanted $1 naming '${3:-}': $report" >&2
+      exit 1
+    fi
+  }
+  of() { echo "(.workloads[] | select(.name == \"$1\"))"; }
+  expect pass '.'
+  expect fail "$(of cluster_mix).metrics.ops_per_s.value /= 2" cluster_mix.ops_per_s
+  expect fail "$(of sim_airline).metrics.msgs_per_request.value *= 1.06" sim_airline.msgs_per_request
+  expect pass "$(of sim_airline).metrics.msgs_per_request.value *= 1.04"
+  expect fail "$(of socket_solo).correct = false" socket_solo
+  expect fail "$(of shard_churn).failed = 3" shard_churn
+  echo "bench_gate self-test: OK"
   exit 0
 fi
 
-# Two attempts: a shared CI runner can have a noisy neighbour for the first
-# measurement; a true regression fails both.
-for attempt in 1 2; do
-  echo "==> bench_gate: BENCH_SMOKE=1 bench -> $OUT (attempt $attempt)"
-  BENCH_SMOKE=1 cargo run --release -q -p bench --bin bench "$OUT" >/dev/null
-  ok=1
-  for m in $METRICS_LOW; do
-    base="$(extract "$m" "$BASELINE_JSON")"
-    if [[ -z "$base" ]]; then
-      continue
-    fi
-    limit="$(awk -v b="$base" -v t="$THRESHOLD" 'BEGIN { printf "%.1f", b * (1 + t / 100) }')"
-    new="$(extract "$m" "$OUT")"
-    if [[ -z "$new" ]]; then
-      echo "bench_gate: smoke run produced no $m" >&2
-      exit 1
-    fi
-    echo "bench_gate: $m baseline=${base} new=${new} limit=${limit} (+${THRESHOLD}%)"
-    awk -v n="$new" -v l="$limit" 'BEGIN { exit !(n <= l) }' || ok=0
-  done
-  for m in $METRICS_HIGH; do
-    base="$(extract "$m" "$BASELINE_JSON")"
-    if [[ -z "$base" ]]; then
-      continue
-    fi
-    floor="$(awk -v b="$base" -v t="$THRESHOLD" 'BEGIN { printf "%.1f", b * (1 - t / 100) }')"
-    new="$(extract "$m" "$OUT")"
-    if [[ -z "$new" ]]; then
-      echo "bench_gate: smoke run produced no $m" >&2
-      exit 1
-    fi
-    echo "bench_gate: $m baseline=${base}/s new=${new}/s floor=${floor}/s (-${THRESHOLD}%)"
-    awk -v n="$new" -v f="$floor" 'BEGIN { exit !(n >= f) }' || ok=0
-  done
-  if [[ "$ok" == 1 ]]; then
-    echo "bench_gate: OK"
-    exit 0
-  fi
-done
-echo "bench_gate: FAIL — a gated metric regressed past the threshold on both attempts" >&2
-exit 1
+echo "==> bench_gate: baseline $(jq -c .environment "$BASELINE")"
+cargo run --release --offline --manifest-path benchmark/Cargo.toml -- run --out "$TMP/run.json"
+compare "$BASELINE" "$TMP/run.json"
+echo "bench_gate: OK"

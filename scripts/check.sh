@@ -18,6 +18,16 @@ if grep -nE 'Instant::now|\.elapsed\(\)|thread::|recv' crates/dlm-cluster/src/en
   exit 1
 fi
 
+echo "==> retired-instrument guard: benchmark/ is the only measuring instrument"
+if grep -rnE 'BENCH_sim|BENCH_SMOKE|-p bench|bench_history|criterion' \
+  --exclude-dir=.git --exclude-dir=target --exclude=CHANGES.md --exclude=ROADMAP.md --exclude=ISSUE.md --exclude=check.sh .; then
+  echo "the second benchmark instrument is retired: measure with \`benchmark run\`, gate with scripts/bench_gate.sh" >&2
+  exit 1
+fi
+
+echo "==> bench gate self-test: scripts/bench_gate.sh --self-test"
+scripts/bench_gate.sh --self-test
+
 echo "==> tier-1: cargo build --release"
 cargo build --release
 
@@ -45,9 +55,6 @@ cargo run --release -q -p dlm-check --bin check -- \
 
 echo "==> request-span smoke: capture + reconstruct a 4-node cluster trace"
 cargo run --release -q -p dlm-harness --bin spans -- 4
-
-echo "==> shard-churn smoke: sharded service under pipelined churn (BENCH_SMOKE=1)"
-BENCH_SMOKE=1 cargo run --release -q -p bench --bin shard_churn
 
 echo "==> socket-cluster smoke: 3 dlm-node processes over TCP loopback (bounded deadline)"
 cargo build --release -q -p dlm-harness --bin dlm-node

@@ -3,9 +3,28 @@
 
 use dlm_cluster::{Cluster, ClusterConfig};
 use dlm_core::{LockId, Mode, ProtocolConfig};
-use dlm_tests::small_params;
-use dlm_workload::{audit_hier_run, run_workload, ProtocolKind};
+use dlm_sim::{LatencyModel, MICROS_PER_MS};
+use dlm_workload::{audit_hier_run, run_workload, ModeMix, ProtocolKind, WorkloadParams};
 use std::time::Duration;
+
+/// A small, fast workload configuration.
+fn small_params(protocol: ProtocolKind, nodes: usize, seed: u64) -> WorkloadParams {
+    WorkloadParams {
+        nodes,
+        entries: 4,
+        cs_mean: 2 * MICROS_PER_MS,
+        idle_mean: 10 * MICROS_PER_MS,
+        ops_per_node: 12,
+        mix: ModeMix::paper(),
+        protocol,
+        hier_config: ProtocolConfig::paper(),
+        latency: LatencyModel::uniform(MICROS_PER_MS),
+        seed,
+        upgrade_u_ops: true,
+        geo: None,
+        hot_entry_percent: 0,
+    }
+}
 
 /// Every protocol completes the same workload and quiesces.
 #[test]
