@@ -1,26 +1,44 @@
-//! Print exploration statistics quoted in `EXPERIMENTS.md`: the
-//! partial-order-reduction counts for the readers/writer star, and the
+//! Print the exploration statistics quoted in `EXPERIMENTS.md`: the
+//! BFS-vs-DPOR table (states, transitions, wall clock per search) and the
 //! symmetry-reduction before/after table (nodes × locks × states ×
-//! wall-clock × workers) for symmetric star scenarios.
+//! wall-clock × workers) for symmetric star scenarios. Takes minutes: the
+//! chain-6 row fires 77 M DPOR transitions and the 6-node star exhausts a
+//! 4 M-state budget.
+use dlm_check::corpus::{self, chain};
 use dlm_check::{explore_with, Op, Options, Scenario};
 use dlm_core::{Mode, ProtocolConfig};
 
 /// A star with `n - 1` identical leaves, each write-locking `locks` lock
 /// objects in sequence — maximal symmetry (automorphism group (n-1)!).
 fn symmetric_star(n: usize, locks: u32) -> Scenario {
-    let mut leaf = Vec::new();
-    for lock in 0..locks {
-        leaf.push(Op::AcquireOn(lock, Mode::Write));
-        leaf.push(Op::ReleaseOn(lock));
-    }
-    let mut scripts = vec![Vec::new()];
-    for _ in 1..n {
-        scripts.push(leaf.clone());
-    }
+    let leaf: Vec<Op> = (0..locks)
+        .flat_map(|lock| [Op::AcquireOn(lock, Mode::Write), Op::ReleaseOn(lock)])
+        .collect();
+    let mut scripts = vec![leaf; n];
+    scripts[0].clear();
     Scenario::star(n, scripts, ProtocolConfig::paper())
 }
 
-fn row(label: &str, s: &Scenario, budget: usize, symmetry: bool, workers: usize) {
+fn reduction_row(label: &str, s: &Scenario) {
+    let budget = 100_000_000;
+    let off = explore_with(s, Options::exhaustive(budget));
+    let on = explore_with(s, Options::reduced(budget));
+    assert!(off.verified() && on.verified(), "{label}");
+    assert_eq!(off.terminal_fingerprints, on.terminal_fingerprints);
+    println!(
+        "| {label:26} | {:9} | {:9} | {:7.3} s | {:9} | {:10} | {:8.3} s | {:5} | {:.1}× |",
+        off.states,
+        off.transitions,
+        off.elapsed_secs,
+        on.states,
+        on.transitions,
+        on.elapsed_secs,
+        off.terminals,
+        off.states as f64 / on.states as f64,
+    );
+}
+
+fn symmetry_row(label: &str, s: &Scenario, budget: usize, symmetry: bool, workers: usize) {
     let r = explore_with(
         s,
         Options::exhaustive(budget)
@@ -36,50 +54,34 @@ fn row(label: &str, s: &Scenario, budget: usize, symmetry: bool, workers: usize)
         "{label:28} sym={} w={workers} group={:3} states={states:20} verified={} {:.2}s",
         if symmetry { "on " } else { "off" },
         r.group_order,
-        r.verified() && !r.truncated,
+        r.verified(),
         r.elapsed_secs
     );
 }
 
 fn main() {
-    let s = Scenario::star(
-        3,
-        vec![
-            vec![Op::Acquire(Mode::Read), Op::Release],
-            vec![Op::Acquire(Mode::Read), Op::Release],
-            vec![Op::Acquire(Mode::Write), Op::Release],
-        ],
-        ProtocolConfig::paper(),
-    );
-    let off = explore_with(&s, Options::exhaustive(5_000_000));
-    let on = explore_with(&s, Options::reduced(5_000_000));
+    println!("partial-order reduction (one worker, symmetry off):");
     println!(
-        "exhaustive: states={} transitions={} terminals={} verified={}",
-        off.states,
-        off.transitions,
-        off.terminals,
-        off.verified()
+        "| scenario | BFS states | BFS trans | BFS wall | DPOR states | DPOR trans | DPOR wall \
+         | terminals | state reduction |"
     );
-    println!(
-        "reduced:    states={} transitions={} terminals={} verified={}",
-        on.states,
-        on.transitions,
-        on.terminals,
-        on.verified()
+    reduction_row("star-3, two writers", &corpus::scenario("two_writers"));
+    reduction_row(
+        "star-3, readers + writer",
+        &corpus::scenario("readers_writer"),
     );
-    println!(
-        "reduction:  {:.2}x fewer distinct states, terminal sets identical: {}",
-        off.states as f64 / on.states.max(1) as f64,
-        off.terminal_fingerprints == on.terminal_fingerprints
-    );
+    reduction_row("star-4, three writers", &symmetric_star(4, 1));
+    reduction_row("chain-4, IR/IR/W/IR", &chain(4));
+    reduction_row("chain-5, IR/IR/W/IR/R", &chain(5));
+    reduction_row("chain-6, IR/IR/W/IR/R/IW", &chain(6));
 
     println!("\nsymmetry reduction (plain BFS vs canonical quotient):");
     let budget = 4_000_000;
     for (nodes, locks) in [(4usize, 1u32), (5, 1), (5, 2), (6, 2)] {
         let s = symmetric_star(nodes, locks);
         let label = format!("star n={nodes} locks={locks}");
-        row(&label, &s, budget, false, 1);
-        row(&label, &s, budget, true, 1);
-        row(&label, &s, budget, true, 2);
+        symmetry_row(&label, &s, budget, false, 1);
+        symmetry_row(&label, &s, budget, true, 1);
+        symmetry_row(&label, &s, budget, true, 2);
     }
 }

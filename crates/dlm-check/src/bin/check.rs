@@ -28,10 +28,11 @@
 //! and 3 when a state or time budget ran out before the search finished —
 //! so callers can tell "provably broken" from "not proven within budget".
 
+use dlm_check::corpus::{self, Expected, NAMED};
 use dlm_check::enumerate::{Family, Topology};
 use dlm_check::{
-    explore_with, replay, schedule_trace, walkthrough, CheckReport, Op, Options, Reduction,
-    Scenario, Schedule,
+    explore_with, replay, schedule_trace, walkthrough, CheckReport, Options, Reduction, Scenario,
+    Schedule,
 };
 use dlm_core::{Mode, ProtocolConfig};
 
@@ -39,189 +40,6 @@ const EXIT_OK: i32 = 0;
 const EXIT_FAIL: i32 = 1;
 const EXIT_USAGE: i32 = 2;
 const EXIT_BUDGET: i32 = 3;
-
-/// What a named scenario is supposed to produce.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Expected {
-    Verified,
-    Deadlock,
-    Violation,
-}
-
-impl std::fmt::Display for Expected {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Expected::Verified => write!(f, "verified"),
-            Expected::Deadlock => write!(f, "deadlock"),
-            Expected::Violation => write!(f, "violation"),
-        }
-    }
-}
-
-struct Named {
-    name: &'static str,
-    about: &'static str,
-    expected: Expected,
-    /// Heavy scenarios are skipped by the plain gate loop (they need
-    /// symmetry reduction to finish in gate time) and exercised by the
-    /// dedicated acceptance section instead.
-    heavy: bool,
-    build: fn() -> Scenario,
-}
-
-fn acquire_release(mode: Mode) -> Vec<Op> {
-    vec![Op::Acquire(mode), Op::Release]
-}
-
-/// The symmetry-acceptance scenario: a 5-node star whose four leaves run the
-/// same script against two lock objects. The full state space is far beyond
-/// the gate budget, but the scenario's automorphism group has order 4! = 24,
-/// so the canonical quotient is gate-sized.
-fn two_locks() -> Scenario {
-    let leaf = || {
-        vec![
-            Op::Acquire(Mode::Write),
-            Op::Release,
-            Op::AcquireOn(1, Mode::Write),
-            Op::ReleaseOn(1),
-        ]
-    };
-    Scenario::star(
-        5,
-        vec![vec![], leaf(), leaf(), leaf(), leaf()],
-        ProtocolConfig::paper(),
-    )
-}
-
-const NAMED: &[Named] = &[
-    Named {
-        name: "two_writers",
-        about: "two W requests race through a shared parent",
-        expected: Expected::Verified,
-        heavy: false,
-        build: || {
-            Scenario::star(
-                3,
-                vec![
-                    vec![],
-                    acquire_release(Mode::Write),
-                    acquire_release(Mode::Write),
-                ],
-                ProtocolConfig::paper(),
-            )
-        },
-    },
-    Named {
-        name: "readers_writer",
-        about: "two readers and a writer on a star",
-        expected: Expected::Verified,
-        heavy: false,
-        build: || {
-            Scenario::star(
-                3,
-                vec![
-                    acquire_release(Mode::Read),
-                    acquire_release(Mode::Read),
-                    acquire_release(Mode::Write),
-                ],
-                ProtocolConfig::paper(),
-            )
-        },
-    },
-    Named {
-        name: "upgrade_race",
-        about: "a U→W upgrade racing a reader",
-        expected: Expected::Verified,
-        heavy: false,
-        build: || {
-            Scenario::star(
-                3,
-                vec![
-                    vec![],
-                    vec![Op::Acquire(Mode::Upgrade), Op::Upgrade, Op::Release],
-                    acquire_release(Mode::Read),
-                ],
-                ProtocolConfig::paper(),
-            )
-        },
-    },
-    Named {
-        name: "chain_freeze",
-        about: "4-node chain: forwarding, freezing, token movement",
-        expected: Expected::Verified,
-        heavy: false,
-        build: || {
-            Scenario::chain(
-                4,
-                vec![
-                    acquire_release(Mode::IntentRead),
-                    acquire_release(Mode::IntentRead),
-                    acquire_release(Mode::Write),
-                    acquire_release(Mode::IntentRead),
-                ],
-                ProtocolConfig::paper(),
-            )
-        },
-    },
-    Named {
-        name: "grant_release_race",
-        about: "release racing a grant from the moved token (ack counters)",
-        expected: Expected::Verified,
-        heavy: false,
-        build: || {
-            Scenario::star(
-                3,
-                vec![
-                    acquire_release(Mode::IntentRead),
-                    vec![Op::Acquire(Mode::Upgrade), Op::Upgrade, Op::Release],
-                    acquire_release(Mode::Read),
-                ],
-                ProtocolConfig::paper(),
-            )
-        },
-    },
-    Named {
-        name: "deadlock",
-        about: "a reader that never releases strands a writer (liveness)",
-        expected: Expected::Deadlock,
-        heavy: false,
-        build: || {
-            Scenario::star(
-                3,
-                vec![
-                    vec![],
-                    vec![Op::Acquire(Mode::Read)],
-                    acquire_release(Mode::Write),
-                ],
-                ProtocolConfig::paper(),
-            )
-        },
-    },
-    Named {
-        name: "seeded_bug",
-        about: "test-only stale-release bug: mutual exclusion breaks",
-        expected: Expected::Violation,
-        heavy: false,
-        build: || {
-            Scenario::star(
-                3,
-                vec![
-                    acquire_release(Mode::Read),
-                    acquire_release(Mode::IntentRead),
-                    vec![Op::Acquire(Mode::Upgrade), Op::Upgrade, Op::Release],
-                ],
-                ProtocolConfig::paper().with_seeded_stale_release_bug(),
-            )
-        },
-    },
-    Named {
-        name: "two_locks",
-        about: "5-node star, 4 symmetric leaves on two lock objects (try --symmetry on)",
-        expected: Expected::Verified,
-        heavy: true,
-        build: two_locks,
-    },
-];
 
 struct Cli {
     reduction: Option<Reduction>, // None = both
@@ -426,16 +244,6 @@ fn print_stats(label: &str, r: &CheckReport, detailed: bool) {
     }
 }
 
-fn outcome(r: &CheckReport) -> Expected {
-    if !r.violations.is_empty() {
-        Expected::Violation
-    } else if !r.deadlocks.is_empty() {
-        Expected::Deadlock
-    } else {
-        Expected::Verified
-    }
-}
-
 /// The first counterexample schedule a report carries, if any.
 fn first_schedule(r: &CheckReport) -> Option<(&'static str, &Schedule)> {
     if let Some(v) = r.violations.first() {
@@ -496,11 +304,11 @@ fn run_modes(s: &Scenario, cli: &Cli) -> (Vec<(Reduction, CheckReport)>, bool) {
     let mut agree = true;
     if let [(_, off), (_, on)] = &reports[..] {
         if !off.truncated && !on.truncated {
-            if outcome(off) != outcome(on) {
+            if Expected::of(off) != Expected::of(on) {
                 println!(
                     "  !! modes disagree: off={} on={}",
-                    outcome(off),
-                    outcome(on)
+                    Expected::of(off),
+                    Expected::of(on)
                 );
                 agree = false;
             }
@@ -539,7 +347,7 @@ fn cmd_scenario(cli: &Cli) -> i32 {
         eprintln!("check scenario: which one? (see `check list`)");
         return EXIT_USAGE;
     };
-    let Some(named) = NAMED.iter().find(|n| n.name == *name) else {
+    let Some(named) = corpus::named(name) else {
         eprintln!("unknown scenario {name:?} (see `check list`)");
         return EXIT_USAGE;
     };
@@ -559,8 +367,8 @@ fn cmd_scenario(cli: &Cli) -> i32 {
                 r.states, r.elapsed_secs
             );
             exhausted = true;
-        } else if outcome(r) != named.expected {
-            println!("  !! expected {}, got {}", named.expected, outcome(r));
+        } else if Expected::of(r) != named.expected {
+            println!("  !! expected {}, got {}", named.expected, Expected::of(r));
             ok = false;
         }
     }
@@ -617,9 +425,9 @@ fn cmd_family(cli: &Cli) -> i32 {
             truncated += 1;
             continue;
         }
-        if outcome(&r) != Expected::Verified {
+        if Expected::of(&r) != Expected::Verified {
             failed += 1;
-            println!("scenario #{i}: {}", outcome(&r));
+            println!("scenario #{i}: {}", Expected::of(&r));
             for (node, script) in s.scripts.iter().enumerate() {
                 let ops: Vec<String> = script.iter().map(|o| o.to_string()).collect();
                 println!("  n{node}: [{}]", ops.join(", "));
@@ -650,67 +458,22 @@ fn cmd_family(cli: &Cli) -> i32 {
 }
 
 /// Differential gate: the parallel BFS frontier must agree with the serial
-/// one — same canonical state count, same verdict, same minimal schedule
-/// length, same terminal fingerprints — at every worker count, with and
-/// without symmetry reduction.
+/// one at every worker count, with and without symmetry reduction
+/// ([`corpus::differential`] holds the comparisons).
 fn gate_differential() -> i32 {
     let mut status = EXIT_OK;
-    let cases = [
-        "two_writers",
-        "grant_release_race",
-        "deadlock",
-        "seeded_bug",
-    ];
-    for name in cases {
-        let n = NAMED.iter().find(|n| n.name == name).unwrap();
-        let s = (n.build)();
-        for symmetry in [false, true] {
-            let base = explore_with(&s, Options::exhaustive(1_000_000).with_symmetry(symmetry));
-            let base_len = first_schedule(&base).map(|(_, sch)| sch.0.len());
-            for workers in [2, 4, 8] {
-                let par = explore_with(
-                    &s,
-                    Options::exhaustive(1_000_000)
-                        .with_symmetry(symmetry)
-                        .with_workers(workers),
-                );
-                let par_len = first_schedule(&par).map(|(_, sch)| sch.0.len());
-                let mut ok = true;
-                if par.states != base.states {
-                    println!(
-                        "gate: {name} sym={symmetry} w={workers}: states {} != serial {}",
-                        par.states, base.states
-                    );
-                    ok = false;
-                }
-                if outcome(&par) != outcome(&base) {
-                    println!(
-                        "gate: {name} sym={symmetry} w={workers}: outcome {} != serial {}",
-                        outcome(&par),
-                        outcome(&base)
-                    );
-                    ok = false;
-                }
-                if par.terminal_fingerprints != base.terminal_fingerprints {
-                    println!("gate: {name} sym={symmetry} w={workers}: terminal sets differ");
-                    ok = false;
-                }
-                if par_len != base_len {
-                    println!(
-                        "gate: {name} sym={symmetry} w={workers}: schedule length {par_len:?} \
-                         != serial {base_len:?}"
-                    );
-                    ok = false;
-                }
-                if !ok {
-                    status = EXIT_FAIL;
-                }
-            }
+    for name in corpus::DIFFERENTIAL {
+        let diffs = corpus::differential(name, &corpus::scenario(name), Reduction::Off);
+        for diff in &diffs {
+            println!("gate: {diff}");
         }
-        println!(
-            "gate: differential {name:20} {}",
-            if status == EXIT_OK { "ok" } else { "FAILED" }
-        );
+        let verdict = if diffs.is_empty() {
+            "ok"
+        } else {
+            status = EXIT_FAIL;
+            "FAILED"
+        };
+        println!("gate: differential {name:20} {verdict}");
     }
     status
 }
@@ -719,40 +482,20 @@ fn gate_differential() -> i32 {
 /// for the plain serial search at the gate budget, but the canonical
 /// quotient (group order 24) checks clean under parallel workers.
 fn gate_acceptance() -> i32 {
-    let s = two_locks();
-    let budget = 60_000;
-    let plain = explore_with(&s, Options::exhaustive(budget));
-    if !plain.truncated {
-        println!(
-            "gate: two_locks: plain search finished in {} states — scenario too small \
-             to demonstrate reduction",
-            plain.states
-        );
-        return EXIT_FAIL;
+    match corpus::acceptance() {
+        Ok((plain, sym)) => {
+            println!(
+                "gate: acceptance two_locks    ok (plain truncated at {}, canonical quotient {} \
+                 states, group order {}, {:.1}s)",
+                plain.states, sym.states, sym.group_order, sym.elapsed_secs
+            );
+            EXIT_OK
+        }
+        Err(why) => {
+            println!("gate: {why}");
+            EXIT_FAIL
+        }
     }
-    let sym = explore_with(
-        &s,
-        Options::exhaustive(budget)
-            .with_symmetry(true)
-            .with_workers(2),
-    );
-    if sym.truncated {
-        println!(
-            "gate: two_locks: symmetric search still truncated at {} states",
-            sym.states
-        );
-        return EXIT_FAIL;
-    }
-    if !sym.verified() {
-        println!("gate: two_locks: expected verified, got {}", outcome(&sym));
-        return EXIT_FAIL;
-    }
-    println!(
-        "gate: acceptance two_locks    ok (plain truncated at {}, canonical quotient {} states, \
-         group order {}, {:.1}s)",
-        plain.states, sym.states, sym.group_order, sym.elapsed_secs
-    );
-    EXIT_OK
 }
 
 /// The CI gate: every named scenario in both modes (cross-checked), a small
@@ -771,12 +514,12 @@ fn cmd_gate() -> i32 {
         let (reports, agree) = run_modes(&s, &cli);
         let mut ok = agree;
         for (mode, r) in &reports {
-            if r.truncated || outcome(r) != n.expected {
+            if r.truncated || Expected::of(r) != n.expected {
                 println!(
                     "gate: {} [{mode}]: expected {}, got {}",
                     n.name,
                     n.expected,
-                    outcome(r)
+                    Expected::of(r)
                 );
                 ok = false;
             }

@@ -86,33 +86,30 @@
 //! Workers draw jobs from a shared pool, replay the prefix with full
 //! vector-clock and critical-section bookkeeping, and run the unmodified
 //! sequential `visit` on the suffix. Distinct-state counts, violation
-//! dedup and terminal sets live in lock-striped shared sets, so the
+//! dedup and the findings live in the shared [`crate::search`] core, so the
 //! reported verdict and terminal fingerprints are identical to the
-//! sequential run; with one worker the pool degenerates to the exact
-//! sequential algorithm.
+//! sequential run; with one worker the pool holds one job — the empty
+//! prefix — and is the exact sequential algorithm.
 //!
 //! # Symmetry
 //!
-//! With `Options::symmetry`, the distinct-state, violation-dedup and
-//! terminal sets are keyed by canonical fingerprints ([`crate::canon`]).
-//! The DFS itself is stateless, so canonical keying never prunes paths —
-//! it only merges permutation-twin states in the *counts and verdict
-//! sets*, making them comparable with the symmetry-reduced BFS.
+//! With `Options::symmetry`, the core keys the distinct-state,
+//! violation-dedup and terminal sets by canonical fingerprints
+//! ([`crate::canon`]). The DFS itself is stateless, so canonical keying
+//! never prunes paths — it only merges permutation-twin states in the
+//! *counts and verdict sets*, making them comparable with the
+//! symmetry-reduced BFS.
 
-use crate::canon::{Canonicalize, SymmetryGroup};
 use crate::counterexample::Schedule;
-use crate::explore::{
-    audit_state, frozen_residue_state, waiting_nodes, CheckReport, Deadlock, Options, Reduction,
-    Violation,
-};
 use crate::scenario::Scenario;
-use crate::state::{Action, State};
+use crate::search::{
+    classify, run, spawn, Admit, CheckReport, Class, Core, Kind, Options, Reduction, Striped,
+};
+use crate::state::{Action, State, Step};
 use dlm_core::{Effect, Fingerprint, Mode};
 use dlm_modes::compatible;
-use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Mutex;
-use std::time::Instant;
 
 /// Interned vector clocks (indexed by process id, values are 1-based
 /// positions in the executed stack).
@@ -141,16 +138,11 @@ impl Clocks {
         if a == ZERO {
             return b;
         }
-        let (va, vb) = (&self.arena[a as usize], &self.arena[b as usize]);
-        let mut out = vec![0u32; va.len().max(vb.len())];
-        for (i, slot) in out.iter_mut().enumerate() {
-            *slot = va
-                .get(i)
-                .copied()
-                .unwrap_or(0)
-                .max(vb.get(i).copied().unwrap_or(0));
-        }
-        self.alloc(out)
+        let len = self.arena[a as usize]
+            .len()
+            .max(self.arena[b as usize].len());
+        let joined = (0..len).map(|i| self.get(a, i).max(self.get(b, i)));
+        self.alloc(joined.collect())
     }
 
     /// `base` with `clock[proc_id] = index` (a transition's own clock).
@@ -234,166 +226,55 @@ struct Job {
 /// workers (branching ≥ 2 per level in any contended scenario).
 const FORK_DEPTH: usize = 3;
 
-/// Number of stripes in the shared seen/flagged sets.
-const STRIPES: usize = 16;
-
-/// Verdict accumulators shared by every worker.
-struct Results {
-    violations: Vec<Violation>,
-    deadlocks: Vec<Deadlock>,
-    terminal_fps: BTreeSet<Fingerprint>,
-    terminals: usize,
+/// What one transition changed in the explorer's path bookkeeping, so
+/// `visit` can take it back when it backtracks.
+struct Undo {
+    /// Arena length before the transition: every clock interned since is
+    /// referenced only from deeper in the path, so backtracking frees it.
+    clocks: usize,
+    proc_clock: ClockId,
+    node_clock: ClockId,
+    /// The `(lock, node)` slot of `open` the transition executed on, and
+    /// what it held before.
+    slot: usize,
+    open: Option<usize>,
+    /// The section the transition closed, and whether it opened one.
+    closed: Option<usize>,
+    opened: bool,
 }
 
-/// Exploration state shared across workers (and used single-threaded by the
-/// sequential path, so both paths run literally the same code).
-struct Shared<'a> {
-    scenario: &'a Scenario,
-    opts: Options,
-    group: SymmetryGroup,
-    symmetry: bool,
-    seen: Vec<Mutex<HashSet<u128>>>,
-    flagged: Vec<Mutex<HashSet<u128>>>,
-    states: AtomicUsize,
-    transitions: AtomicUsize,
-    sym_hits: AtomicU64,
-    dedup_hits: AtomicU64,
-    truncated: AtomicBool,
-    aborted: AtomicBool,
-    results: Mutex<Results>,
+/// One DPOR run, shared across workers (and used single-threaded by the
+/// sequential path, so both paths run literally the same code). A finding's
+/// trail is its concrete schedule: the DFS stack when it was found, or a
+/// synthesized witness.
+struct Dpor<'a> {
+    core: Core<'a, Schedule>,
+    /// States already counted.
+    seen: Striped<()>,
+    /// Violating states already recorded (the stateless search revisits).
+    flagged: Striped<()>,
     jobs: Mutex<VecDeque<Job>>,
 }
 
-enum Note {
-    /// Newly counted distinct state.
-    New,
-    /// Already counted.
-    Known,
-    /// New, but over the state budget: abort.
-    OverBudget,
-}
-
-impl Shared<'_> {
-    /// The fingerprint key for the shared sets: canonical under symmetry.
-    fn canon(&self, state: &State) -> Fingerprint {
-        if self.symmetry {
-            let raw = state.fingerprint();
-            let canon = state.canonical_fingerprint(&self.group);
-            if canon != raw {
-                self.sym_hits.fetch_add(1, Ordering::Relaxed);
-            }
-            canon
-        } else {
-            state.fingerprint()
-        }
-    }
-
-    fn stripe(set: &[Mutex<HashSet<u128>>], fp: Fingerprint) -> &Mutex<HashSet<u128>> {
-        &set[(fp.0 as usize) & (STRIPES - 1)]
-    }
-
-    /// Count `fp` as a distinct state (idempotent), enforcing the budget.
-    fn note_state(&self, fp: Fingerprint) -> Note {
-        let newly = Shared::stripe(&self.seen, fp)
-            .lock()
-            .expect("seen stripe poisoned")
-            .insert(fp.0);
-        if !newly {
-            self.dedup_hits.fetch_add(1, Ordering::Relaxed);
-            return Note::Known;
-        }
-        if self
-            .states
-            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |c| {
-                (c < self.opts.max_states).then_some(c + 1)
-            })
-            .is_err()
-        {
-            self.truncated.store(true, Ordering::SeqCst);
-            self.aborted.store(true, Ordering::SeqCst);
-            return Note::OverBudget;
-        }
-        Note::New
-    }
-
+impl Dpor<'_> {
     /// Dedup violating states; true if `fp` was not yet flagged.
     fn flag(&self, fp: Fingerprint) -> bool {
-        Shared::stripe(&self.flagged, fp)
-            .lock()
-            .expect("flagged stripe poisoned")
-            .insert(fp.0)
+        self.flagged.stripe(fp).insert(fp, ()).is_none()
     }
 
-    fn violations_full(&self) -> bool {
-        self.results
-            .lock()
-            .expect("results poisoned")
-            .violations
-            .len()
-            >= CheckReport::MAX_RECORDED
-    }
-
-    fn record_violation(&self, errors: Vec<dlm_core::AuditError>, schedule: Schedule) {
-        let mut results = self.results.lock().expect("results poisoned");
-        if results.violations.len() < CheckReport::MAX_RECORDED {
-            results.violations.push(Violation { errors, schedule });
+    fn next_job(&self) -> Option<Job> {
+        if self.core.halted() {
+            return None;
         }
-    }
-
-    /// Classify a terminal state (dedup by fingerprint) — the DPOR analogue
-    /// of the BFS level-barrier terminal handling.
-    fn record_terminal(&self, state: &State, fp: Fingerprint, schedule: impl FnOnce() -> Schedule) {
-        let mut results = self.results.lock().expect("results poisoned");
-        if !results.terminal_fps.insert(fp) {
-            return;
-        }
-        results.terminals += 1;
-        let stuck_scripts: Vec<usize> = (0..state.pos.len())
-            .filter(|&i| state.pos[i] < self.scenario.scripts[i].len() && !state.crashed[i])
-            .collect();
-        let waiting = waiting_nodes(state);
-        if !stuck_scripts.is_empty() || !waiting.is_empty() {
-            if results.deadlocks.len() < CheckReport::MAX_RECORDED {
-                results.deadlocks.push(Deadlock {
-                    stuck_scripts,
-                    waiting,
-                    schedule: schedule(),
-                });
-            }
-            return;
-        }
-        // A clean terminal: full quiescent audit, plus freeze convergence —
-        // every path ends in a terminal, so a frozen node here is a frozen
-        // node from which no thaw is reachable.
-        let mut errors = audit_state(state, true);
-        errors.extend(frozen_residue_state(state));
-        if !errors.is_empty() && results.violations.len() < CheckReport::MAX_RECORDED {
-            results.violations.push(Violation {
-                errors,
-                schedule: schedule(),
-            });
-        }
-    }
-
-    fn transition_budget_left(&self) -> bool {
-        self.transitions.load(Ordering::Relaxed) < self.opts.transition_budget()
-    }
-
-    fn over_time(&self, start: &Instant) -> bool {
-        match self.opts.max_seconds {
-            Some(limit) => start.elapsed().as_secs_f64() >= limit,
-            None => false,
-        }
+        self.jobs.lock().expect("jobs poisoned").pop_front()
     }
 }
 
 struct Explorer<'a, 'b> {
-    shared: &'b Shared<'a>,
+    shared: &'b Dpor<'a>,
     clocks: Clocks,
     proc_ids: BTreeMap<ProcKey, usize>,
     proc_keys: Vec<ProcKey>,
-    /// The (static) executing node of each process.
-    proc_node: Vec<u32>,
     proc_clock: Vec<ClockId>,
     node_clock: Vec<ClockId>,
     stack: Vec<Exec>,
@@ -406,97 +287,46 @@ struct Explorer<'a, 'b> {
     /// universally above the cut.
     fork_depth: Option<usize>,
     jobs_out: Vec<Job>,
-    start: Instant,
 }
 
 /// Run the reduced exploration.
-pub(crate) fn run(scenario: &Scenario, opts: Options) -> CheckReport {
-    let start = Instant::now();
+pub(crate) fn dpor(scenario: &Scenario, opts: Options) -> CheckReport {
     let workers = opts.workers.max(1);
-    let group = if opts.symmetry {
-        SymmetryGroup::of(scenario)
-    } else {
-        SymmetryGroup::trivial()
+    let shared = Dpor {
+        core: Core::new(scenario, opts),
+        seen: Striped::new(),
+        flagged: Striped::new(),
+        jobs: Mutex::default(),
     };
-    let symmetry = opts.symmetry && !group.is_trivial();
-
-    let mut report = CheckReport::new(Reduction::On);
-    report.workers = workers;
-    report.group_order = group.order();
-    if opts.max_states == 0 {
-        report.truncated = true;
-        report.elapsed_secs = start.elapsed().as_secs_f64();
-        return report;
-    }
-
-    let shared = Shared {
-        scenario,
-        opts,
-        group,
-        symmetry,
-        seen: (0..STRIPES).map(|_| Mutex::new(HashSet::new())).collect(),
-        flagged: (0..STRIPES).map(|_| Mutex::new(HashSet::new())).collect(),
-        states: AtomicUsize::new(0),
-        transitions: AtomicUsize::new(0),
-        sym_hits: AtomicU64::new(0),
-        dedup_hits: AtomicU64::new(0),
-        truncated: AtomicBool::new(false),
-        aborted: AtomicBool::new(false),
-        results: Mutex::new(Results {
-            violations: Vec::new(),
-            deadlocks: Vec::new(),
-            terminal_fps: BTreeSet::new(),
-            terminals: 0,
-        }),
-        jobs: Mutex::new(VecDeque::new()),
+    let root = Job {
+        prefix: Vec::new(),
+        sleep: Vec::new(),
     };
-
-    if workers == 1 {
-        let mut explorer = Explorer::new(&shared, None, start);
-        explorer.visit(State::initial(scenario), MsgClocks::new(), BTreeSet::new());
+    let jobs = if workers == 1 {
+        vec![root]
     } else {
-        let mut builder = Explorer::new(&shared, Some(FORK_DEPTH), start);
-        builder.visit(State::initial(scenario), MsgClocks::new(), BTreeSet::new());
-        *shared.jobs.lock().expect("jobs poisoned") = builder.jobs_out.drain(..).collect();
-        std::thread::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(|| loop {
-                    if shared.aborted.load(Ordering::Relaxed) {
-                        return;
-                    }
-                    let job = shared.jobs.lock().expect("jobs poisoned").pop_front();
-                    let Some(job) = job else { return };
-                    let mut explorer = Explorer::new(&shared, None, start);
-                    explorer.run_job(job);
-                });
-            }
-        });
-    }
-
-    let results = shared.results.into_inner().expect("results poisoned");
-    report.states = shared.states.load(Ordering::SeqCst);
-    report.transitions = shared.transitions.load(Ordering::SeqCst);
-    report.terminals = results.terminals;
-    report.terminal_fingerprints = results.terminal_fps;
-    report.violations = results.violations;
-    report.deadlocks = results.deadlocks;
-    report.truncated = shared.truncated.load(Ordering::SeqCst);
-    report.sym_hits = shared.sym_hits.load(Ordering::SeqCst);
-    report.dedup_hits = shared.dedup_hits.load(Ordering::SeqCst);
-    report.elapsed_secs = start.elapsed().as_secs_f64();
-    report
+        let mut builder = Explorer::new(&shared, Some(FORK_DEPTH));
+        builder.run_job(root);
+        builder.jobs_out
+    };
+    *shared.jobs.lock().expect("jobs poisoned") = jobs.into();
+    spawn(workers, |_| {
+        while let Some(job) = shared.next_job() {
+            Explorer::new(&shared, None).run_job(job);
+        }
+    });
+    shared.core.report(Reduction::On, |schedule| schedule)
 }
 
 impl<'a, 'b> Explorer<'a, 'b> {
-    fn new(shared: &'b Shared<'a>, fork_depth: Option<usize>, start: Instant) -> Self {
-        let n = shared.scenario.parents.len();
-        let locks = shared.scenario.locks as usize;
+    fn new(shared: &'b Dpor<'a>, fork_depth: Option<usize>) -> Self {
+        let n = shared.core.scenario.parents.len();
+        let locks = shared.core.scenario.locks as usize;
         Explorer {
             shared,
             clocks: Clocks::new(),
             proc_ids: BTreeMap::new(),
             proc_keys: Vec::new(),
-            proc_node: Vec::new(),
             proc_clock: Vec::new(),
             node_clock: vec![ZERO; n],
             stack: Vec::new(),
@@ -505,19 +335,15 @@ impl<'a, 'b> Explorer<'a, 'b> {
             open: vec![None; locks * n],
             fork_depth,
             jobs_out: Vec::new(),
-            start,
         }
     }
 
     fn intern(&mut self, key: ProcKey) -> usize {
         let next = self.proc_ids.len();
         let id = *self.proc_ids.entry(key).or_insert(next);
-        if self.proc_clock.len() <= id {
-            self.proc_clock.resize(id + 1, ZERO);
-            self.proc_node.resize(id + 1, 0);
-            self.proc_keys.resize(id + 1, (0, 0, 0, 0));
-            self.proc_node[id] = key_node(key);
-            self.proc_keys[id] = key;
+        if id == next {
+            self.proc_keys.push(key);
+            self.proc_clock.push(ZERO);
         }
         id
     }
@@ -526,15 +352,104 @@ impl<'a, 'b> Explorer<'a, 'b> {
         Schedule(self.stack.iter().map(|e| e.action).collect())
     }
 
-    fn aborted(&self) -> bool {
-        self.shared.aborted.load(Ordering::Relaxed)
+    /// Execute `action` (of process `proc_id`) from `state` and push it on
+    /// the path: count it against the budgets, stamp it with its vector
+    /// clock, move `mclocks` to the successor's in-flight messages, and
+    /// open/close the critical sections it bounds. `None` when the budgets
+    /// are spent (the run is halted).
+    fn execute(
+        &mut self,
+        state: &State,
+        mclocks: &mut MsgClocks,
+        action: Action,
+        proc_id: usize,
+    ) -> Option<(Step, Undo)> {
+        if !self.shared.core.fire() {
+            return None;
+        }
+        let step = state.apply(self.shared.core.scenario, action);
+
+        // Vector-clock bookkeeping for the executed transition.
+        let clocks = self.clocks.arena.len();
+        let index = (self.stack.len() + 1) as u32;
+        let node = action.node() as usize;
+        let mut c = self.node_clock[node];
+        if let Action::Deliver { lock, from, to } = action {
+            let q = mclocks
+                .get_mut(&(lock, from, to))
+                .expect("message clocks mirror channels");
+            let send_clock = q.pop_front().expect("non-empty channel");
+            if q.is_empty() {
+                mclocks.remove(&(lock, from, to));
+            }
+            c = self.clocks.join(c, send_clock);
+        }
+        let clock = self.clocks.with(c, proc_id, index);
+        for effect in &step.effects {
+            if let Effect::Send { to, .. } = effect {
+                mclocks
+                    .entry((step.lock, action.node(), to.0))
+                    .or_default()
+                    .push_back(clock);
+            }
+        }
+
+        // Critical-section bookkeeping: a held-mode change on the executing
+        // lock closes the (lock, node) open section and/or opens a new one.
+        let pos = self.stack.len();
+        let slot = step.lock as usize * state.node_count() + node;
+        let mut undo = Undo {
+            clocks,
+            proc_clock: std::mem::replace(&mut self.proc_clock[proc_id], clock),
+            node_clock: std::mem::replace(&mut self.node_clock[node], clock),
+            slot,
+            open: self.open[slot],
+            closed: None,
+            opened: false,
+        };
+        let pre_held = state.nodes[step.lock as usize][node].held();
+        let post_held = step.state.nodes[step.lock as usize][node].held();
+        if pre_held != post_held {
+            if let Some(si) = self.open[slot].take() {
+                self.sections[si].end = Some((pos, clock));
+                undo.closed = Some(si);
+            }
+            if post_held != Mode::NoLock {
+                self.open[slot] = Some(self.sections.len());
+                self.sections.push(Section {
+                    lock: step.lock,
+                    node: node as u32,
+                    mode: post_held,
+                    start: (pos, clock),
+                    end: None,
+                });
+                undo.opened = true;
+            }
+        }
+        self.stack.push(Exec { action, proc_id });
+        Some((step, undo))
     }
 
-    /// Replay a job's prefix with full clock/section bookkeeping (no
-    /// save/restore — the prefix persists for the job's lifetime), then run
-    /// the sequential search on the suffix.
+    /// Take the last executed transition back off the path.
+    fn undo(&mut self, undo: Undo) {
+        let Exec { action, proc_id } = self.stack.pop().expect("an executed transition");
+        if undo.opened {
+            self.sections.pop();
+        }
+        self.open[undo.slot] = undo.open;
+        if let Some(si) = undo.closed {
+            self.sections[si].end = None;
+        }
+        self.proc_clock[proc_id] = undo.proc_clock;
+        self.node_clock[action.node() as usize] = undo.node_clock;
+        self.clocks.arena.truncate(undo.clocks);
+    }
+
+    /// Replay a job's prefix with full clock/section bookkeeping (never
+    /// undone — the prefix persists for the job's lifetime), then run the
+    /// sequential search on the suffix.
     fn run_job(&mut self, job: Job) {
-        let scenario = self.shared.scenario;
+        let scenario = self.shared.core.scenario;
         let mut state = State::initial(scenario);
         let mut mclocks = MsgClocks::new();
         for &action in &job.prefix {
@@ -542,54 +457,10 @@ impl<'a, 'b> Explorer<'a, 'b> {
             debug_assert!(enabled.contains(&action), "job prefix action enabled");
             let procs: Vec<usize> = enabled.iter().map(|&a| self.intern(proc_key(a))).collect();
             let proc_id = self.intern(proc_key(action));
-            let step = state.apply(scenario, action);
-            self.shared.transitions.fetch_add(1, Ordering::Relaxed);
+            let Some((step, _)) = self.execute(&state, &mut mclocks, action, proc_id) else {
+                return;
+            };
             debug_assert!(step.fifo_errors.is_empty(), "job prefixes are FIFO-clean");
-
-            let index = (self.stack.len() + 1) as u32;
-            let node = action.node() as usize;
-            let mut c = self.node_clock[node];
-            if let Action::Deliver { lock, from, to } = action {
-                let q = mclocks
-                    .get_mut(&(lock, from, to))
-                    .expect("message clocks mirror channels");
-                let send_clock = q.pop_front().expect("non-empty channel");
-                if q.is_empty() {
-                    mclocks.remove(&(lock, from, to));
-                }
-                c = self.clocks.join(c, send_clock);
-            }
-            let clock = self.clocks.with(c, proc_id, index);
-            for effect in &step.effects {
-                if let Effect::Send { to, .. } = effect {
-                    mclocks
-                        .entry((step.lock, action.node(), to.0))
-                        .or_default()
-                        .push_back(clock);
-                }
-            }
-            self.proc_clock[proc_id] = clock;
-            self.node_clock[node] = clock;
-
-            let pos = self.stack.len();
-            let slot = step.lock as usize * state.node_count() + node;
-            let pre_held = state.nodes[step.lock as usize][node].held();
-            let post_held = step.state.nodes[step.lock as usize][node].held();
-            if pre_held != post_held {
-                if let Some(si) = self.open[slot].take() {
-                    self.sections[si].end = Some((pos, clock));
-                }
-                if post_held != Mode::NoLock {
-                    self.open[slot] = Some(self.sections.len());
-                    self.sections.push(Section {
-                        lock: step.lock,
-                        node: node as u32,
-                        mode: post_held,
-                        start: (pos, clock),
-                        end: None,
-                    });
-                }
-            }
             self.frames.push(Frame {
                 enabled,
                 procs,
@@ -597,7 +468,6 @@ impl<'a, 'b> Explorer<'a, 'b> {
                 done: BTreeSet::new(),
                 sleep: BTreeSet::new(),
             });
-            self.stack.push(Exec { action, proc_id });
             state = step.state;
         }
         let sleep: BTreeSet<usize> = job.sleep.iter().map(|&k| self.intern(k)).collect();
@@ -619,7 +489,7 @@ impl<'a, 'b> Explorer<'a, 'b> {
         // transition of a reordered continuation — the race is always
         // mediated by its enabling delivery, which the scan sees as an
         // enabled candidate at the prefix where it exists.
-        for t in state.enabled_actions(self.shared.scenario) {
+        for t in state.enabled_actions(self.shared.core.scenario) {
             let p = self.intern(proc_key(t));
             let mut c = self.proc_clock[p];
             if let Action::Deliver { lock, from, to } = t {
@@ -666,14 +536,8 @@ impl<'a, 'b> Explorer<'a, 'b> {
                 }
             });
             match proxy {
-                Some(idx) => {
-                    self.frames[i].backtrack.insert(idx);
-                }
-                None => {
-                    for idx in 0..frame_procs.len() {
-                        self.frames[i].backtrack.insert(idx);
-                    }
-                }
+                Some(idx) => self.frames[i].backtrack.extend([idx]),
+                None => self.frames[i].backtrack.extend(0..frame_procs.len()),
             }
         }
     }
@@ -681,12 +545,9 @@ impl<'a, 'b> Explorer<'a, 'b> {
     /// Does section `x`'s close happen before section `y`'s open?
     /// An unclosed section happens-before nothing.
     fn closes_before(&self, x: &Section, y: &Section) -> bool {
-        match x.end {
-            None => false,
-            Some((pos, _)) => {
-                self.clocks.get(y.start.1, self.stack[pos].proc_id) >= (pos + 1) as u32
-            }
-        }
+        x.end.is_some_and(|(pos, _)| {
+            self.clocks.get(y.start.1, self.stack[pos].proc_id) >= (pos + 1) as u32
+        })
     }
 
     /// The synthesized linearization exposing an unordered overlap: the
@@ -694,20 +555,15 @@ impl<'a, 'b> Explorer<'a, 'b> {
     /// any happens-before–downward-closed subset of the path), then the two
     /// opens. In its final state both sections are open at once.
     fn witness(&self, a: &Section, b: &Section) -> Schedule {
-        let mut acts = Vec::new();
-        for (i, e) in self.stack.iter().enumerate() {
-            if i == a.start.0 || i == b.start.0 {
-                continue;
-            }
-            let idx = (i + 1) as u32;
-            if self.clocks.get(a.start.1, e.proc_id) >= idx
-                || self.clocks.get(b.start.1, e.proc_id) >= idx
-            {
-                acts.push(e.action);
-            }
-        }
-        acts.push(self.stack[a.start.0].action);
-        acts.push(self.stack[b.start.0].action);
+        let opens = [a.start, b.start];
+        let past = self.stack.iter().enumerate().filter(|&(i, e)| {
+            opens.iter().all(|open| i != open.0)
+                && opens
+                    .iter()
+                    .any(|open| self.clocks.get(open.1, e.proc_id) > i as u32)
+        });
+        let mut acts: Vec<Action> = past.map(|(_, e)| e.action).collect();
+        acts.extend(opens.map(|(pos, _)| self.stack[pos].action));
         Schedule(acts)
     }
 
@@ -725,63 +581,61 @@ impl<'a, 'b> Explorer<'a, 'b> {
                 if self.closes_before(a, b) || self.closes_before(b, a) {
                     continue;
                 }
-                if self.shared.violations_full() {
+                if self.shared.core.violations_full() {
                     return;
                 }
                 let schedule = self.witness(a, b);
-                let mut st = State::initial(self.shared.scenario);
-                for &act in &schedule.0 {
-                    st = st.apply(self.shared.scenario, act).state;
-                }
-                if !self.shared.flag(self.shared.canon(&st)) {
+                let (st, _) = run(self.shared.core.scenario, &schedule);
+                let fp = self.shared.core.visit_key(&st);
+                if !self.shared.flag(fp) {
                     continue;
                 }
-                let errors = audit_state(&st, false);
+                let is_unsafe =
+                    matches!(classify(self.shared.core.scenario, &st), Class::Unsafe(_));
                 debug_assert!(
-                    !errors.is_empty(),
+                    is_unsafe,
                     "witness for an unordered incompatible pair must fail the audit"
                 );
-                if !errors.is_empty() {
-                    self.shared.record_violation(errors, schedule);
+                if is_unsafe {
+                    self.shared.core.record(Kind::Unsafe, fp, || schedule);
                 }
             }
         }
     }
 
     fn visit(&mut self, state: State, mclocks: MsgClocks, sleep: BTreeSet<usize>) {
-        if self.aborted() {
+        let core = &self.shared.core;
+        if core.halted() {
             return;
         }
         if let Some(cut) = self.fork_depth {
             if self.stack.len() >= cut {
                 self.jobs_out.push(Job {
-                    prefix: self.stack.iter().map(|e| e.action).collect(),
+                    prefix: self.current_schedule().0,
                     sleep: sleep.iter().map(|&p| self.proc_keys[p]).collect(),
                 });
                 return;
             }
         }
-        let fp = self.shared.canon(&state);
-        if matches!(self.shared.note_state(fp), Note::OverBudget) {
-            return;
+        let fp = core.visit_key(&state);
+        if let Admit::OverBudget = core.admit(&self.shared.seen, fp, (), |_, _| {}) {
+            return core.halt();
         }
-
-        let errors = audit_state(&state, false);
-        if !errors.is_empty() {
-            if self.shared.flag(fp) {
-                let schedule = self.current_schedule();
-                self.shared.record_violation(errors, schedule);
+        let enabled = match classify(core.scenario, &state) {
+            Class::Live(enabled) => enabled,
+            Class::Unsafe(_) => {
+                // Recorded once, and not expanded: already broken.
+                if self.shared.flag(fp) {
+                    core.record(Kind::Unsafe, fp, || self.current_schedule());
+                }
+                return;
             }
-            return; // do not expand an already-broken state
-        }
-
-        let enabled = state.enabled_actions(self.shared.scenario);
-        if enabled.is_empty() {
-            let schedule = self.current_schedule();
-            self.shared.record_terminal(&state, fp, || schedule);
-            self.check_overlaps();
-            return;
-        }
+            terminal => {
+                let kind = terminal.kind().expect("not live");
+                core.record(kind, fp, || self.current_schedule());
+                return self.check_overlaps();
+            }
+        };
 
         let procs: Vec<usize> = enabled.iter().map(|&a| self.intern(proc_key(a))).collect();
         // Sleep-set–blocked: every continuation from here is a sibling
@@ -798,12 +652,11 @@ impl<'a, 'b> Explorer<'a, 'b> {
             self.scan(&state, &mclocks);
         }
 
-        let mut backtrack = BTreeSet::new();
-        if universal {
-            backtrack.extend(0..procs.len());
+        let backtrack = if universal {
+            (0..procs.len()).collect()
         } else {
-            backtrack.insert(first_awake);
-        }
+            BTreeSet::from([first_awake])
+        };
         self.frames.push(Frame {
             enabled,
             procs,
@@ -826,96 +679,27 @@ impl<'a, 'b> Explorer<'a, 'b> {
                 continue; // already explored from here, or covered by a sibling
             }
 
-            if !self.shared.transition_budget_left() || self.shared.over_time(&self.start) {
-                self.shared.truncated.store(true, Ordering::SeqCst);
-                self.shared.aborted.store(true, Ordering::SeqCst);
-                break;
-            }
-            let step = state.apply(self.shared.scenario, action);
-            self.shared.transitions.fetch_add(1, Ordering::Relaxed);
-
-            // Vector-clock bookkeeping for the executed transition.
-            let index = (self.stack.len() + 1) as u32;
-            let node = action.node() as usize;
-            let mut c = self.node_clock[node];
             let mut child_mclocks = mclocks.clone();
-            if let Action::Deliver { lock, from, to } = action {
-                let q = child_mclocks
-                    .get_mut(&(lock, from, to))
-                    .expect("message clocks mirror channels");
-                let send_clock = q.pop_front().expect("non-empty channel");
-                if q.is_empty() {
-                    child_mclocks.remove(&(lock, from, to));
-                }
-                c = self.clocks.join(c, send_clock);
-            }
-            let clock = self.clocks.with(c, proc_id, index);
-            for effect in &step.effects {
-                if let Effect::Send { to, .. } = effect {
-                    child_mclocks
-                        .entry((step.lock, action.node(), to.0))
-                        .or_default()
-                        .push_back(clock);
-                }
-            }
-            let saved_proc = self.proc_clock[proc_id];
-            let saved_node = self.node_clock[node];
-            self.proc_clock[proc_id] = clock;
-            self.node_clock[node] = clock;
-
-            // Critical-section bookkeeping: a held-mode change on the
-            // executing lock closes the (lock, node) open section and/or
-            // opens a new one.
-            let pos = self.stack.len();
-            let slot = step.lock as usize * state.node_count() + node;
-            let pre_held = state.nodes[step.lock as usize][node].held();
-            let post_held = step.state.nodes[step.lock as usize][node].held();
-            let saved_open = self.open[slot];
-            let mut closed = None;
-            let mut opened = false;
-            if pre_held != post_held {
-                if let Some(si) = self.open[slot].take() {
-                    self.sections[si].end = Some((pos, clock));
-                    closed = Some(si);
-                }
-                if post_held != Mode::NoLock {
-                    self.open[slot] = Some(self.sections.len());
-                    self.sections.push(Section {
-                        lock: step.lock,
-                        node: node as u32,
-                        mode: post_held,
-                        start: (pos, clock),
-                        end: None,
-                    });
-                    opened = true;
-                }
-            }
-            self.stack.push(Exec { action, proc_id });
-
+            let Some((step, undo)) = self.execute(&state, &mut child_mclocks, action, proc_id)
+            else {
+                break;
+            };
             if step.fifo_errors.is_empty() {
                 let child_sleep: BTreeSet<usize> = self.frames[depth]
                     .sleep
                     .iter()
                     .copied()
-                    .filter(|&q| self.proc_node[q] != action.node())
+                    .filter(|&q| key_node(self.proc_keys[q]) != action.node())
                     .collect();
                 self.visit(step.state, child_mclocks, child_sleep);
-            } else if self.shared.flag(self.shared.canon(&step.state)) {
-                let schedule = self.current_schedule();
-                self.shared.record_violation(step.fifo_errors, schedule);
+            } else {
+                let fp = core.visit_key(&step.state);
+                if self.shared.flag(fp) {
+                    core.record(Kind::Fifo, fp, || self.current_schedule());
+                }
             }
-
-            self.stack.pop();
-            if opened {
-                self.sections.pop();
-            }
-            self.open[slot] = saved_open;
-            if let Some(si) = closed {
-                self.sections[si].end = None;
-            }
-            self.proc_clock[proc_id] = saved_proc;
-            self.node_clock[node] = saved_node;
-            if self.aborted() {
+            self.undo(undo);
+            if core.halted() {
                 break;
             }
             self.frames[depth].sleep.insert(proc_id);

@@ -1,16 +1,11 @@
-//! The exploration drivers: parallel symmetry-reduced BFS and the
-//! DPOR-reduced search.
+//! The exhaustive driver: level-synchronous, work-stealing breadth-first
+//! search over the [`crate::search`] core.
 //!
-//! # Parallel frontier
-//!
-//! The exhaustive search is a **level-synchronous** breadth-first
-//! exploration: all states at depth `d` are processed before any state at
-//! depth `d+1`. Within a level, work is distributed over `Options::workers`
-//! threads, each owning a deque of pending states; a worker that drains its
-//! own deque steals the back half of a victim's (classic work stealing, so
-//! load imbalance from uneven branching self-corrects). The seen set is
-//! sharded by fingerprint prefix into independently locked maps, so
-//! concurrent inserts rarely contend.
+//! All states at depth `d` are processed before any state at depth `d+1`.
+//! Within a level, work is distributed over `Options::workers` threads, each
+//! owning a deque of pending states; a worker that drains its own deque
+//! steals the back half of a victim's (classic work stealing, so load
+//! imbalance from uneven branching self-corrects).
 //!
 //! Level synchrony is what keeps counterexamples **minimal and
 //! deterministic** regardless of worker count or steal order:
@@ -21,340 +16,31 @@
 //!   parent pointer is the lexicographic minimum of `(parent fingerprint,
 //!   action)` — a commutative, associative choice, so the final parent tree
 //!   is independent of arrival order;
-//! * violations, deadlocks and terminals are collected per level and merged
-//!   in sorted order at the level barrier, so the recorded set (and the cap)
-//!   never depends on thread scheduling.
+//! * findings are collected per level and recorded in sorted order at the
+//!   level barrier, so the recorded set (and the cap) never depends on
+//!   thread scheduling.
 //!
-//! # Symmetry reduction
+//! # Schedules through representative space
 //!
-//! With `Options::symmetry`, the seen set is keyed by the **canonical**
-//! fingerprint (minimum over the scenario's automorphism group, see
-//! [`crate::canon`]): permutation-equivalent states collapse to one
-//! representative, shrinking the explored space by up to the group order.
-//! Counterexample schedules are reconstructed by forward replay: the stored
-//! parent chain lives in representative space, so each step replays the
-//! recorded action when it matches and otherwise scans the (deterministically
-//! ordered) enabled actions for the first one whose successor canonicalizes
-//! to the next fingerprint in the chain — one must exist, because the group
-//! is closed under composition. The reconstructed schedule is a *concrete*
-//! path of the same length as the quotient path, so minimality is preserved.
+//! Under symmetry the stored parent chain lives in representative space, so
+//! a finding's schedule is reconstructed by forward replay: each step takes
+//! the recorded action when it reproduces the next canonical fingerprint in
+//! the chain and otherwise the first (deterministically ordered) enabled
+//! action that does — one must exist, because the group is closed under
+//! composition. The reconstructed schedule is a *concrete* path of the same
+//! length as the quotient path, so minimality is preserved.
 
-use crate::canon::{Canonicalize, SymmetryGroup};
 use crate::counterexample::Schedule;
 use crate::scenario::Scenario;
+use crate::search::{
+    classify, spawn, Admit, CheckReport, Class, Core, Kind, Options, Reduction, Striped,
+};
 use crate::state::{Action, State};
-use dlm_core::{frozen_residue, AuditError, Fingerprint};
-use std::collections::{BTreeSet, HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use dlm_core::Fingerprint;
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Barrier, Mutex};
 use std::time::Instant;
-
-/// Which state-space reduction to apply.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Reduction {
-    /// Explore every interleaving (breadth-first, so counterexample
-    /// schedules are minimal).
-    #[default]
-    Off,
-    /// Sleep-set–style dynamic partial-order reduction: explore one
-    /// representative per Mazurkiewicz trace class, exploiting the
-    /// commutativity of deliveries on disjoint channels (see
-    /// [`crate::dpor`] for the dependence relation and soundness notes).
-    On,
-}
-
-impl std::fmt::Display for Reduction {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Reduction::Off => write!(f, "off"),
-            Reduction::On => write!(f, "on"),
-        }
-    }
-}
-
-/// Exploration options.
-#[derive(Debug, Clone, Copy)]
-pub struct Options {
-    /// Budget on distinct states; exceeding it truncates the run (exactly:
-    /// a truncated report never counts more than `max_states` states).
-    pub max_states: usize,
-    /// Reduction mode.
-    pub reduction: Reduction,
-    /// Optional budget on executed transitions (the reduced search can
-    /// re-traverse states; this bounds total work). `None` = derived as
-    /// `32 × max_states`.
-    pub max_transitions: Option<usize>,
-    /// Number of exploration worker threads (clamped to ≥ 1). `1` is the
-    /// serial baseline the differential tests compare against.
-    pub workers: usize,
-    /// Key the seen set by canonical (symmetry-quotient) fingerprints,
-    /// exploring one representative per node-permutation orbit.
-    pub symmetry: bool,
-    /// Optional wall-clock budget; exceeding it truncates the run.
-    pub max_seconds: Option<f64>,
-    /// Emit progress lines (states, states/sec) to stderr while exploring.
-    pub progress: bool,
-}
-
-impl Options {
-    /// Exhaustive exploration with the given state budget.
-    pub fn exhaustive(max_states: usize) -> Self {
-        Options {
-            max_states,
-            reduction: Reduction::Off,
-            max_transitions: None,
-            workers: 1,
-            symmetry: false,
-            max_seconds: None,
-            progress: false,
-        }
-    }
-
-    /// Reduced exploration with the given state budget.
-    pub fn reduced(max_states: usize) -> Self {
-        Options {
-            reduction: Reduction::On,
-            ..Options::exhaustive(max_states)
-        }
-    }
-
-    /// This configuration with `workers` exploration threads.
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers.max(1);
-        self
-    }
-
-    /// This configuration with symmetry reduction switched on/off.
-    pub fn with_symmetry(mut self, symmetry: bool) -> Self {
-        self.symmetry = symmetry;
-        self
-    }
-
-    /// This configuration with a wall-clock budget.
-    pub fn with_max_seconds(mut self, seconds: f64) -> Self {
-        self.max_seconds = Some(seconds);
-        self
-    }
-
-    /// This configuration with progress reporting on stderr.
-    pub fn with_progress(mut self, progress: bool) -> Self {
-        self.progress = progress;
-        self
-    }
-
-    pub(crate) fn transition_budget(&self) -> usize {
-        self.max_transitions
-            .unwrap_or_else(|| self.max_states.saturating_mul(32))
-    }
-}
-
-/// A safety violation with its replayable counterexample.
-#[derive(Debug, Clone)]
-pub struct Violation {
-    /// The audit errors observed in (or on the transition into) the state.
-    pub errors: Vec<AuditError>,
-    /// Actions from the initial state into the violating state. Minimal
-    /// (shortest possible) when found with [`Reduction::Off`]; a valid
-    /// witness path when found with [`Reduction::On`].
-    pub schedule: Schedule,
-}
-
-impl std::fmt::Display for Violation {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "unsafe after {} steps: ", self.schedule.0.len())?;
-        for (i, e) in self.errors.iter().enumerate() {
-            if i > 0 {
-                write!(f, "; ")?;
-            }
-            write!(f, "{e}")?;
-        }
-        Ok(())
-    }
-}
-
-/// A deadlock: a terminal state with unfinished scripts or waiting nodes.
-#[derive(Debug, Clone)]
-pub struct Deadlock {
-    /// Nodes whose scripts did not run to completion.
-    pub stuck_scripts: Vec<usize>,
-    /// Nodes with a pending, never-granted request (on any lock).
-    pub waiting: Vec<u32>,
-    /// Actions from the initial state into the deadlocked terminal state.
-    pub schedule: Schedule,
-}
-
-impl std::fmt::Display for Deadlock {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "deadlock after {} steps: scripts stuck at {:?}, nodes waiting {:?}",
-            self.schedule.0.len(),
-            self.stuck_scripts,
-            self.waiting
-        )
-    }
-}
-
-/// Result of an exploration.
-///
-/// Marked `#[must_use]`: a dropped report silently discards the verdict of
-/// an entire model-checking run.
-#[must_use = "a CheckReport carries the verification verdict; inspect verified()/violations instead of dropping it"]
-#[derive(Debug, Clone)]
-pub struct CheckReport {
-    /// Distinct states visited (canonical representatives when symmetry
-    /// reduction is on).
-    pub states: usize,
-    /// Transitions executed (the reduced search may execute several
-    /// transitions into one already-counted state).
-    pub transitions: usize,
-    /// Terminal (quiescent) states reached.
-    pub terminals: usize,
-    /// Safety violations (empty = every explored state is safe), each with
-    /// a replayable counterexample schedule. Capped at
-    /// [`CheckReport::MAX_RECORDED`] distinct violating states.
-    pub violations: Vec<Violation>,
-    /// Deadlocks, each with a replayable schedule. Same cap.
-    pub deadlocks: Vec<Deadlock>,
-    /// True if the exploration hit a budget (states, transitions or wall
-    /// clock) before completing.
-    pub truncated: bool,
-    /// The reduction mode this report was produced under.
-    pub reduction: Reduction,
-    /// Fingerprints of all terminal states (canonical when symmetry is on;
-    /// the reduction-soundness property tests compare these across
-    /// reduction modes).
-    pub terminal_fingerprints: BTreeSet<Fingerprint>,
-    /// Worker threads used.
-    pub workers: usize,
-    /// Order of the symmetry group applied (1 = no reduction).
-    pub group_order: usize,
-    /// Work-stealing events between worker deques.
-    pub steals: u64,
-    /// Generated successors whose raw fingerprint differed from their
-    /// canonical fingerprint (i.e. states the symmetry reduction actually
-    /// relabeled).
-    pub sym_hits: u64,
-    /// Generated successors that were already in the seen set.
-    pub dedup_hits: u64,
-    /// Wall-clock exploration time.
-    pub elapsed_secs: f64,
-}
-
-impl CheckReport {
-    /// Cap on recorded violations/deadlocks (counting continues; only the
-    /// stored schedules are bounded).
-    pub const MAX_RECORDED: usize = 32;
-
-    pub(crate) fn new(reduction: Reduction) -> Self {
-        CheckReport {
-            states: 0,
-            transitions: 0,
-            terminals: 0,
-            violations: Vec::new(),
-            deadlocks: Vec::new(),
-            truncated: false,
-            reduction,
-            terminal_fingerprints: BTreeSet::new(),
-            workers: 1,
-            group_order: 1,
-            steals: 0,
-            sym_hits: 0,
-            dedup_hits: 0,
-            elapsed_secs: 0.0,
-        }
-    }
-
-    /// True when the scenario is fully verified: no violations, no
-    /// deadlocks, and the exploration completed within budget.
-    #[must_use = "the verification verdict must be acted on, not dropped"]
-    pub fn verified(&self) -> bool {
-        self.violations.is_empty() && self.deadlocks.is_empty() && !self.truncated
-    }
-
-    /// Dedup ratio: fraction of generated successors that were already
-    /// known (higher = denser state graph and/or more symmetry collapse).
-    pub fn dedup_ratio(&self) -> f64 {
-        if self.transitions == 0 {
-            0.0
-        } else {
-            self.dedup_hits as f64 / self.transitions as f64
-        }
-    }
-}
-
-/// Exhaustively explore `scenario`; `max_states` bounds the search (a
-/// generous budget for 3–4 node scenarios is 1–5 million).
-///
-/// Equivalent to [`explore_with`] under [`Options::exhaustive`].
-pub fn explore(scenario: &Scenario, max_states: usize) -> CheckReport {
-    explore_with(scenario, Options::exhaustive(max_states))
-}
-
-/// Explore `scenario` under explicit [`Options`].
-///
-/// Scenarios containing a crash op always use the exhaustive search: a
-/// crash transition runs the view change at every survivor at once, so it
-/// commutes with nothing and the partial-order reduction would be unsound
-/// under its node-keyed dependence relation.
-pub fn explore_with(scenario: &Scenario, opts: Options) -> CheckReport {
-    assert_eq!(scenario.scripts.len(), scenario.parents.len());
-    match opts.reduction {
-        Reduction::Off => bfs(scenario, opts),
-        Reduction::On if scenario.has_crash() => bfs(scenario, opts),
-        Reduction::On => crate::dpor::run(scenario, opts),
-    }
-}
-
-/// Audit every lock object of `state` (each is an independent protocol
-/// instance with its own in-flight messages; crashed nodes are excluded).
-pub(crate) fn audit_state(state: &State, quiescent: bool) -> Vec<AuditError> {
-    let mut errors = Vec::new();
-    for lock in 0..state.locks() {
-        errors.extend(state.audit_lock(lock as u32, quiescent));
-    }
-    errors
-}
-
-/// Freeze-convergence residue across every lock object. A crashed node
-/// frozen at the moment of death stays frozen forever — that is not a
-/// convergence failure (survivors reset their freeze state in the R1
-/// repair, so residue on a *survivor* is still a real violation).
-pub(crate) fn frozen_residue_state(state: &State) -> Vec<AuditError> {
-    let mut errors = Vec::new();
-    for lock_nodes in &state.nodes {
-        errors.extend(frozen_residue(lock_nodes).into_iter().filter(|e| {
-            !matches!(e, AuditError::FrozenResidue { node, .. }
-                if state.crashed[node.index()])
-        }));
-    }
-    errors
-}
-
-/// Nodes with a pending, never-granted request on any lock (sorted,
-/// deduped). A crashed node's pending request is not a wait — nobody is
-/// waiting on the answer.
-pub(crate) fn waiting_nodes(state: &State) -> Vec<u32> {
-    let mut waiting: Vec<u32> = state
-        .nodes
-        .iter()
-        .flat_map(|lock_nodes| {
-            lock_nodes
-                .iter()
-                .enumerate()
-                .filter(|(i, nd)| nd.pending().is_some() && !state.crashed[*i])
-                .map(|(_, nd)| nd.id().0)
-        })
-        .collect();
-    waiting.sort_unstable();
-    waiting.dedup();
-    waiting
-}
-
-/// Number of seen-set shards (fingerprint low bits select the shard); a
-/// power of two well above any realistic worker count, so concurrent
-/// inserts almost never contend on the same lock.
-const SHARDS: usize = 64;
 
 /// Seen-set entry: BFS depth plus the (lexicographically minimal) parent
 /// link used for counterexample reconstruction.
@@ -363,168 +49,62 @@ struct Entry {
     depth: u32,
 }
 
-/// The lock-striped seen set.
-struct Seen {
-    shards: Vec<Mutex<HashMap<Fingerprint, Entry>>>,
-}
-
-enum Admit {
-    /// New state, admitted under budget: expand it.
-    Inserted,
-    /// Already known (possibly with an improved parent link).
-    Known,
-    /// New state, but the state budget is exhausted.
-    OverBudget,
-}
-
-impl Seen {
-    fn new() -> Self {
-        Seen {
-            shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
-        }
-    }
-
-    fn shard(&self, fp: Fingerprint) -> &Mutex<HashMap<Fingerprint, Entry>> {
-        &self.shards[(fp.0 as usize) & (SHARDS - 1)]
-    }
-
-    /// Record `fp` at `depth` with parent link `parent`, admitting at most
-    /// `max` states overall (`count` is the shared admitted-state counter).
-    ///
-    /// If `fp` is already present at the same depth, the stored parent link
-    /// is replaced iff the new one is lexicographically smaller — the
-    /// arrival-order-independent tie-break that makes reconstruction
-    /// deterministic under any worker interleaving.
-    fn admit(
-        &self,
-        fp: Fingerprint,
-        parent: Option<(Fingerprint, Action)>,
-        depth: u32,
-        count: &AtomicUsize,
-        max: usize,
-    ) -> Admit {
-        let mut shard = self.shard(fp).lock().expect("seen shard poisoned");
-        match shard.entry(fp) {
-            std::collections::hash_map::Entry::Occupied(mut e) => {
-                let cur = e.get_mut();
-                if cur.depth == depth {
-                    if let (Some(new), Some(old)) = (parent, cur.parent) {
-                        if new < old {
-                            cur.parent = Some(new);
-                        }
-                    }
-                }
-                Admit::Known
-            }
-            std::collections::hash_map::Entry::Vacant(v) => {
-                if count
-                    .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |c| {
-                        (c < max).then_some(c + 1)
-                    })
-                    .is_err()
-                {
-                    return Admit::OverBudget;
-                }
-                v.insert(Entry { parent, depth });
-                Admit::Inserted
-            }
-        }
-    }
-
-    fn entry_parent(&self, fp: Fingerprint) -> Option<Option<(Fingerprint, Action)>> {
-        self.shard(fp)
-            .lock()
-            .expect("seen shard poisoned")
-            .get(&fp)
-            .map(|e| e.parent)
-    }
-}
-
-/// A level-batch record: something report-worthy found while processing one
-/// state, resolved into a full `Violation`/`Deadlock` (schedule included)
-/// only after exploration ends, and only for the ≤ MAX_RECORDED survivors.
-#[derive(Clone, Copy)]
-enum Pending {
-    /// Audit errors in the (reachable) state at `fp`; schedule length `len`.
-    StateAudit { fp: Fingerprint, len: u32 },
-    /// A FIFO overtake on the transition `hint` out of the state at `base`;
-    /// schedule length `len` (= base depth + 1).
-    Fifo {
-        base: Fingerprint,
-        hint: Action,
-        len: u32,
-    },
-    /// A deadlocked terminal at `fp`.
-    DeadEnd { fp: Fingerprint, len: u32 },
-    /// A quiescent terminal at `fp` whose final audit failed.
-    TerminalAudit { fp: Fingerprint, len: u32 },
-    /// A clean terminal at `fp` (needs no schedule, only the fp set).
-    Terminal { fp: Fingerprint },
-}
-
-impl Pending {
-    /// Deterministic within-level merge order: schedule length first (so
-    /// minimal counterexamples survive the cap), then kind, then identity.
-    fn key(&self) -> (u32, u8, u128, Option<Action>) {
-        match *self {
-            Pending::StateAudit { fp, len } => (len, 0, fp.0, None),
-            Pending::Fifo { base, hint, len } => (len, 1, base.0, Some(hint)),
-            Pending::TerminalAudit { fp, len } => (len, 2, fp.0, None),
-            Pending::DeadEnd { fp, len } => (len, 3, fp.0, None),
-            Pending::Terminal { fp } => (u32::MAX, 4, fp.0, None),
-        }
-    }
-}
-
-/// Deterministically merged per-level records (owned by worker 0 at the
-/// level barrier, resolved into the report after the join).
-struct Records {
-    terminal_fps: BTreeSet<Fingerprint>,
-    terminals: usize,
-    violations: Vec<Pending>,
-    deadlocks: Vec<Pending>,
-}
-
-/// Shared exploration context (borrowed by every worker).
-struct Ctx<'a> {
-    scenario: &'a Scenario,
-    group: &'a SymmetryGroup,
-    opts: Options,
-    seen: Seen,
-    /// Current-level work deques, one per worker.
-    deques: Vec<Mutex<VecDeque<Item>>>,
-    /// Next-level hand-off buffers, one per worker.
-    next: Vec<Mutex<Vec<Item>>>,
-    /// Per-level record hand-off buffers, one per worker.
-    pending: Vec<Mutex<Vec<Pending>>>,
-    records: Mutex<Records>,
-    states: AtomicUsize,
-    transitions: AtomicU64,
-    steals: AtomicU64,
-    sym_hits: AtomicU64,
-    dedup_hits: AtomicU64,
-    truncated: AtomicBool,
-    stop: AtomicBool,
-    done: AtomicBool,
-    barrier: Barrier,
-    start: Instant,
+/// A finding's trail: where it sits in the seen set. The derived order —
+/// schedule length first, so minimal counterexamples survive the cap, then
+/// kind, then identity — is the order a level's findings are recorded in.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Found {
+    /// Length of the schedule this finding resolves to.
+    len: u32,
+    kind: Kind,
+    /// The state found (for [`Kind::Fifo`]: the state the offending
+    /// transition leaves).
+    fp: Fingerprint,
+    /// The offending transition of a [`Kind::Fifo`] finding.
+    hint: Option<Action>,
 }
 
 struct Item {
     state: State,
-    /// Canonical fingerprint (raw when symmetry is off).
+    /// The state's key in the seen set.
     fp: Fingerprint,
     depth: u32,
 }
 
-impl Ctx<'_> {
-    fn canon_fp(&self, state: &State) -> (Fingerprint, Fingerprint) {
-        let raw = state.fingerprint();
-        if self.opts.symmetry && !self.group.is_trivial() {
-            (raw, state.canonical_fingerprint(self.group))
-        } else {
-            (raw, raw)
-        }
+/// Empty every worker's hand-off buffer into one list, in worker order.
+fn drain<T>(slots: &[Mutex<Vec<T>>]) -> Vec<T> {
+    let take = |slot: &Mutex<Vec<T>>| std::mem::take(&mut *slot.lock().expect("slot poisoned"));
+    slots.iter().flat_map(take).collect()
+}
+
+/// One BFS run (borrowed by every worker).
+struct Bfs<'a> {
+    core: Core<'a, Found>,
+    seen: Striped<Entry>,
+    /// Current-level work deques, one per worker.
+    deques: Vec<Mutex<VecDeque<Item>>>,
+    /// Next-level hand-off buffers, one per worker.
+    next: Vec<Mutex<Vec<Item>>>,
+    /// Per-level findings hand-off buffers, one per worker.
+    found: Vec<Mutex<Vec<Found>>>,
+    steals: AtomicU64,
+    done: AtomicBool,
+    barrier: Barrier,
+}
+
+impl Bfs<'_> {
+    /// Record `fp` at `depth` with parent link `parent`. If `fp` is already
+    /// present at the same depth, the stored parent link is replaced iff the
+    /// new one is lexicographically smaller — the arrival-order-independent
+    /// tie-break that makes reconstruction deterministic under any worker
+    /// interleaving.
+    fn admit(&self, fp: Fingerprint, parent: Option<(Fingerprint, Action)>, depth: u32) -> Admit {
+        let entry = Entry { parent, depth };
+        self.core.admit(&self.seen, fp, entry, |known, new| {
+            if known.depth == new.depth && new.parent < known.parent {
+                known.parent = new.parent;
+            }
+        })
     }
 
     /// Pop from worker `w`'s deque, stealing the back half of another
@@ -557,120 +137,57 @@ impl Ctx<'_> {
         None
     }
 
-    /// Process one current-level state: audit it, classify terminals, and
-    /// expand enabled actions into next-level items.
-    fn process(&self, item: Item, my_next: &mut Vec<Item>, my_pending: &mut Vec<Pending>) {
+    /// Process one current-level state: classify it, and expand a live
+    /// state's enabled actions into next-level items.
+    fn process(&self, item: Item, my_next: &mut Vec<Item>, my_found: &mut Vec<Found>) {
         let Item { state, fp, depth } = item;
-        // Safety in every reachable state.
-        if !audit_state(&state, false).is_empty() {
-            my_pending.push(Pending::StateAudit { fp, len: depth });
-            return; // do not expand an already-broken state
-        }
-        let enabled = state.enabled_actions(self.scenario);
-        if enabled.is_empty() {
-            let stuck = (0..state.pos.len())
-                .any(|i| state.pos[i] < self.scenario.scripts[i].len() && !state.crashed[i]);
-            if stuck || !waiting_nodes(&state).is_empty() {
-                my_pending.push(Pending::DeadEnd { fp, len: depth });
-            } else {
-                let mut errors = audit_state(&state, true);
-                errors.extend(frozen_residue_state(&state));
-                if errors.is_empty() {
-                    my_pending.push(Pending::Terminal { fp });
-                } else {
-                    my_pending.push(Pending::TerminalAudit { fp, len: depth });
-                }
-            }
-            return;
-        }
+        let mut find = |len, kind, hint| {
+            my_found.push(Found {
+                len,
+                kind,
+                fp,
+                hint,
+            })
+        };
+        let enabled = match classify(self.core.scenario, &state) {
+            Class::Live(enabled) => enabled,
+            // Found, and not expanded: an already-broken state has no
+            // meaningful successors and a terminal has none at all.
+            class => return find(depth, class.kind().expect("not live"), None),
+        };
         for action in enabled {
-            if self.stop.load(Ordering::Relaxed) {
+            if !self.core.fire() {
                 return;
             }
-            let step = state.apply(self.scenario, action);
-            self.transitions.fetch_add(1, Ordering::Relaxed);
+            let step = state.apply(self.core.scenario, action);
             if !step.fifo_errors.is_empty() {
                 // A FIFO overtake is a property of the transition, not the
                 // successor state; report it with the path including the
                 // offending action and do not continue past it.
-                my_pending.push(Pending::Fifo {
-                    base: fp,
-                    hint: action,
-                    len: depth + 1,
-                });
+                find(depth + 1, Kind::Fifo, Some(action));
                 continue;
             }
-            let (raw, canon) = self.canon_fp(&step.state);
-            if canon != raw {
-                self.sym_hits.fetch_add(1, Ordering::Relaxed);
-            }
-            match self.seen.admit(
-                canon,
-                Some((fp, action)),
-                depth + 1,
-                &self.states,
-                self.opts.max_states,
-            ) {
-                Admit::Inserted => my_next.push(Item {
+            let key = self.core.visit_key(&step.state);
+            if let Admit::New = self.admit(key, Some((fp, action)), depth + 1) {
+                my_next.push(Item {
                     state: step.state,
-                    fp: canon,
+                    fp: key,
                     depth: depth + 1,
-                }),
-                Admit::Known => {
-                    self.dedup_hits.fetch_add(1, Ordering::Relaxed);
-                }
-                Admit::OverBudget => {
-                    self.truncated.store(true, Ordering::Relaxed);
-                }
+                });
             }
         }
     }
 
-    /// Merge the level's records and redistribute the next frontier
+    /// Record the level's findings and redistribute the next frontier
     /// (executed by worker 0 alone, between the two level barriers).
     fn level_transition(&self) {
-        let mut batch: Vec<Pending> = Vec::new();
-        for slot in &self.pending {
-            batch.append(&mut slot.lock().expect("pending poisoned"));
+        let mut batch = drain(&self.found);
+        batch.sort_unstable();
+        for found in batch {
+            self.core.record(found.kind, found.fp, || found);
         }
-        batch.sort_by_key(|p| p.key());
-        let mut records = self.records.lock().expect("records poisoned");
-        for p in batch {
-            match p {
-                Pending::StateAudit { .. } | Pending::Fifo { .. } => {
-                    if records.violations.len() < CheckReport::MAX_RECORDED {
-                        records.violations.push(p);
-                    }
-                }
-                Pending::DeadEnd { fp, .. } => {
-                    if records.terminal_fps.insert(fp) {
-                        records.terminals += 1;
-                        if records.deadlocks.len() < CheckReport::MAX_RECORDED {
-                            records.deadlocks.push(p);
-                        }
-                    }
-                }
-                Pending::TerminalAudit { fp, .. } => {
-                    if records.terminal_fps.insert(fp) {
-                        records.terminals += 1;
-                        if records.violations.len() < CheckReport::MAX_RECORDED {
-                            records.violations.push(p);
-                        }
-                    }
-                }
-                Pending::Terminal { fp } => {
-                    if records.terminal_fps.insert(fp) {
-                        records.terminals += 1;
-                    }
-                }
-            }
-        }
-        drop(records);
-        let mut all: Vec<Item> = Vec::new();
-        for slot in &self.next {
-            all.append(&mut slot.lock().expect("next poisoned"));
-        }
-        if all.is_empty() || self.stop.load(Ordering::Relaxed) {
+        let all = drain(&self.next);
+        if all.is_empty() || self.core.halted() {
             self.done.store(true, Ordering::Relaxed);
             return;
         }
@@ -684,285 +201,113 @@ impl Ctx<'_> {
         }
     }
 
-    fn over_time(&self) -> bool {
-        match self.opts.max_seconds {
-            Some(limit) => self.start.elapsed().as_secs_f64() >= limit,
-            None => false,
-        }
-    }
-}
-
-/// One exploration worker: drain the level (stealing as needed), hand off
-/// next-level items and records, and let worker 0 run the level transition.
-fn worker(ctx: &Ctx<'_>, w: usize) {
-    let mut my_next: Vec<Item> = Vec::new();
-    let mut my_pending: Vec<Pending> = Vec::new();
-    let mut last_report = Instant::now();
-    let mut last_states = 0usize;
-    loop {
-        while let Some(item) = ctx.pop(w) {
-            if ctx.stop.load(Ordering::Relaxed) {
-                break;
-            }
-            ctx.process(item, &mut my_next, &mut my_pending);
-            if ctx.over_time() {
-                ctx.truncated.store(true, Ordering::Relaxed);
-                ctx.stop.store(true, Ordering::Relaxed);
-            }
-        }
-        *ctx.next[w].lock().expect("next poisoned") = std::mem::take(&mut my_next);
-        *ctx.pending[w].lock().expect("pending poisoned") = std::mem::take(&mut my_pending);
-        ctx.barrier.wait();
-        if w == 0 {
-            ctx.level_transition();
-            if ctx.opts.progress && last_report.elapsed().as_secs_f64() >= 1.0 {
-                let states = ctx.states.load(Ordering::Relaxed);
-                let rate = (states - last_states) as f64 / last_report.elapsed().as_secs_f64();
-                eprintln!(
-                    "  … {} states, {} transitions, {:.0} states/s",
-                    states,
-                    ctx.transitions.load(Ordering::Relaxed),
-                    rate
-                );
-                last_report = Instant::now();
-                last_states = states;
-            }
-        }
-        ctx.barrier.wait();
-        if ctx.done.load(Ordering::Relaxed) {
-            return;
-        }
-    }
-}
-
-/// Level-synchronous, work-stealing breadth-first exploration (see the
-/// module docs for the determinism argument). BFS (rather than the seed's
-/// DFS) so that the parent chain to any violating or deadlocked state is a
-/// *shortest* schedule — counterexamples come out minimal by construction.
-fn bfs(scenario: &Scenario, opts: Options) -> CheckReport {
-    let start = Instant::now();
-    let group = if opts.symmetry {
-        SymmetryGroup::of(scenario)
-    } else {
-        SymmetryGroup::trivial()
-    };
-    let workers = opts.workers.max(1);
-
-    let mut report = CheckReport::new(Reduction::Off);
-    report.workers = workers;
-    report.group_order = group.order();
-    report.states = 1;
-    if opts.max_states == 0 {
-        report.truncated = true;
-        report.elapsed_secs = start.elapsed().as_secs_f64();
-        return report;
-    }
-
-    let initial = State::initial(scenario);
-    let fp0 = if opts.symmetry && !group.is_trivial() {
-        initial.canonical_fingerprint(&group)
-    } else {
-        initial.fingerprint()
-    };
-
-    let ctx = Ctx {
-        scenario,
-        group: &group,
-        opts,
-        seen: Seen::new(),
-        deques: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-        next: (0..workers).map(|_| Mutex::new(Vec::new())).collect(),
-        pending: (0..workers).map(|_| Mutex::new(Vec::new())).collect(),
-        records: Mutex::new(Records {
-            terminal_fps: BTreeSet::new(),
-            terminals: 0,
-            violations: Vec::new(),
-            deadlocks: Vec::new(),
-        }),
-        states: AtomicUsize::new(0),
-        transitions: AtomicU64::new(0),
-        steals: AtomicU64::new(0),
-        sym_hits: AtomicU64::new(0),
-        dedup_hits: AtomicU64::new(0),
-        truncated: AtomicBool::new(false),
-        stop: AtomicBool::new(false),
-        done: AtomicBool::new(false),
-        barrier: Barrier::new(workers),
-        start,
-    };
-    match ctx.seen.admit(fp0, None, 0, &ctx.states, opts.max_states) {
-        Admit::Inserted => {}
-        _ => unreachable!("initial admit into empty seen set with max_states >= 1"),
-    }
-    ctx.deques[0]
-        .lock()
-        .expect("deque poisoned")
-        .push_back(Item {
-            state: initial,
-            fp: fp0,
-            depth: 0,
-        });
-
-    if workers == 1 {
-        worker(&ctx, 0);
-    } else {
-        std::thread::scope(|s| {
-            for w in 0..workers {
-                let ctx = &ctx;
-                s.spawn(move || worker(ctx, w));
-            }
-        });
-    }
-
-    let records = ctx.records.into_inner().expect("records poisoned");
-    report.states = ctx.states.load(Ordering::SeqCst);
-    report.transitions = ctx.transitions.load(Ordering::SeqCst) as usize;
-    report.terminals = records.terminals;
-    report.terminal_fingerprints = records.terminal_fps;
-    report.truncated = ctx.truncated.load(Ordering::SeqCst);
-    report.steals = ctx.steals.load(Ordering::SeqCst);
-    report.sym_hits = ctx.sym_hits.load(Ordering::SeqCst);
-    report.dedup_hits = ctx.dedup_hits.load(Ordering::SeqCst);
-
-    // Resolve the surviving records into concrete schedules by forward
-    // replay through representative space.
-    let resolve = Resolver {
-        scenario,
-        group: &group,
-        symmetry: opts.symmetry && !group.is_trivial(),
-        seen: &ctx.seen,
-    };
-    for p in records.violations {
-        match p {
-            Pending::StateAudit { fp, .. } => {
-                let (schedule, end) = resolve.path_to(fp);
-                report.violations.push(Violation {
-                    errors: audit_state(&end, false),
-                    schedule,
-                });
-            }
-            Pending::Fifo { base, hint, .. } => {
-                let (schedule, errors) = resolve.fifo_path(base, hint);
-                report.violations.push(Violation { errors, schedule });
-            }
-            Pending::TerminalAudit { fp, .. } => {
-                let (schedule, end) = resolve.path_to(fp);
-                let mut errors = audit_state(&end, true);
-                errors.extend(frozen_residue_state(&end));
-                report.violations.push(Violation { errors, schedule });
-            }
-            Pending::DeadEnd { .. } | Pending::Terminal { .. } => unreachable!(),
-        }
-    }
-    for p in records.deadlocks {
-        if let Pending::DeadEnd { fp, .. } = p {
-            let (schedule, end) = resolve.path_to(fp);
-            let stuck_scripts: Vec<usize> = (0..end.pos.len())
-                .filter(|&i| end.pos[i] < scenario.scripts[i].len() && !end.crashed[i])
-                .collect();
-            report.deadlocks.push(Deadlock {
-                stuck_scripts,
-                waiting: waiting_nodes(&end),
-                schedule,
-            });
-        }
-    }
-    report.elapsed_secs = start.elapsed().as_secs_f64();
-    report
-}
-
-/// Schedule reconstruction through the (possibly symmetry-quotiented) seen
-/// set: walk parent fingerprints backwards, then replay forwards, taking
-/// the recorded action when it reproduces the next canonical fingerprint
-/// and otherwise the smallest enabled action that does (guaranteed to
-/// exist by group closure — see the module docs).
-struct Resolver<'a> {
-    scenario: &'a Scenario,
-    group: &'a SymmetryGroup,
-    symmetry: bool,
-    seen: &'a Seen,
-}
-
-impl Resolver<'_> {
-    fn canon(&self, state: &State) -> Fingerprint {
-        if self.symmetry {
-            state.canonical_fingerprint(self.group)
-        } else {
-            state.fingerprint()
-        }
-    }
-
-    /// The canonical-fingerprint chain from the root to `fp`, with each
-    /// step's recorded (representative-space) action as a replay hint.
-    fn chain_to(&self, mut fp: Fingerprint) -> Vec<(Fingerprint, Option<Action>)> {
-        let mut chain = Vec::new();
+    /// One exploration worker: drain the level (stealing as needed), hand
+    /// off next-level items and findings, and let worker 0 run the level
+    /// transition.
+    fn worker(&self, w: usize) {
+        let mut my_next: Vec<Item> = Vec::new();
+        let mut my_found: Vec<Found> = Vec::new();
+        let mut last_progress = (Instant::now(), 0);
         loop {
-            let parent = self
-                .seen
-                .entry_parent(fp)
-                .expect("recorded state is in the seen set");
-            match parent {
-                Some((pfp, action)) => {
-                    chain.push((fp, Some(action)));
-                    fp = pfp;
-                }
-                None => {
-                    chain.push((fp, None));
+            while let Some(item) = self.pop(w) {
+                if self.core.halted() {
                     break;
                 }
+                self.process(item, &mut my_next, &mut my_found);
+            }
+            *self.next[w].lock().expect("next poisoned") = std::mem::take(&mut my_next);
+            *self.found[w].lock().expect("found poisoned") = std::mem::take(&mut my_found);
+            self.barrier.wait();
+            if w == 0 {
+                self.level_transition();
+                self.core.progress(&mut last_progress);
+            }
+            self.barrier.wait();
+            if self.done.load(Ordering::Relaxed) {
+                return;
             }
         }
-        chain.reverse();
-        chain
     }
 
-    /// Advance `state` by one action whose successor canonicalizes to
-    /// `target` without committing a FIFO violation; prefers `hint`.
-    fn advance(&self, state: &State, target: Fingerprint, hint: Option<Action>) -> (Action, State) {
-        let enabled = state.enabled_actions(self.scenario);
-        let candidates = hint
-            .filter(|h| enabled.contains(h))
-            .into_iter()
-            .chain(enabled.iter().copied());
-        for action in candidates {
-            let step = state.apply(self.scenario, action);
-            if step.fifo_errors.is_empty() && self.canon(&step.state) == target {
-                return (action, step.state);
-            }
+    /// `hint` (if enabled in `state`) followed by every enabled action in
+    /// order: the candidates a replay step tries.
+    fn candidates(&self, state: &State, hint: Option<Action>) -> impl Iterator<Item = Action> {
+        let enabled = state.enabled_actions(self.core.scenario);
+        let hint = hint.filter(|h| enabled.contains(h));
+        hint.into_iter().chain(enabled)
+    }
+
+    /// The concrete minimal path to the state recorded at `fp`: walk parent
+    /// links back to the root, then replay forwards, each step taking a
+    /// FIFO-clean action whose successor is keyed like the next link.
+    fn path_to(&self, mut fp: Fingerprint) -> (Schedule, State) {
+        let mut chain = Vec::new();
+        while let Some((parent, action)) = self.seen.stripe(fp)[&fp].parent {
+            chain.push((fp, action));
+            fp = parent;
         }
-        unreachable!("group closure guarantees a matching concrete action")
-    }
-
-    /// Concrete minimal path to the state recorded at canonical `fp`.
-    fn path_to(&self, fp: Fingerprint) -> (Schedule, State) {
-        let chain = self.chain_to(fp);
-        let mut state = State::initial(self.scenario);
-        let mut actions = Vec::with_capacity(chain.len() - 1);
-        for &(target, hint) in &chain[1..] {
-            let (action, next) = self.advance(&state, target, hint);
+        let scenario = self.core.scenario;
+        let mut state = State::initial(scenario);
+        let mut actions = Vec::with_capacity(chain.len());
+        for &(target, hint) in chain.iter().rev() {
+            let (action, next) = self
+                .candidates(&state, Some(hint))
+                .find_map(|action| {
+                    let step = state.apply(scenario, action);
+                    let hit = step.fifo_errors.is_empty() && self.core.key(&step.state).0 == target;
+                    hit.then_some((action, step.state))
+                })
+                .expect("group closure guarantees a matching concrete action");
             actions.push(action);
             state = next;
         }
         (Schedule(actions), state)
     }
 
-    /// Concrete path ending in a FIFO-violating transition out of the state
-    /// at canonical `base`; returns the schedule (violating action included)
-    /// and the recomputed FIFO errors.
-    fn fifo_path(&self, base: Fingerprint, hint: Action) -> (Schedule, Vec<AuditError>) {
-        let (mut schedule, state) = self.path_to(base);
-        let enabled = state.enabled_actions(self.scenario);
-        let candidates = Some(hint)
-            .filter(|h| enabled.contains(h))
-            .into_iter()
-            .chain(enabled.iter().copied());
-        for action in candidates {
-            let step = state.apply(self.scenario, action);
-            if !step.fifo_errors.is_empty() {
-                schedule.0.push(action);
-                return (schedule, step.fifo_errors);
-            }
+    /// The schedule of a finding: the path to its state, plus — for a FIFO
+    /// finding — the first candidate transition out of it that overtakes.
+    fn resolve(&self, found: Found) -> Schedule {
+        let (mut schedule, state) = self.path_to(found.fp);
+        if found.kind == Kind::Fifo {
+            let action = self
+                .candidates(&state, found.hint)
+                .find(|&a| !state.apply(self.core.scenario, a).fifo_errors.is_empty())
+                .expect("a recorded FIFO violation is reproducible from its base state");
+            schedule.0.push(action);
         }
-        unreachable!("recorded FIFO violation must be reproducible from its base state")
+        schedule
     }
+}
+
+/// Level-synchronous, work-stealing breadth-first exploration (see the
+/// module docs for the determinism argument).
+pub(crate) fn bfs(scenario: &Scenario, opts: Options) -> CheckReport {
+    let workers = opts.workers.max(1);
+    let bfs = Bfs {
+        core: Core::new(scenario, opts),
+        seen: Striped::new(),
+        deques: (0..workers).map(|_| Mutex::default()).collect(),
+        next: (0..workers).map(|_| Mutex::default()).collect(),
+        found: (0..workers).map(|_| Mutex::default()).collect(),
+        steals: AtomicU64::new(0),
+        done: AtomicBool::new(false),
+        barrier: Barrier::new(workers),
+    };
+    let state = State::initial(scenario);
+    let fp = bfs.core.key(&state).0;
+    if let Admit::New = bfs.admit(fp, None, 0) {
+        let root = Item {
+            state,
+            fp,
+            depth: 0,
+        };
+        bfs.deques[0]
+            .lock()
+            .expect("deque poisoned")
+            .push_back(root);
+        spawn(workers, |w| bfs.worker(w));
+    }
+    let mut report = bfs.core.report(Reduction::Off, |found| bfs.resolve(found));
+    report.steals = bfs.steals.load(Ordering::SeqCst);
+    report
 }

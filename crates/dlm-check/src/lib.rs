@@ -8,32 +8,40 @@
 //! reachable state and liveness (no deadlock, clean quiescence, freeze
 //! convergence) in every terminal state.
 //!
-//! The verification subsystem has three layers:
+//! The crate is laid out as model, core, drivers, corpus:
 //!
-//! * **Exploration** ([`explore_with`]): either exhaustive breadth-first
-//!   search over a 128-bit structural state fingerprint (minimal
-//!   counterexamples, exact state budgets), or a sleep-set dynamic
-//!   partial-order reduction ([`Reduction::On`], module [`dpor`]) that
-//!   exploits the commutativity of deliveries on disjoint channels. The
-//!   reduced search is trace-optimal (one execution per Mazurkiewicz
-//!   trace), touches 2–4× fewer distinct states on forwarding-heavy
-//!   topologies (growing with scale), and needs only a 16-byte
-//!   fingerprint per state where the BFS keeps full states; see
-//!   `EXPERIMENTS.md` for measurements and the honest limits. Both
-//!   drivers run on `Options::workers` work-stealing threads and, with
-//!   `Options::symmetry`, quotient the space by the scenario's node
-//!   automorphism group (module [`canon`]) — permuted clusters collapse
-//!   to one canonical representative, with counterexamples reconstructed
-//!   back into concrete minimal schedules.
+//! * **The model** ([`State`], [`Scenario`]): what a state is, which
+//!   [`Action`]s are enabled and what one does.
+//! * **The search core** (module [`search`], entry point
+//!   [`explore_with`]): everything about a run that is not search order,
+//!   once — the state key (the 128-bit structural fingerprint, or under
+//!   `Options::symmetry` its minimum over the scenario's node automorphism
+//!   group, module [`canon`], so permuted clusters collapse to one
+//!   representative), the exact state / transition / wall-clock budgets,
+//!   the state classifier, the capped findings sink that becomes the
+//!   [`CheckReport`], and the worker spawn.
+//! * **Two drivers**, each on `Options::workers` threads: exhaustive
+//!   level-synchronous breadth-first search (module [`mod@explore`]: minimal
+//!   counterexamples, reports identical at any worker count), or a
+//!   sleep-set dynamic partial-order reduction ([`Reduction::On`], module
+//!   [`dpor`]) that exploits the commutativity of deliveries on disjoint
+//!   channels. The reduced search is trace-optimal (one execution per
+//!   Mazurkiewicz trace), touches 2–4× fewer distinct states on
+//!   forwarding-heavy topologies (growing with scale), and needs only a
+//!   16-byte fingerprint per state where the BFS keeps full states — but
+//!   re-executes shared prefixes, so it is slower wherever the BFS
+//!   frontier fits; see `EXPERIMENTS.md` for measurements and the honest
+//!   limits.
 //! * **Counterexamples** (module [`counterexample`]): every violation and
 //!   deadlock carries a replayable [`Schedule`]; schedules re-execute
 //!   deterministically ([`replay`]), export as `dlm-trace` JSONL event
 //!   streams ([`schedule_trace`]) and render as per-step walkthroughs
 //!   ([`walkthrough`]).
-//! * **Scenario supply**: hand-written scenarios ([`Scenario`]) and
+//! * **The corpus** (module [`corpus`]): the named scenarios with their
+//!   expected outcomes, the serial-vs-parallel differential and the
+//!   symmetry acceptance run, shared by the tests and the `check` CLI bin;
 //!   auto-enumerated families over star/chain/binary-tree topologies with
-//!   symmetry deduplication (module [`enumerate`]), driven by the `check`
-//!   CLI bin.
+//!   symmetry deduplication come from module [`enumerate`].
 //!
 //! Checked properties: pairwise holder compatibility, single token,
 //! owned-cache coherence, copyset coverage and quiescence at terminals
@@ -45,17 +53,19 @@
 #![warn(missing_docs)]
 
 pub mod canon;
+pub mod corpus;
 pub mod counterexample;
 pub mod dpor;
 pub mod enumerate;
 pub mod explore;
 pub mod scenario;
+pub mod search;
 pub mod state;
 
 pub use canon::{permute_state, Canonicalize, SymmetryGroup};
 pub use counterexample::{replay, schedule_trace, walkthrough, Replay, Schedule};
-pub use explore::{explore, explore_with, CheckReport, Deadlock, Options, Reduction, Violation};
 pub use scenario::{Op, Scenario};
+pub use search::{explore, explore_with, CheckReport, Deadlock, Options, Reduction, Violation};
 pub use state::{Action, State, Step};
 
 #[cfg(test)]
@@ -79,35 +89,57 @@ mod tests {
         assert!(r.states > 1);
     }
 
+    /// Every gate-sized named scenario, in both searches at one worker:
+    /// the expected outcome, the exact states / transitions / terminals
+    /// (the differential oracle — a change to either search or to the core
+    /// that moves one of these numbers is a behaviour change), and
+    /// bit-identical terminal sets across the two searches. On the
+    /// forwarding-heavy chain the reduction halves the distinct states:
+    /// the reduced search is trace-optimal, and 2× is that scenario's
+    /// commutativity structure's actual yield (EXPERIMENTS.md).
     #[test]
-    fn two_competing_writers_all_interleavings() {
-        let s = Scenario::star(
-            3,
-            vec![
-                vec![],
-                vec![Op::Acquire(Mode::Write), Op::Release],
-                vec![Op::Acquire(Mode::Write), Op::Release],
-            ],
-            paper(),
-        );
-        let r = explore(&s, 2_000_000);
-        assert!(r.verified(), "{r:?}");
-        assert!(r.terminals >= 1);
-    }
-
-    #[test]
-    fn readers_and_writer_race() {
-        let s = Scenario::star(
-            3,
-            vec![
-                vec![Op::Acquire(Mode::Read), Op::Release],
-                vec![Op::Acquire(Mode::Read), Op::Release],
-                vec![Op::Acquire(Mode::Write), Op::Release],
-            ],
-            paper(),
-        );
-        let r = explore(&s, 2_000_000);
-        assert!(r.verified(), "{r:?}");
+    fn named_scenarios_meet_their_oracle() {
+        let oracle = [
+            ("two_writers", (30, 42, 2), (22, 27, 2)),
+            ("readers_writer", (206, 357, 8), (151, 391, 8)),
+            ("upgrade_race", (75, 110, 5), (54, 68, 5)),
+            ("chain_freeze", (2246, 5367, 29), (1108, 12796, 29)),
+            ("grant_release_race", (745, 1432, 22), (478, 1377, 22)),
+            ("deadlock", (23, 32, 2), (15, 16, 2)),
+            ("seeded_bug", (716, 1366, 18), (462, 1446, 18)),
+        ];
+        let gate_sized = corpus::NAMED.iter().filter(|n| !n.heavy);
+        assert!(gate_sized.map(|n| n.name).eq(oracle.map(|row| row.0)));
+        for (name, bfs, dpor) in oracle {
+            let s = corpus::scenario(name);
+            let off = explore_with(&s, Options::exhaustive(1_000_000));
+            let on = explore_with(&s, Options::reduced(1_000_000));
+            for (r, numbers) in [(&off, bfs), (&on, dpor)] {
+                let mode = r.reduction;
+                assert!(!r.truncated, "{name} [{mode}]");
+                assert_eq!(
+                    corpus::Expected::of(r),
+                    corpus::named(name).unwrap().expected,
+                    "{name} [{mode}]: {r:?}"
+                );
+                assert_eq!(
+                    (r.states, r.transitions, r.terminals),
+                    numbers,
+                    "{name} [{mode}]"
+                );
+            }
+            assert_eq!(
+                off.terminal_fingerprints, on.terminal_fingerprints,
+                "{name}: reduction must preserve the exact set of terminal states"
+            );
+        }
+        // Symmetry merges the two writers: one terminal, half the states.
+        let s = corpus::scenario("two_writers");
+        let off = explore_with(&s, Options::exhaustive(1_000_000).with_symmetry(true));
+        let on = explore_with(&s, Options::reduced(1_000_000).with_symmetry(true));
+        assert_eq!((off.states, off.transitions, off.terminals), (16, 23, 1));
+        assert_eq!((on.states, on.transitions, on.terminals), (15, 27, 1));
+        assert_eq!(off.terminal_fingerprints, on.terminal_fingerprints);
     }
 
     #[test]
@@ -123,29 +155,6 @@ mod tests {
         );
         let r = explore(&s, 2_000_000);
         assert!(r.verified(), "{r:?}");
-    }
-
-    #[test]
-    fn chain_topology_forwarding_and_freezing() {
-        // Requests from the chain tail are forwarded through intermediate
-        // nodes; the W from the middle freezes the IR holders transitively.
-        let s = Scenario::chain(
-            4,
-            vec![
-                vec![Op::Acquire(Mode::IntentRead), Op::Release],
-                vec![Op::Acquire(Mode::IntentRead), Op::Release],
-                vec![Op::Acquire(Mode::Write), Op::Release],
-                vec![Op::Acquire(Mode::IntentRead), Op::Release],
-            ],
-            paper(),
-        );
-        let r = explore(&s, 4_000_000);
-        assert!(r.verified(), "{r:?}");
-        assert!(
-            r.states > 1_000,
-            "expected a deep interleaving space, got {}",
-            r.states
-        );
     }
 
     #[test]
@@ -182,142 +191,72 @@ mod tests {
 
     /// The checker itself must be able to *detect* liveness failures: a
     /// reader that never releases leaves the writer waiting in a terminal
-    /// state, which must be reported as a deadlock.
+    /// state, which must be reported as a deadlock naming the stuck script
+    /// and the waiter — by both searches.
     #[test]
     fn checker_detects_genuine_deadlock() {
-        let s = Scenario::star(
-            3,
-            vec![
-                vec![],
-                vec![Op::Acquire(Mode::Read)], // acquired, never released
-                vec![Op::Acquire(Mode::Write), Op::Release],
-            ],
-            paper(),
-        );
-        let r = explore(&s, 1_000_000);
-        assert!(
-            !r.deadlocks.is_empty(),
-            "a never-released R must strand the W: {r:?}"
-        );
-        assert!(r.violations.is_empty(), "stranded, but never unsafe: {r:?}");
-        // Deadlock schedules replay into a state that really is stuck.
-        let d = &r.deadlocks[0];
-        let replayed = replay(&s, &d.schedule);
-        let end = replayed.final_state();
-        assert!(end.quiet(), "deadlock replay must end quiescent");
-        assert!(
-            end.nodes.iter().flatten().any(|n| n.pending().is_some()),
-            "someone must still be waiting"
-        );
-    }
-
-    #[test]
-    fn grant_release_channel_race_is_covered() {
-        // The scenario family that exposed the ack-counter bug: a node whose
-        // subtree empties while a grant from the (moved) token races its
-        // release on the opposite channel.
-        let s = Scenario::star(
-            3,
-            vec![
-                vec![Op::Acquire(Mode::IntentRead), Op::Release],
-                vec![Op::Acquire(Mode::Upgrade), Op::Upgrade, Op::Release],
-                vec![Op::Acquire(Mode::Read), Op::Release],
-            ],
-            paper(),
-        );
-        let r = explore(&s, 4_000_000);
-        assert!(r.verified(), "{r:?}");
-    }
-
-    /// Satellite: the state budget is exact — a truncated report never
-    /// counts more states than `max_states` (the seed incremented before
-    /// checking, reporting budget+1).
-    #[test]
-    fn state_budget_is_exact() {
-        let s = Scenario::star(
-            3,
-            vec![
-                vec![],
-                vec![Op::Acquire(Mode::Write), Op::Release],
-                vec![Op::Acquire(Mode::Write), Op::Release],
-            ],
-            paper(),
-        );
-        let full = explore(&s, 1_000_000);
-        assert!(full.verified());
-        // Exact budget: completes, not truncated.
-        let exact = explore(&s, full.states);
-        assert!(!exact.truncated, "{exact:?}");
-        assert_eq!(exact.states, full.states);
-        // One below: truncated, and the count equals the budget exactly.
-        for budget in [1usize, 2, full.states - 1] {
-            let r = explore(&s, budget);
-            assert!(r.truncated, "budget {budget}: {r:?}");
-            assert_eq!(r.states, budget, "budget {budget} must be exact");
-            assert!(!r.verified());
+        let s = corpus::scenario("deadlock");
+        for opts in [Options::exhaustive(1_000_000), Options::reduced(1_000_000)] {
+            let r = explore_with(&s, opts);
+            assert!(r.violations.is_empty(), "stranded, but never unsafe: {r:?}");
+            let [d] = &r.deadlocks[..] else {
+                panic!("a never-released R must strand the W, once: {r:?}");
+            };
+            assert_eq!((&d.stuck_scripts[..], &d.waiting[..]), (&[2][..], &[2][..]));
+            // Deadlock schedules replay into a state that really is stuck.
+            let replayed = replay(&s, &d.schedule);
+            let end = replayed.final_state();
+            assert!(end.quiet(), "deadlock replay must end quiescent");
+            assert!(
+                end.nodes.iter().flatten().any(|n| n.pending().is_some()),
+                "someone must still be waiting"
+            );
         }
-        // Same contract under reduction.
-        let reduced = explore_with(&s, Options::reduced(3));
-        assert!(reduced.truncated);
-        assert_eq!(reduced.states, 3);
     }
 
-    /// Tentpole: the partial-order reduction must agree with the
-    /// exhaustive search bit-for-bit on what matters — verdict and
-    /// terminal-state set — while touching measurably fewer distinct
-    /// states on the forwarding-heavy chain (the reduced search is
-    /// trace-optimal: it runs exactly one execution per Mazurkiewicz
-    /// trace, which on this scenario halves the states; see
-    /// EXPERIMENTS.md for why 2× is the commutativity structure's actual
-    /// yield here, not a tuning shortfall).
+    /// The budgets are exact and shared by both searches: a report never
+    /// counts more than `max_states` states (zero included), a run cut
+    /// short by the state budget counts exactly `max_states`, the exact
+    /// budget completes, and a zero wall-clock budget truncates at once —
+    /// at one worker and at two.
     #[test]
-    fn reduction_agrees_with_exhaustive_search_and_shrinks_the_chain() {
-        let s = Scenario::chain(
-            4,
-            vec![
-                vec![Op::Acquire(Mode::IntentRead), Op::Release],
-                vec![Op::Acquire(Mode::IntentRead), Op::Release],
-                vec![Op::Acquire(Mode::Write), Op::Release],
-                vec![Op::Acquire(Mode::IntentRead), Op::Release],
-            ],
-            paper(),
-        );
-        let off = explore_with(&s, Options::exhaustive(4_000_000));
-        let on = explore_with(&s, Options::reduced(4_000_000));
-        assert!(off.verified(), "{off:?}");
-        assert!(on.verified(), "{on:?}");
-        assert_eq!(
-            off.terminal_fingerprints, on.terminal_fingerprints,
-            "reduction must preserve the exact set of terminal states"
-        );
-        assert_eq!(off.terminals, on.terminals);
-        assert!(
-            2 * on.states <= off.states,
-            "reduction must at least halve distinct states on the chain: \
-             off={} on={}",
-            off.states,
-            on.states
-        );
+    fn budgets_are_exact_in_both_searches_at_any_worker_count() {
+        let s = corpus::scenario("two_writers");
+        for base in [Options::exhaustive(1_000_000), Options::reduced(1_000_000)] {
+            for workers in [1, 2] {
+                let base = base.with_workers(workers);
+                let label = format!("[{}] w={workers}", base.reduction);
+                let full = explore_with(&s, base);
+                assert!(full.verified(), "{label}: {full:?}");
+                for max_states in [0, 1, full.states - 1, full.states] {
+                    let r = explore_with(&s, Options { max_states, ..base });
+                    let cut = max_states < full.states;
+                    assert_eq!(r.truncated, cut, "{label} budget {max_states}: {r:?}");
+                    assert_eq!(r.states, max_states, "{label}: the budget is exact");
+                    assert_eq!(r.verified(), !cut, "{label} budget {max_states}");
+                }
+                let r = explore_with(&s, base.with_max_seconds(0.0));
+                assert!(r.truncated, "{label}: zero time budget must truncate");
+                assert!(r.states <= 1 && !r.verified(), "{label}: {r:?}");
+            }
+        }
     }
 
-    /// Tentpole acceptance: a seeded protocol bug (accepting stale
-    /// releases, gated behind a test-only config flag) must surface as a
-    /// mutual-exclusion violation with a *replayable* counterexample: the
-    /// schedule re-executes to the same errors, exports as a `dlm-trace`
-    /// JSONL stream that round-trips, and renders as a per-step
-    /// walkthrough.
+    /// A seeded protocol bug (accepting stale releases, gated behind a
+    /// test-only config flag) must surface as a mutual-exclusion violation
+    /// with a *replayable* counterexample: the schedule re-executes to the
+    /// same errors, exports as a `dlm-trace` JSONL stream that round-trips,
+    /// and renders as a per-step walkthrough.
     #[test]
     fn seeded_stale_release_bug_yields_replayable_counterexample() {
-        let scripts = vec![
-            vec![Op::Acquire(Mode::Read), Op::Release],
-            vec![Op::Acquire(Mode::IntentRead), Op::Release],
-            vec![Op::Acquire(Mode::Upgrade), Op::Upgrade, Op::Release],
-        ];
+        let s = corpus::scenario("seeded_bug");
         // Sanity: the correct protocol verifies this exact scenario.
-        let sound = Scenario::star(3, scripts.clone(), paper());
+        let sound = Scenario {
+            config: paper(),
+            ..s.clone()
+        };
         assert!(explore(&sound, 1_000_000).verified());
 
-        let s = Scenario::star(3, scripts, paper().with_seeded_stale_release_bug());
         for opts in [Options::exhaustive(1_000_000), Options::reduced(1_000_000)] {
             let mode = opts.reduction;
             let r = explore_with(&s, opts);
@@ -326,11 +265,15 @@ mod tests {
                 "{mode}: seeded bug must be caught: {r:?}"
             );
             let v = &r.violations[0];
+            assert_eq!(v.schedule.0.len(), 13, "{mode}: counterexample length");
 
             // The schedule replays deterministically to real audit errors.
             let replayed = replay(&s, &v.schedule);
             let errors = replayed.errors();
-            assert!(!errors.is_empty(), "{mode}: replay must reproduce errors");
+            assert!(
+                !v.errors.is_empty() && v.errors.iter().all(|e| errors.contains(e)),
+                "{mode}: replay must reproduce the reported errors: {errors:?}"
+            );
             assert!(
                 errors
                     .iter()

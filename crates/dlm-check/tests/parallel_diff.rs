@@ -8,19 +8,22 @@
 //!    `canon(σ(s)) == canon(s)`, relabeling commutes with the transition
 //!    function (`σ(apply(s, a)) == apply(σ(s), σ(a))`), and invariant
 //!    verdicts are permutation-invariant.
-//! 2. **Serial vs parallel differential**: at 2, 4 and 8 workers — with and
-//!    without symmetry — the BFS frontier reports the same state count, the
-//!    same verdict, the same terminal fingerprint set and the same minimal
-//!    counterexample schedule length as the single-threaded search. The
-//!    DPOR engine must agree on verdicts and terminal sets (its visited
-//!    state count legitimately varies with the fork frontier).
-//! 3. **Acceptance**: the 5-node / 2-lock symmetric scenario exceeds the
-//!    serial state budget but its canonical quotient (automorphism group of
-//!    order 4! = 24) verifies clean under parallel workers.
+//! 2. **Serial vs parallel differential** (`corpus::differential`, the
+//!    function `check gate` runs too): at 2, 4 and 8 workers — with and
+//!    without symmetry — the BFS frontier reports the same counts, the same
+//!    terminal fingerprint set and the same findings, schedules included,
+//!    as the single-threaded search. The DPOR engine must agree on verdicts
+//!    and terminal sets (its visited state count legitimately varies with
+//!    the fork frontier).
+//! 3. **Acceptance** (`corpus::acceptance`, likewise shared with the gate):
+//!    the 5-node / 2-lock symmetric scenario exceeds the serial state budget
+//!    but its canonical quotient (automorphism group of order 4! = 24)
+//!    verifies clean under parallel workers.
 
+use dlm_check::corpus::{self, ACCEPTANCE_BUDGET};
 use dlm_check::{
-    explore_with, permute_state, replay, Action, Canonicalize, Op, Options, Scenario, State,
-    SymmetryGroup,
+    explore_with, permute_state, replay, Action, Canonicalize, Op, Options, Reduction, Scenario,
+    State, SymmetryGroup,
 };
 use dlm_core::{audit, Mode, ProtocolConfig};
 use proptest::prelude::*;
@@ -185,163 +188,16 @@ proptest! {
     }
 }
 
-fn acquire_release(mode: Mode) -> Vec<Op> {
-    vec![Op::Acquire(mode), Op::Release]
-}
-
-/// The differential corpus: small scenarios covering a verified race, a
-/// multi-mode race, a liveness failure and a seeded safety violation.
-fn corpus() -> Vec<(&'static str, Scenario)> {
-    vec![
-        (
-            "two_writers",
-            Scenario::star(
-                3,
-                vec![
-                    vec![],
-                    acquire_release(Mode::Write),
-                    acquire_release(Mode::Write),
-                ],
-                ProtocolConfig::paper(),
-            ),
-        ),
-        (
-            "grant_release_race",
-            Scenario::star(
-                3,
-                vec![
-                    acquire_release(Mode::IntentRead),
-                    vec![Op::Acquire(Mode::Upgrade), Op::Upgrade, Op::Release],
-                    acquire_release(Mode::Read),
-                ],
-                ProtocolConfig::paper(),
-            ),
-        ),
-        (
-            "deadlock",
-            Scenario::star(
-                3,
-                vec![
-                    vec![],
-                    vec![Op::Acquire(Mode::Read)],
-                    acquire_release(Mode::Write),
-                ],
-                ProtocolConfig::paper(),
-            ),
-        ),
-        (
-            "seeded_bug",
-            Scenario::star(
-                3,
-                vec![
-                    acquire_release(Mode::Read),
-                    acquire_release(Mode::IntentRead),
-                    vec![Op::Acquire(Mode::Upgrade), Op::Upgrade, Op::Release],
-                ],
-                ProtocolConfig::paper().with_seeded_stale_release_bug(),
-            ),
-        ),
-    ]
-}
-
-fn schedule_len(r: &dlm_check::CheckReport) -> Option<usize> {
-    r.violations
-        .first()
-        .map(|v| v.schedule.0.len())
-        .or_else(|| r.deadlocks.first().map(|d| d.schedule.0.len()))
-}
-
-/// The parallel BFS frontier is a pure implementation change: identical
-/// state count, verdicts, terminal set and minimal schedule length at
-/// every worker count, with and without the symmetry quotient.
+/// Neither parallel frontier may change what a search reports: the BFS
+/// level frontier nothing at all, the DPOR fork frontier neither verdicts
+/// nor terminal sets.
 #[test]
-fn parallel_bfs_matches_serial_exactly() {
-    for (name, s) in corpus() {
-        for symmetry in [false, true] {
-            let base = explore_with(&s, Options::exhaustive(1_000_000).with_symmetry(symmetry));
-            assert!(!base.truncated, "{name}: serial truncated");
-            for workers in [2, 4, 8] {
-                let par = explore_with(
-                    &s,
-                    Options::exhaustive(1_000_000)
-                        .with_symmetry(symmetry)
-                        .with_workers(workers),
-                );
-                assert!(!par.truncated, "{name} w={workers}: truncated");
-                assert_eq!(
-                    par.states, base.states,
-                    "{name} sym={symmetry} w={workers}: state count"
-                );
-                assert_eq!(
-                    par.verified(),
-                    base.verified(),
-                    "{name} sym={symmetry} w={workers}: verdict"
-                );
-                assert_eq!(
-                    par.violations.len(),
-                    base.violations.len(),
-                    "{name} sym={symmetry} w={workers}: violation count"
-                );
-                assert_eq!(
-                    par.deadlocks.len(),
-                    base.deadlocks.len(),
-                    "{name} sym={symmetry} w={workers}: deadlock count"
-                );
-                assert_eq!(
-                    par.terminal_fingerprints, base.terminal_fingerprints,
-                    "{name} sym={symmetry} w={workers}: terminal sets"
-                );
-                assert_eq!(
-                    schedule_len(&par),
-                    schedule_len(&base),
-                    "{name} sym={symmetry} w={workers}: minimal schedule length"
-                );
-            }
-        }
-    }
-}
-
-/// The DPOR engine under fork-frontier parallelism must reach the same
-/// verdicts and terminal states; its *visited* count may exceed the
-/// sequential run because prefix frames use the universal persistent set.
-#[test]
-fn parallel_dpor_matches_serial_verdicts() {
-    for (name, s) in corpus() {
-        for symmetry in [false, true] {
-            let base = explore_with(&s, Options::reduced(1_000_000).with_symmetry(symmetry));
-            assert!(!base.truncated, "{name}: serial truncated");
-            for workers in [2, 4] {
-                let par = explore_with(
-                    &s,
-                    Options::reduced(1_000_000)
-                        .with_symmetry(symmetry)
-                        .with_workers(workers),
-                );
-                assert!(!par.truncated, "{name} w={workers}: truncated");
-                assert_eq!(
-                    par.verified(),
-                    base.verified(),
-                    "{name} sym={symmetry} w={workers}: verdict"
-                );
-                assert_eq!(
-                    par.violations.is_empty(),
-                    base.violations.is_empty(),
-                    "{name} sym={symmetry} w={workers}: violations"
-                );
-                assert_eq!(
-                    par.deadlocks.is_empty(),
-                    base.deadlocks.is_empty(),
-                    "{name} sym={symmetry} w={workers}: deadlocks"
-                );
-                assert_eq!(
-                    par.terminal_fingerprints, base.terminal_fingerprints,
-                    "{name} sym={symmetry} w={workers}: terminal sets"
-                );
-                assert!(
-                    par.states >= base.states,
-                    "{name} sym={symmetry} w={workers}: parallel DPOR explored fewer states"
-                );
-            }
+fn parallel_searches_match_serial() {
+    for name in corpus::DIFFERENTIAL {
+        let s = corpus::scenario(name);
+        for reduction in [Reduction::Off, Reduction::On] {
+            let diffs = corpus::differential(name, &s, reduction);
+            assert!(diffs.is_empty(), "{diffs:#?}");
         }
     }
 }
@@ -351,9 +207,9 @@ fn parallel_dpor_matches_serial_verdicts() {
 /// minimal depth the serial exhaustive search reports.
 #[test]
 fn seeded_bug_counterexample_survives_parallel_symmetry() {
-    let s = corpus().remove(3).1;
+    let s = corpus::scenario("seeded_bug");
     let serial = explore_with(&s, Options::exhaustive(1_000_000));
-    let serial_len = schedule_len(&serial).expect("serial search finds the seeded bug");
+    let serial_len = serial.violations[0].schedule.0.len();
     for (symmetry, workers) in [(false, 4), (true, 1), (true, 4), (true, 8)] {
         let r = explore_with(
             &s,
@@ -457,41 +313,15 @@ fn cross_lock_hold_and_wait_deadlock_is_detected() {
 /// 24) completes under parallel workers with every invariant passing.
 #[test]
 fn symmetric_two_lock_scenario_needs_the_quotient() {
-    let leaf = || {
-        vec![
-            Op::Acquire(Mode::Write),
-            Op::Release,
-            Op::AcquireOn(1, Mode::Write),
-            Op::ReleaseOn(1),
-        ]
-    };
-    let s = Scenario::star(
-        5,
-        vec![vec![], leaf(), leaf(), leaf(), leaf()],
-        ProtocolConfig::paper(),
-    );
+    let s = corpus::scenario("two_locks");
     assert_eq!(s.locks, 2);
     assert_eq!(SymmetryGroup::of(&s).order(), 24);
 
-    let budget = 60_000;
-    let plain = explore_with(&s, Options::exhaustive(budget));
-    assert!(
-        plain.truncated,
-        "plain search must exceed the budget (finished at {})",
-        plain.states
-    );
-
-    let sym = explore_with(
-        &s,
-        Options::exhaustive(budget)
-            .with_symmetry(true)
-            .with_workers(2),
-    );
-    assert!(!sym.truncated, "quotient must fit: {} states", sym.states);
-    assert!(sym.verified(), "all invariants must pass");
+    let (plain, sym) = corpus::acceptance().expect("acceptance run");
+    assert_eq!(plain.states, ACCEPTANCE_BUDGET, "the budget is exact");
     assert_eq!(sym.group_order, 24);
     assert!(
-        sym.states * 10 < budget,
+        sym.states * 10 < ACCEPTANCE_BUDGET,
         "quotient ({}) should be far below the budget",
         sym.states
     );
@@ -499,24 +329,10 @@ fn symmetric_two_lock_scenario_needs_the_quotient() {
     // The quotient agrees with itself across worker counts.
     let sym8 = explore_with(
         &s,
-        Options::exhaustive(budget)
+        Options::exhaustive(ACCEPTANCE_BUDGET)
             .with_symmetry(true)
             .with_workers(8),
     );
     assert_eq!(sym8.states, sym.states);
     assert_eq!(sym8.terminal_fingerprints, sym.terminal_fingerprints);
-}
-
-/// The wall-clock budget reports truncation rather than hanging: a
-/// zero-second budget stops almost immediately and marks the report.
-#[test]
-fn time_budget_truncates_cleanly() {
-    let s = corpus().remove(0).1;
-    let r = explore_with(
-        &s,
-        Options::exhaustive(1_000_000)
-            .with_workers(2)
-            .with_max_seconds(0.0),
-    );
-    assert!(r.truncated, "zero time budget must truncate");
 }

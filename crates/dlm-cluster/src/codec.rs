@@ -4,27 +4,19 @@
 //! before "transmission" and decodes it at the receiver, so the protocol's
 //! wire representation is a tested artifact rather than an afterthought.
 //!
-//! Frame layout (all integers little-endian):
-//!
-//! ```text
-//! u32  lock id
-//! u8   message tag (1=Request 2=Grant 3=Token 4=Release 5=SetFrozen 6=Recover)
-//! ...  tag-specific payload
-//! ```
-//!
-//! Queued requests serialize as `(u32 from, u8 mode, u8 upgrade, u8 priority)`.
-//!
-//! The *correlated* layout ([`encode_corr_into`] / [`decode_corr`]) inserts a
-//! request-span header between the lock id and the tag:
+//! Frame layout (all integers little-endian; [`encode_corr_into`] /
+//! [`decode_corr`]):
 //!
 //! ```text
 //! u32  lock id
 //! u64  request id  (0 = uncorrelated)
 //! u16  causal hop count of this frame
 //! u32  sender's epoch for this lock (crash recovery, DESIGN.md §17)
-//! u8   message tag
+//! u8   message tag (1=Request 2=Grant 3=Token 4=Release 5=SetFrozen 6=Recover)
 //! ...  tag-specific payload
 //! ```
+//!
+//! Queued requests serialize as `(u32 from, u8 mode, u8 upgrade, u8 priority)`.
 //!
 //! The epoch stamp lives in the frame header, not in the message body: the
 //! receiver fences a mismatched stamp *before* interpreting the payload,
@@ -32,8 +24,8 @@
 //!
 //! Correlation lives in the frame header — not in `dlm_core::Message` — so
 //! the protocol state machine, its structural fingerprints, and the model
-//! checker never see request ids. The lock id stays first in both layouts,
-//! which keeps the reliability shim's `peek_lock` valid for either.
+//! checker never see request ids. The lock id comes first, which is what
+//! the reliability shim's `peek_lock` reads.
 //!
 //! Coalesced links pack several correlated frames into one *container*
 //! frame ([`encode_container_into`] / [`decode_container_into`]):
@@ -141,33 +133,14 @@ fn get_queued(buf: &mut Bytes) -> Result<QueuedRequest, DecodeError> {
     })
 }
 
-/// Encode `(lock, message)` into a frame.
-///
-/// Convenience wrapper over [`encode_into`] that allocates a fresh scratch
-/// buffer; hot paths (the cluster runtime's per-node transmit loop) hold a
-/// long-lived scratch and call [`encode_into`] directly so every frame
-/// reuses one allocation.
-pub fn encode(lock: LockId, message: &Message) -> Bytes {
-    encode_into(lock, message, &mut BytesMut::with_capacity(32))
-}
-
-/// Encode `(lock, message)` into a frame built inside `scratch`.
-///
-/// `scratch` is cleared first and left empty (capacity retained), so a
-/// caller encoding many frames pays zero buffer growth after the largest
-/// frame seen.
-pub fn encode_into(lock: LockId, message: &Message, scratch: &mut BytesMut) -> Bytes {
-    scratch.clear();
-    let buf = scratch;
-    buf.put_u32_le(lock.0);
-    put_body(buf, message);
-    buf.take_frame()
-}
-
 /// Encode `(lock, message)` with the request-correlation header: `req` is the
 /// request id whose causal chain this frame extends (0 = uncorrelated),
 /// `hops` is the frame's causal depth (1 = the requester's own first send)
 /// and `epoch` is the sender's crash-recovery epoch for this lock.
+///
+/// `scratch` is cleared first and left empty (capacity retained), so a
+/// caller encoding many frames pays zero buffer growth after the largest
+/// frame seen.
 pub fn encode_corr_into(
     lock: LockId,
     req: u64,
@@ -250,17 +223,7 @@ fn put_body(buf: &mut BytesMut, message: &Message) {
     }
 }
 
-/// Decode a frame back into `(lock, message)`.
-pub fn decode(mut frame: Bytes) -> Result<(LockId, Message), DecodeError> {
-    if frame.remaining() < 5 {
-        return Err(DecodeError::Truncated);
-    }
-    let lock = LockId(frame.get_u32_le());
-    let message = get_body(&mut frame)?;
-    Ok((lock, message))
-}
-
-/// Decode a correlated frame back into `(lock, req, hops, epoch, message)`.
+/// Decode a frame back into `(lock, req, hops, epoch, message)`.
 pub fn decode_corr(mut frame: Bytes) -> Result<(LockId, u64, u16, u32, Message), DecodeError> {
     if frame.remaining() < 19 {
         return Err(DecodeError::Truncated);
@@ -412,10 +375,9 @@ mod tests {
     use super::*;
 
     fn round_trip(lock: LockId, msg: Message) {
-        let frame = encode(lock, &msg);
-        let (l2, m2) = decode(frame).expect("decodes");
-        assert_eq!(l2, lock);
-        assert_eq!(m2, msg);
+        let frame = encode_corr(lock, 9, 2, 1, &msg);
+        let decoded = decode_corr(frame).expect("decodes");
+        assert_eq!(decoded, (lock, 9, 2, 1, msg));
     }
 
     #[test]
@@ -478,8 +440,11 @@ mod tests {
 
     #[test]
     fn truncated_frames_error() {
-        let frame = encode(
+        let frame = encode_corr(
             LockId(0),
+            1,
+            1,
+            0,
             &Message::Release {
                 new_owned: Mode::Read,
                 ack: 5,
@@ -488,7 +453,7 @@ mod tests {
         for cut in 0..frame.len() {
             let partial = frame.slice(0..cut);
             assert!(
-                decode(partial).is_err(),
+                decode_corr(partial).is_err(),
                 "decoding a {cut}-byte prefix must fail"
             );
         }
@@ -496,16 +461,23 @@ mod tests {
 
     #[test]
     fn bad_tag_and_mode_error() {
+        let header = |buf: &mut BytesMut| {
+            buf.put_u32_le(0);
+            buf.put_u64_le(0);
+            buf.put_u16_le(1);
+            buf.put_u32_le(0);
+        };
         let mut buf = BytesMut::new();
-        buf.put_u32_le(0);
+        header(&mut buf);
         buf.put_u8(99);
-        assert_eq!(decode(buf.freeze()), Err(DecodeError::BadTag(99)));
+        buf.put_u8(0); // pad to the shortest legal frame
+        assert_eq!(decode_corr(buf.freeze()), Err(DecodeError::BadTag(99)));
 
         let mut buf = BytesMut::new();
-        buf.put_u32_le(0);
+        header(&mut buf);
         buf.put_u8(2); // Grant
         buf.put_u8(200); // invalid mode
-        assert_eq!(decode(buf.freeze()), Err(DecodeError::BadMode(200)));
+        assert_eq!(decode_corr(buf.freeze()), Err(DecodeError::BadMode(200)));
     }
 
     #[test]
@@ -518,7 +490,7 @@ mod tests {
         });
         let req = (7u64 << 32) | 42;
         let frame = encode_corr(LockId(11), req, 5, 2, &msg);
-        // Lock id stays in bytes 0..4 so `peek_lock` works on either layout.
+        // Lock id stays in bytes 0..4, where `peek_lock` reads it.
         assert_eq!(&frame.as_ref()[0..4], &11u32.to_le_bytes());
         let (lock, r, hops, epoch, m) = decode_corr(frame).expect("decodes");
         assert_eq!(lock, LockId(11));
@@ -526,22 +498,6 @@ mod tests {
         assert_eq!(hops, 5);
         assert_eq!(epoch, 2);
         assert_eq!(m, msg);
-    }
-
-    #[test]
-    fn corr_truncated_frames_error() {
-        let frame = encode_corr(LockId(0), 1, 1, 0, &Message::Grant { mode: Mode::Read });
-        assert_eq!(frame.len(), 20, "corr grant frame is 20 bytes");
-        for cut in 0..frame.len() {
-            assert!(
-                decode_corr(frame.slice(0..cut)).is_err(),
-                "decoding a {cut}-byte corr prefix must fail"
-            );
-        }
-        // A plain (uncorrelated) frame is too short for the corr layout
-        // unless its payload happens to pad it out; a 6-byte grant errors.
-        let plain = encode(LockId(0), &Message::Grant { mode: Mode::Read });
-        assert!(decode_corr(plain).is_err());
     }
 
     #[test]
@@ -603,10 +559,13 @@ mod tests {
 
     #[test]
     fn frames_are_compact() {
-        let frame = encode(LockId(0), &Message::Grant { mode: Mode::Read });
-        assert_eq!(frame.len(), 6, "grant frame is 6 bytes");
-        let frame = encode(
+        let frame = encode_corr(LockId(0), 1, 1, 0, &Message::Grant { mode: Mode::Read });
+        assert_eq!(frame.len(), 20, "grant frame is 20 bytes");
+        let frame = encode_corr(
             LockId(0),
+            1,
+            1,
+            0,
             &Message::Token {
                 mode: Mode::Write,
                 granter_owned: Mode::NoLock,
@@ -614,6 +573,6 @@ mod tests {
                 frozen: ModeSet::EMPTY,
             },
         );
-        assert_eq!(frame.len(), 10, "empty token frame is 10 bytes");
+        assert_eq!(frame.len(), 24, "empty token frame is 24 bytes");
     }
 }

@@ -70,6 +70,11 @@ pub const MAX_WIRE_FRAME: usize = 1 << 24;
 /// round trips in the tens of microseconds, long enough not to burn a core
 /// per connection when idle.
 const POLL_IDLE: Duration = Duration::from_micros(20);
+/// TCP event-loop threads; connections are sharded across them by peer id.
+const IO_THREADS: usize = 2;
+/// Per-peer write-queue budget in bytes; a sender blocks (backpressure)
+/// while a peer's queue is over budget.
+const WRITE_BUFFER: usize = 4 << 20;
 
 /// Which wire a [`SocketTransport`] speaks.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -96,15 +101,9 @@ pub struct SocketConfig {
     pub addrs: Vec<SocketAddr>,
     /// TCP or UDP.
     pub mode: SocketMode,
-    /// TCP event-loop threads; connections are sharded across them by peer
-    /// id. Clamped to at least 1.
-    pub io_threads: usize,
     /// How long to keep re-dialing a peer that is not accepting yet (peers
     /// of a multi-process cluster start in arbitrary order).
     pub connect_timeout: Duration,
-    /// Per-peer write-queue budget in bytes; a sender blocks
-    /// (backpressure) while a peer's queue is over budget.
-    pub write_buffer: usize,
 }
 
 impl SocketConfig {
@@ -114,9 +113,7 @@ impl SocketConfig {
             me,
             addrs,
             mode: SocketMode::Tcp,
-            io_threads: 2,
             connect_timeout: Duration::from_secs(15),
-            write_buffer: 4 << 20,
         }
     }
 
@@ -391,7 +388,7 @@ impl SocketTransport {
                 let listener = TcpListener::bind(config.addrs[me])?;
                 listener.set_nonblocking(true)?;
                 let queues: Vec<Arc<WriteQueue>> = (0..nodes)
-                    .map(|_| Arc::new(WriteQueue::new(config.write_buffer.max(WIRE_HEADER + 1))))
+                    .map(|_| Arc::new(WriteQueue::new(WRITE_BUFFER)))
                     .collect();
                 let streams: Vec<Mutex<Option<TcpStream>>> =
                     (0..nodes).map(|_| Mutex::new(None)).collect();
@@ -409,9 +406,8 @@ impl SocketTransport {
                     threads: Mutex::new(Vec::new()),
                 });
 
-                let io_threads = config.io_threads.max(1);
                 let (reg_txs, reg_rxs): (Vec<Sender<Conn>>, Vec<Receiver<Conn>>) =
-                    (0..io_threads).map(|_| unbounded()).unzip();
+                    (0..IO_THREADS).map(|_| unbounded()).unzip();
                 let mut joins = Vec::new();
                 for (t, reg_rx) in reg_rxs.into_iter().enumerate() {
                     let tr = Arc::clone(&transport);

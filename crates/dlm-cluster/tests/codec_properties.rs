@@ -8,10 +8,10 @@
 //! round-trip sub-frame-exact) and the shard-routing hash (deterministic,
 //! in range, and prefix-stable across power-of-two worker counts).
 
-use bytes::BytesMut;
+use bytes::{BufMut, BytesMut};
 use dlm_cluster::codec::{
-    decode, decode_container_into, decode_corr, encode, encode_container_into, encode_corr_into,
-    encode_into, is_container,
+    decode_container_into, decode_corr, encode_container_into, encode_corr, encode_corr_into,
+    is_container, DecodeError,
 };
 use dlm_cluster::shard::{effective_shards, shard_of};
 use dlm_core::{LockId, Message, Mode, ModeSet, NodeId, QueuedRequest};
@@ -80,23 +80,30 @@ fn arb_message() -> impl Strategy<Value = Message> {
     ]
 }
 
+/// A frame header: `(lock, request id, hops, epoch)`.
+fn arb_header() -> impl Strategy<Value = (u32, u64, u16, u32)> {
+    (any::<u32>(), any::<u64>(), any::<u16>(), any::<u32>())
+}
+
 proptest! {
     /// Every message round-trips through a frame built in a shared,
     /// repeatedly reused scratch buffer, and the frames stay valid after
     /// later encodes overwrite the builder.
     #[test]
     fn every_variant_round_trips_through_a_reused_buffer(
-        batch in proptest::collection::vec((any::<u32>(), arb_message()), 1..24),
+        batch in proptest::collection::vec((arb_header(), arb_message()), 1..24),
     ) {
         let mut scratch = BytesMut::with_capacity(16);
         let frames: Vec<_> = batch
             .iter()
-            .map(|(lock, msg)| encode_into(LockId(*lock), msg, &mut scratch))
+            .map(|((lock, req, hops, epoch), msg)| {
+                encode_corr_into(LockId(*lock), *req, *hops, *epoch, msg, &mut scratch)
+            })
             .collect();
-        prop_assert!(scratch.is_empty(), "encode_into leaves the scratch cleared");
-        for ((lock, msg), frame) in batch.iter().zip(frames) {
-            let (l2, m2) = decode(frame).expect("valid frame decodes");
-            prop_assert_eq!(l2, LockId(*lock));
+        prop_assert!(scratch.is_empty(), "encode_corr_into leaves the scratch cleared");
+        for ((header, msg), frame) in batch.iter().zip(frames) {
+            let (lock, req, hops, epoch, m2) = decode_corr(frame).expect("valid frame decodes");
+            prop_assert_eq!((lock.0, req, hops, epoch), *header);
             prop_assert_eq!(&m2, msg);
         }
     }
@@ -104,26 +111,53 @@ proptest! {
     /// The reused-buffer path emits byte-identical frames to the allocating
     /// convenience path.
     #[test]
-    fn encode_into_matches_encode(lock in any::<u32>(), msg in arb_message()) {
+    fn encode_corr_into_matches_encode_corr(header in arb_header(), msg in arb_message()) {
+        let (lock, req, hops, epoch) = header;
         let mut scratch = BytesMut::new();
-        let reused = encode_into(LockId(lock), &msg, &mut scratch);
-        let fresh = encode(LockId(lock), &msg);
+        let reused = encode_corr_into(LockId(lock), req, hops, epoch, &msg, &mut scratch);
+        let fresh = encode_corr(LockId(lock), req, hops, epoch, &msg);
         prop_assert_eq!(reused.as_ref(), fresh.as_ref());
     }
 
     /// No prefix of a valid frame decodes (no silent truncation), for every
     /// variant shape.
     #[test]
-    fn truncated_prefixes_never_decode(lock in any::<u32>(), msg in arb_message()) {
-        let frame = encode(LockId(lock), &msg);
+    fn truncated_prefixes_never_decode(header in arb_header(), msg in arb_message()) {
+        let (lock, req, hops, epoch) = header;
+        let frame = encode_corr(LockId(lock), req, hops, epoch, &msg);
         for cut in 0..frame.len() {
             prop_assert!(
-                decode(frame.slice(0..cut)).is_err(),
+                decode_corr(frame.slice(0..cut)).is_err(),
                 "a {}-byte prefix of a {}-byte frame must not decode",
                 cut,
                 frame.len()
             );
         }
+    }
+
+    /// Behind any header, an unknown tag byte is `BadTag` and an
+    /// out-of-range mode byte is `BadMode` — never a panic, never a message.
+    #[test]
+    fn bad_tag_and_bad_mode_are_rejected(
+        header in arb_header(),
+        tag in 7u8..=255,
+        mode in 6u8..=255,
+    ) {
+        let (lock, req, hops, epoch) = header;
+        let frame = |tag: u8, body: u8| {
+            let mut buf = BytesMut::new();
+            buf.put_u32_le(lock);
+            buf.put_u64_le(req);
+            buf.put_u16_le(hops);
+            buf.put_u32_le(epoch);
+            buf.put_u8(tag);
+            buf.put_u8(body);
+            buf.freeze()
+        };
+        prop_assert_eq!(decode_corr(frame(tag, 0)), Err(DecodeError::BadTag(tag)));
+        prop_assert_eq!(decode_corr(frame(0, 0)), Err(DecodeError::BadTag(0)));
+        // Tag 2 is Grant, whose one payload byte is a mode.
+        prop_assert_eq!(decode_corr(frame(2, mode)), Err(DecodeError::BadMode(mode)));
     }
 
     /// Arbitrary packings of correlated frames round-trip through a

@@ -25,6 +25,13 @@ if grep -rnE 'BENCH_sim|BENCH_SMOKE|-p bench|bench_history|criterion' \
   exit 1
 fi
 
+echo "==> one-key guard: the search core is the only caller of canonical_fingerprint"
+callers=$(grep -l 'canonical_fingerprint(' crates/dlm-check/src/*.rs crates/dlm-check/src/bin/*.rs | grep -v '/canon\.rs$' || true)
+if [ "$callers" != "crates/dlm-check/src/search.rs" ]; then
+  echo "canonical_fingerprint( must be called from search.rs (Core::key) and nowhere else in crates/dlm-check/src; found: ${callers:-none}" >&2
+  exit 1
+fi
+
 echo "==> bench gate self-test: scripts/bench_gate.sh --self-test"
 scripts/bench_gate.sh --self-test
 
@@ -37,21 +44,19 @@ cargo test -q
 echo "==> workspace tests: cargo test -q --workspace"
 cargo test -q --workspace
 
-echo "==> benchmark crate: cargo test --release --offline --manifest-path benchmark/Cargo.toml"
+echo "==> benchmark crate: cargo test --release --offline --locked --manifest-path benchmark/Cargo.toml"
 # benchmark/ is a workspace of its own, so `cargo test --workspace` never
 # compiles it; without this an API break in dlm-cluster would surface only
-# when the benchmark pipeline runs.
-cargo test --release --offline --manifest-path benchmark/Cargo.toml
+# when the benchmark pipeline runs. --locked: a dependency added to any crate
+# the benchmark reaches must fail here, not silently rewrite
+# benchmark/Cargo.lock.
+cargo test --release --offline --locked --manifest-path benchmark/Cargo.toml
 
 echo "==> chaos smoke: seeded lossy-link schedules (DLM_CHAOS_CASES=${DLM_CHAOS_CASES:-4})"
 DLM_CHAOS_CASES="${DLM_CHAOS_CASES:-4}" cargo test -q -p dlm-cluster --test chaos
 
 echo "==> model-check gate: check gate (serial/parallel differential + symmetry acceptance)"
 cargo run --release -q -p dlm-check --bin check -- gate
-
-echo "==> model-check parallel smoke: two_locks under --symmetry on --workers 2"
-cargo run --release -q -p dlm-check --bin check -- \
-  scenario two_locks --reduction off --symmetry on --workers 2 --stats
 
 echo "==> request-span smoke: capture + reconstruct a 4-node cluster trace"
 cargo run --release -q -p dlm-harness --bin spans -- 4
