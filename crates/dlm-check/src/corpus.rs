@@ -2,7 +2,7 @@
 //! it must produce — read by the `check` bin, the crate's tests and the
 //! `count_states` example — plus the two checks CI and the test suite share:
 //! the serial-vs-parallel [`differential`] and the symmetry [`acceptance`]
-//! run.
+//! run of the heavy scenarios.
 
 use crate::scenario::{Op, Scenario};
 use crate::search::{explore_with, CheckReport, Options, Reduction};
@@ -80,6 +80,22 @@ pub fn chain(n: usize) -> Scenario {
     Scenario::chain(n, modes[..n].iter().map(|&m| hold(m)).collect(), paper())
 }
 
+/// The symmetric W-star: a root with `n - 1` identical leaves, each
+/// write-locking `locks` lock objects in turn. Its group is the full
+/// symmetric group on the leaves, so its canonical state count grows
+/// polynomially where the plain one grows with `(n - 1)!`: `star(5, 2)` is
+/// the named `two_locks`, `star(11, 1)` the named `star_11`, the one-lock
+/// stars of 4–8 nodes are the ladder the lib tests pin, and
+/// `examples/count_states.rs` tabulates the rest.
+pub fn star(n: usize, locks: u32) -> Scenario {
+    let leaf: Vec<Op> = (0..locks)
+        .flat_map(|lock| [Op::AcquireOn(lock, Mode::Write), Op::ReleaseOn(lock)])
+        .collect();
+    let mut scripts = vec![leaf; n];
+    scripts[0].clear();
+    Scenario::star(n, scripts, paper())
+}
+
 /// Every named scenario.
 pub const NAMED: &[Named] = &[
     Named {
@@ -151,16 +167,17 @@ pub const NAMED: &[Named] = &[
         about: "5-node star, 4 symmetric leaves on two lock objects (try --symmetry on)",
         expected: Expected::Verified,
         heavy: true,
-        build: || {
-            // The full state space is far beyond the gate budget, but the
-            // automorphism group has order 4! = 24, so the canonical
-            // quotient is gate-sized.
-            let mut leaf = hold(Mode::Write);
-            leaf.extend([Op::AcquireOn(1, Mode::Write), Op::ReleaseOn(1)]);
-            let mut scripts = vec![leaf; 5];
-            scripts[0].clear();
-            Scenario::star(5, scripts, paper())
-        },
+        // The full state space is far beyond the gate budget, but the
+        // automorphism group has order 4! = 24, so the canonical quotient
+        // is gate-sized.
+        build: || star(5, 2),
+    },
+    Named {
+        name: "star_11",
+        about: "11-node star, 10 symmetric writers: group order 10! (try --symmetry on)",
+        expected: Expected::Verified,
+        heavy: true,
+        build: || star(11, 1),
     },
 ];
 
@@ -253,17 +270,17 @@ pub fn differential(name: &str, scenario: &Scenario, reduction: Reduction) -> Ve
 /// State budget of the [`acceptance`] run.
 pub const ACCEPTANCE_BUDGET: usize = 60_000;
 
-/// The symmetry acceptance run on `two_locks`: the plain serial search must
-/// overrun [`ACCEPTANCE_BUDGET`], while the canonical quotient (group order
-/// 24) must fit it and verify under two workers. Returns the two reports
-/// (plain, quotient), or what went wrong.
-pub fn acceptance() -> Result<(CheckReport, CheckReport), String> {
-    let s = scenario("two_locks");
+/// The symmetry acceptance run on the heavy named scenario `name`: the plain
+/// serial search must overrun [`ACCEPTANCE_BUDGET`], while the canonical
+/// quotient must fit it and verify under two workers. Returns the two
+/// reports (plain, quotient), or what went wrong.
+pub fn acceptance(name: &str) -> Result<(CheckReport, CheckReport), String> {
+    let s = scenario(name);
     let opts = Options::exhaustive(ACCEPTANCE_BUDGET);
     let plain = explore_with(&s, opts);
     if !plain.truncated {
         return Err(format!(
-            "two_locks: plain search finished in {} states — scenario too small to \
+            "{name}: plain search finished in {} states — scenario too small to \
              demonstrate reduction",
             plain.states
         ));
@@ -271,13 +288,13 @@ pub fn acceptance() -> Result<(CheckReport, CheckReport), String> {
     let sym = explore_with(&s, opts.with_symmetry(true).with_workers(2));
     if sym.truncated {
         return Err(format!(
-            "two_locks: symmetric search still truncated at {} states",
+            "{name}: symmetric search still truncated at {} states",
             sym.states
         ));
     }
     if !sym.verified() {
         return Err(format!(
-            "two_locks: expected verified, got {}",
+            "{name}: expected verified, got {}",
             Expected::of(&sym)
         ));
     }

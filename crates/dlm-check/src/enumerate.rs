@@ -9,12 +9,16 @@
 //!
 //! Node permutations that fix the topology (leaf swaps in a star, subtree
 //! swaps in a complete binary tree) map scenarios onto behaviourally
-//! identical ones, so only one representative per orbit is kept.
+//! identical ones, so only one representative per orbit is kept: two
+//! scenarios are the same up to such a permutation iff their roots have the
+//! same tree signature ([`crate::canon`], the signature the symmetry group
+//! of a scenario is computed from).
 
+use crate::canon::{tree_signatures, TreeSignature};
 use crate::scenario::{Op, Scenario};
 use dlm_core::ProtocolConfig;
 use dlm_modes::Mode;
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 /// Initial-tree shapes for enumerated families.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -84,7 +88,7 @@ impl Family {
             scripts_per_count.push(level);
         }
 
-        let mut seen: HashSet<String> = HashSet::new();
+        let mut seen = BTreeSet::new();
         let mut out = Vec::new();
         let mut assignment: Vec<Vec<Op>> = vec![Vec::new(); self.nodes];
         self.assign(
@@ -109,16 +113,16 @@ impl Family {
         any_used: bool,
         scripts_per_count: &[Vec<Vec<Op>>],
         assignment: &mut Vec<Vec<Op>>,
-        seen: &mut HashSet<String>,
+        seen: &mut BTreeSet<TreeSignature>,
         out: &mut Vec<Scenario>,
     ) {
         if node == self.nodes {
             if !any_used {
                 return; // the all-empty scenario is trivial
             }
-            let key = self.canonical_key(assignment);
-            if seen.insert(key) {
-                out.push(self.build(assignment.clone()));
+            let scenario = self.build(assignment.clone());
+            if seen.insert(Self::canonical_key(&scenario)) {
+                out.push(scenario);
             }
             return;
         }
@@ -147,45 +151,12 @@ impl Family {
         }
     }
 
-    /// A canonical encoding of the script assignment under the topology's
-    /// automorphism group: star leaves are interchangeable (sort their
-    /// scripts); complete-binary-tree siblings with equal subtree sizes are
-    /// interchangeable (sort their subtree encodings); a chain has no
-    /// non-trivial automorphisms.
-    fn canonical_key(&self, scripts: &[Vec<Op>]) -> String {
-        match self.topology {
-            Topology::Chain => format!("{scripts:?}"),
-            Topology::Star => {
-                let mut leaves: Vec<&Vec<Op>> = scripts[1..].iter().collect();
-                leaves.sort();
-                format!("{:?}|{leaves:?}", scripts[0])
-            }
-            Topology::BinaryTree => btree_canon(scripts, 0),
-        }
+    /// What names `scenario` up to the node permutations that fix its tree:
+    /// the tree signature of its root.
+    fn canonical_key(scenario: &Scenario) -> TreeSignature {
+        let (root, mut signatures) = tree_signatures(scenario);
+        signatures.swap_remove(root)
     }
-}
-
-/// Subtree size of node `i` in a complete binary tree over `n` nodes.
-fn btree_size(n: usize, i: usize) -> usize {
-    if i >= n {
-        return 0;
-    }
-    1 + btree_size(n, 2 * i + 1) + btree_size(n, 2 * i + 2)
-}
-
-/// Canonical encoding of the subtree rooted at `i`: equal-sized sibling
-/// subtrees (which, in a complete tree, have identical shapes) are sorted.
-fn btree_canon(scripts: &[Vec<Op>], i: usize) -> String {
-    let n = scripts.len();
-    if i >= n {
-        return String::new();
-    }
-    let (l, r) = (2 * i + 1, 2 * i + 2);
-    let mut kids = [btree_canon(scripts, l), btree_canon(scripts, r)];
-    if btree_size(n, l) == btree_size(n, r) {
-        kids.sort();
-    }
-    format!("({:?}[{}][{}])", scripts[i], kids[0], kids[1])
 }
 
 /// The script atoms over a mode alphabet.

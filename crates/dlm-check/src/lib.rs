@@ -15,8 +15,9 @@
 //! * **The search core** (module [`search`], entry point
 //!   [`explore_with`]): everything about a run that is not search order,
 //!   once — the state key (the 128-bit structural fingerprint, or under
-//!   `Options::symmetry` its minimum over the scenario's node automorphism
-//!   group, module [`canon`], so permuted clusters collapse to one
+//!   `Options::symmetry` the fingerprint of the state's canonical
+//!   relabelling — interchangeable nodes sorted by a label-free colour,
+//!   module [`canon`] — so permuted clusters collapse to one
 //!   representative), the exact state / transition / wall-clock budgets,
 //!   the state classifier, the capped findings sink that becomes the
 //!   [`CheckReport`], and the worker spawn.
@@ -62,7 +63,7 @@ pub mod scenario;
 pub mod search;
 pub mod state;
 
-pub use canon::{permute_state, Canonicalize, SymmetryGroup};
+pub use canon::{Canonicalize, SymmetryGroup};
 pub use counterexample::{replay, schedule_trace, walkthrough, Replay, Schedule};
 pub use scenario::{Op, Scenario};
 pub use search::{explore, explore_with, CheckReport, Deadlock, Options, Reduction, Violation};
@@ -140,6 +141,36 @@ mod tests {
         assert_eq!((off.states, off.transitions, off.terminals), (16, 23, 1));
         assert_eq!((on.states, on.transitions, on.terminals), (15, 27, 1));
         assert_eq!(off.terminal_fingerprints, on.terminal_fingerprints);
+    }
+
+    /// The symmetric one-lock W-star under symmetry: canonical states and
+    /// transitions of the 4–8 node ladder (each rung agrees with the
+    /// minimum over the brute-forced orbit, the definition the tests keep as
+    /// `reference_key`), and the 11-node star — group order 10!, past any
+    /// group that has to be enumerated — verified untruncated. A key coarser
+    /// than the orbits shows here as fewer states, a finer one as more.
+    #[test]
+    fn symmetric_stars_meet_their_oracle() {
+        let ladder = [
+            (4, 43, 84),
+            (5, 105, 251),
+            (6, 241, 669),
+            (7, 530, 1657),
+            (8, 1131, 3904),
+            (11, 9916, 42947),
+        ];
+        for (n, states, transitions) in ladder {
+            let opts = Options::exhaustive(1_000_000).with_symmetry(true);
+            let r = explore_with(&corpus::star(n, 1), opts);
+            assert!(r.verified(), "star {n}: {r:?}");
+            assert_eq!(r.group_order, (1..n).product::<usize>(), "star {n}");
+            assert_eq!(
+                (r.states, r.transitions, r.terminals),
+                (states, transitions, 1),
+                "star {n}"
+            );
+        }
+        assert!(corpus::named("star_11").is_some_and(|n| n.heavy));
     }
 
     #[test]

@@ -79,6 +79,14 @@ pub struct State {
     pub crashed: Vec<bool>,
 }
 
+/// A channel's `(lock, from, to)` under a relabelling, and as the state has
+/// it; ordered by the former.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) struct ChannelKey {
+    renamed: (u32, u32, u32),
+    key: (u32, u32, u32),
+}
+
 /// The result of applying one [`Action`].
 pub struct Step {
     /// The successor state.
@@ -152,6 +160,55 @@ impl State {
         }
         for &c in &self.crashed {
             h.write_u32(c as u32);
+        }
+        h.finish()
+    }
+
+    /// The [`State::fingerprint`] of this state with node `i` renamed
+    /// `perm[i]` (`inv` is the inverse permutation), computed without
+    /// building the renamed state: nodes, cursors and crash flags are read in
+    /// the order of their new labels, channels in the order of their new
+    /// endpoints (sorted in `renamed`, a buffer the caller keeps), and every
+    /// embedded identity goes through `dlm-core`'s mapped visitor.
+    pub(crate) fn fingerprint_relabelled(
+        &self,
+        perm: &[u32],
+        inv: &[u32],
+        renamed: &mut Vec<ChannelKey>,
+    ) -> Fingerprint {
+        let mut relabel = |_, id: NodeId| NodeId(perm[id.index()]);
+        let mut h = FpHasher::new();
+        h.write_usize(self.nodes.len());
+        for lock_nodes in &self.nodes {
+            h.write_usize(lock_nodes.len());
+            for &old in inv {
+                lock_nodes[old as usize].fingerprint_mapped_into(&mut h, &mut relabel);
+            }
+        }
+        h.write_usize(self.channels.len());
+        renamed.clear();
+        renamed.extend(self.channels.keys().map(|&(lock, from, to)| ChannelKey {
+            renamed: (lock, perm[from as usize], perm[to as usize]),
+            key: (lock, from, to),
+        }));
+        renamed.sort_unstable();
+        for &ChannelKey { renamed, key } in renamed.iter() {
+            let (lock, from, to) = renamed;
+            h.write_u32(lock);
+            h.write_u32(from);
+            h.write_u32(to);
+            let q = &self.channels[&key];
+            h.write_usize(q.len());
+            for (epoch, m) in q {
+                h.write_u32(*epoch);
+                m.fingerprint_mapped_into(&mut h, &mut relabel);
+            }
+        }
+        for &old in inv {
+            h.write_usize(self.pos[old as usize]);
+        }
+        for &old in inv {
+            h.write_u32(self.crashed[old as usize] as u32);
         }
         h.finish()
     }

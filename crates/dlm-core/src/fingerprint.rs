@@ -20,12 +20,24 @@
 //!   the generic 128-bit birthday risk (~2⁻⁶⁴ per pair — negligible for the
 //!   ≤10⁷-state explorations the checker runs).
 //!
+//! **Fingerprinting through a map.** The model checker's symmetry reduction
+//! needs the digest of a value *as it would read under other node labels* —
+//! either a bijective relabelling (the digest then equals
+//! `relabeled(map).fingerprint()`, without building the relabelled value) or
+//! a many-to-one map onto label-free markers (a signature that is the same
+//! for every relabelling of the value). [`Message::fingerprint_mapped_into`]
+//! and [`crate::HierNode::fingerprint_mapped_into`] are that second visitor:
+//! same exhaustive destructuring, every [`NodeId`] passed through the map
+//! together with a `site` word saying where it was mentioned, and maps keyed
+//! by node id re-sorted under the mapped keys.
+//!
 //! The hash itself is two independently-seeded multiply–rotate lanes with a
 //! murmur-style finalizer — deterministic across runs and platforms, with no
 //! dependency on `std::hash::Hasher` (whose `DefaultHasher` is explicitly
 //! not stable across releases).
 
 use crate::config::ProtocolConfig;
+use crate::flatmap::FlatMap;
 use crate::ids::NodeId;
 use crate::message::{Message, QueuedRequest};
 use core::fmt;
@@ -281,6 +293,139 @@ impl Fingerprintable for Message {
     }
 }
 
+/// Field tags of [`site`] words: where a node identity is mentioned.
+pub(crate) mod tag {
+    pub const ID: u8 = 1;
+    pub const PARENT: u8 = 2;
+    pub const PENDING: u8 = 3;
+    pub const QUEUE: u8 = 4;
+    pub const COPYSET: u8 = 5;
+    pub const FROZEN_SENT: u8 = 6;
+    pub const GRANTS_SENT: u8 = 7;
+    pub const GRANTS_RECEIVED: u8 = 8;
+    pub const REQUEST: u8 = 9;
+    pub const TOKEN_QUEUE: u8 = 10;
+    pub const RECOVER_DEAD: u8 = 11;
+    pub const RECOVER_ROOT: u8 = 12;
+    pub const RECOVER_SURVIVOR: u8 = 13;
+}
+
+/// The word a mapped fingerprint hands its map beside each [`NodeId`]: the
+/// field the id was found in (`tag`, low byte) and what tells two mentions in
+/// that field apart without naming a node — the position in an ordered queue,
+/// the entry's value in a map keyed by node id (`detail`). Equal for the same
+/// mention in any relabelling of the value.
+#[inline]
+pub(crate) fn site(tag: u8, detail: u64) -> u64 {
+    (detail << 8) | u64::from(tag)
+}
+
+/// Entries a keyed map sorts on the stack before spilling to the heap.
+const SORT_INLINE: usize = 16;
+
+/// Write a map keyed by node id as it reads under `map`: length, then the
+/// `(mapped key, value word)` pairs in ascending order. Under a bijection
+/// that is the iteration order of the relabelled map; under a many-to-one map
+/// it is a canonical order of the multiset.
+pub(crate) fn write_keyed_mapped<V: Copy + Default, const N: usize>(
+    h: &mut FpHasher,
+    entries: &FlatMap<V, N>,
+    tag: u8,
+    word: impl Fn(V) -> u64,
+    map: &mut impl FnMut(u64, NodeId) -> NodeId,
+) {
+    let len = entries.len();
+    h.write_usize(len);
+    let mut inline = [(0u32, 0u64); SORT_INLINE];
+    let mut spill = Vec::new();
+    let pairs: &mut [(u32, u64)] = if len <= SORT_INLINE {
+        &mut inline[..len]
+    } else {
+        spill.resize(len, (0, 0));
+        &mut spill
+    };
+    for (pair, (key, value)) in pairs.iter_mut().zip(entries.iter()) {
+        let word = word(value);
+        *pair = (map(site(tag, word), key).0, word);
+    }
+    pairs.sort_unstable();
+    for &(key, word) in pairs.iter() {
+        h.write_u32(key);
+        h.write_u64(word);
+    }
+}
+
+impl QueuedRequest {
+    /// [`Fingerprintable::fingerprint_into`] with the originator written as
+    /// `from`.
+    pub(crate) fn fingerprint_from_into(&self, h: &mut FpHasher, from: NodeId) {
+        let QueuedRequest {
+            from: _,
+            mode,
+            upgrade,
+            priority,
+        } = *self;
+        from.fingerprint_into(h);
+        mode.fingerprint_into(h);
+        h.write_bool(upgrade);
+        h.write_u8(priority);
+    }
+}
+
+impl Message {
+    /// Feed this message into `h` as it reads with every embedded node
+    /// identity passed through `map` (called as `map(site, id)`; see the
+    /// module docs). For a bijection the result is what
+    /// `self.relabeled(map).fingerprint_into(h)` writes.
+    pub fn fingerprint_mapped_into(
+        &self,
+        h: &mut FpHasher,
+        map: &mut impl FnMut(u64, NodeId) -> NodeId,
+    ) {
+        match self {
+            Message::Request(req) => {
+                h.write_u8(0);
+                req.fingerprint_from_into(h, map(site(tag::REQUEST, 0), req.from));
+            }
+            Message::Token {
+                mode,
+                granter_owned,
+                queue,
+                frozen,
+            } => {
+                h.write_u8(2);
+                mode.fingerprint_into(h);
+                granter_owned.fingerprint_into(h);
+                h.write_usize(queue.len());
+                for (i, q) in queue.iter().enumerate() {
+                    q.fingerprint_from_into(h, map(site(tag::TOKEN_QUEUE, i as u64), q.from));
+                }
+                frozen.fingerprint_into(h);
+            }
+            Message::Recover {
+                dead,
+                new_root,
+                epoch,
+                survivors,
+            } => {
+                h.write_u8(5);
+                map(site(tag::RECOVER_DEAD, 0), *dead).fingerprint_into(h);
+                map(site(tag::RECOVER_ROOT, 0), *new_root).fingerprint_into(h);
+                h.write_u32(*epoch);
+                h.write_usize(survivors.len());
+                for (i, s) in survivors.iter().enumerate() {
+                    map(site(tag::RECOVER_SURVIVOR, i as u64), *s).fingerprint_into(h);
+                }
+            }
+            // No node identity inside: the plain visitor already destructures
+            // these exhaustively.
+            Message::Grant { .. } | Message::Release { .. } | Message::SetFrozen { .. } => {
+                self.fingerprint_into(h)
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -317,6 +462,41 @@ mod tests {
             for b in &msgs[i + 1..] {
                 assert_ne!(a.fingerprint(), b.fingerprint(), "{a:?} vs {b:?}");
             }
+        }
+    }
+
+    #[test]
+    fn mapped_message_fingerprint_is_the_relabelled_fingerprint() {
+        let relabel = |id: NodeId| NodeId(7 - id.0);
+        let msgs = [
+            Message::Request(QueuedRequest::plain(NodeId(1), Mode::Read)),
+            Message::Grant { mode: Mode::Read },
+            Message::Token {
+                mode: Mode::Write,
+                granter_owned: Mode::Read,
+                queue: [2, 5]
+                    .map(|id| QueuedRequest::plain(NodeId(id), Mode::Write))
+                    .into(),
+                frozen: ModeSet::ALL,
+            },
+            Message::Release {
+                new_owned: Mode::NoLock,
+                ack: 2,
+            },
+            Message::SetFrozen {
+                modes: ModeSet::EMPTY,
+            },
+            Message::Recover {
+                dead: NodeId(2),
+                new_root: NodeId(0),
+                epoch: 3,
+                survivors: vec![NodeId(0), NodeId(1)],
+            },
+        ];
+        for m in &msgs {
+            let mut h = FpHasher::new();
+            m.fingerprint_mapped_into(&mut h, &mut |_, id| relabel(id));
+            assert_eq!(h.finish(), m.relabeled(relabel).fingerprint(), "{m:?}");
         }
     }
 

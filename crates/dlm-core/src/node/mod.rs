@@ -433,9 +433,72 @@ impl crate::fingerprint::Fingerprintable for HierNode {
     }
 }
 
+impl HierNode {
+    /// Feed this node into `h` as it reads with every node identity it
+    /// mentions passed through `map` (called as `map(site, id)`; see
+    /// the `fingerprint` module docs). For a bijection the result is what
+    /// `self.relabeled(map).fingerprint_into(h)` writes — the relabelled
+    /// digest without the relabelled node; for a many-to-one map onto
+    /// label-free markers it is a signature shared by every relabelling.
+    pub fn fingerprint_mapped_into(
+        &self,
+        h: &mut crate::fingerprint::FpHasher,
+        map: &mut impl FnMut(u64, NodeId) -> NodeId,
+    ) {
+        use crate::fingerprint::{site, tag, write_keyed_mapped};
+        // Exhaustive, like `fingerprint_into`: a new field is a compile
+        // error here too.
+        let HierNode {
+            id,
+            config,
+            parent,
+            has_token,
+            held,
+            owned,
+            pending,
+            copyset,
+            queue,
+            frozen,
+            frozen_sent,
+            grants_sent,
+            grants_received,
+            registered,
+            anomalies,
+            epoch,
+        } = self;
+        h.write(&map(site(tag::ID, 0), *id));
+        h.write(config);
+        h.write(&parent.map(|p| map(site(tag::PARENT, 0), p)));
+        h.write_bool(*has_token);
+        h.write(held);
+        h.write(owned);
+        match pending {
+            None => h.write_u8(0),
+            Some(req) => {
+                h.write_u8(1);
+                req.fingerprint_from_into(h, map(site(tag::PENDING, 0), req.from));
+            }
+        }
+        write_keyed_mapped(h, copyset, tag::COPYSET, |m| m.index() as u64, map);
+        h.write_usize(queue.len());
+        for (i, req) in queue.iter().enumerate() {
+            req.fingerprint_from_into(h, map(site(tag::QUEUE, i as u64), req.from));
+        }
+        h.write(frozen);
+        let bits = |set: ModeSet| u64::from(set.bits());
+        write_keyed_mapped(h, frozen_sent, tag::FROZEN_SENT, bits, map);
+        write_keyed_mapped(h, grants_sent, tag::GRANTS_SENT, |n| n, map);
+        write_keyed_mapped(h, grants_received, tag::GRANTS_RECEIVED, |n| n, map);
+        h.write_bool(*registered);
+        h.write_u64(*anomalies);
+        h.write_u32(*epoch);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fingerprint::{Fingerprint, Fingerprintable, FpHasher};
 
     fn cfg() -> ProtocolConfig {
         ProtocolConfig::paper()
@@ -489,5 +552,76 @@ mod tests {
         assert_eq!(n.copyset().get(&NodeId(1)), Some(&Mode::IntentRead));
         n.update_copyset(NodeId(1), Mode::NoLock);
         assert!(n.copyset().is_empty());
+    }
+
+    /// A node with every id-bearing field populated (the keyed maps past
+    /// their inline capacity).
+    fn busy_node() -> HierNode {
+        let mut n = HierNode::new(NodeId(2), NodeId(5), cfg());
+        n.pending = Some(QueuedRequest::plain(NodeId(2), Mode::Write));
+        for (i, id) in [4u32, 1, 6, 0, 3].into_iter().enumerate() {
+            n.copyset.insert(NodeId(id), Mode::Read);
+            n.frozen_sent
+                .insert(NodeId(id), ModeSet::from_bits(i as u8 + 1));
+            n.grants_sent.insert(NodeId(id), i as u64);
+            n.queue
+                .push_back(QueuedRequest::plain(NodeId(id), Mode::IntentRead));
+        }
+        n.grants_received.insert(NodeId(5), 3);
+        n
+    }
+
+    fn mapped(n: &HierNode, mut map: impl FnMut(u64, NodeId) -> NodeId) -> Fingerprint {
+        let mut h = FpHasher::new();
+        n.fingerprint_mapped_into(&mut h, &mut map);
+        h.finish()
+    }
+
+    #[test]
+    fn mapped_fingerprint_under_a_bijection_is_the_relabelled_fingerprint() {
+        let n = busy_node();
+        assert_eq!(mapped(&n, |_, id| id), n.fingerprint());
+        let perm = [3u32, 6, 0, 5, 2, 1, 4];
+        let relabel = |id: NodeId| NodeId(perm[id.index()]);
+        assert_eq!(
+            mapped(&n, |_, id| relabel(id)),
+            n.relabeled(relabel).fingerprint()
+        );
+    }
+
+    #[test]
+    fn mapped_fingerprint_onto_markers_is_label_free() {
+        // Self / anonymous: the signature of a node and of any relabelling
+        // of it coincide, and the sites name each mention the same way.
+        let n = busy_node();
+        let perm = [3u32, 6, 0, 5, 2, 1, 4];
+        let m = n.relabeled(|id| NodeId(perm[id.index()]));
+        let signature = |n: &HierNode| {
+            let me = n.id();
+            let mut sites = Vec::new();
+            let fp = mapped(n, |site, id| {
+                sites.push(site);
+                NodeId(u32::from(id == me))
+            });
+            sites.sort_unstable();
+            (fp, sites)
+        };
+        assert_eq!(signature(&n), signature(&m));
+        // What the markers hide, the sites keep: two anonymous requesters
+        // swap places in the queue, and each is mentioned somewhere new.
+        let mut other = n.clone();
+        other.queue.swap(0, 1);
+        let queued_at = |n: &HierNode, who: NodeId| {
+            let mut found = Vec::new();
+            mapped(n, |site, id| {
+                if id == who && site & 0xff == u64::from(crate::fingerprint::tag::QUEUE) {
+                    found.push(site >> 8);
+                }
+                id
+            });
+            found
+        };
+        assert_eq!(queued_at(&n, NodeId(4)), [0]);
+        assert_eq!(queued_at(&other, NodeId(4)), [1]);
     }
 }

@@ -32,6 +32,12 @@ if [ "$callers" != "crates/dlm-check/src/search.rs" ]; then
   exit 1
 fi
 
+echo "==> one-canonical-form guard: no enumerated group, no materialised relabelling in the checker"
+if grep -rnE 'MAX_BRUTE_NODES|permute_state\(' crates/dlm-check/src; then
+  echo "crates/dlm-check/src must not cap or enumerate the symmetry group (MAX_BRUTE_NODES) nor clone a relabelled state (permute_state): the canonical form sorts and streams; the brute-force definition lives in tests/parallel_diff.rs" >&2
+  exit 1
+fi
+
 echo "==> bench gate self-test: scripts/bench_gate.sh --self-test"
 scripts/bench_gate.sh --self-test
 
