@@ -73,7 +73,7 @@
 //! # Parallelism: fork-frontier
 //!
 //! With `Options::workers > 1` the search runs in two phases. A sequential
-//! **builder** explores the first [`FORK_DEPTH`] levels with a *universal*
+//! **builder** explores the first `FORK_DEPTH` (3) levels with a *universal*
 //! persistent set — every awake enabled transition is taken, not just the
 //! backtrack set. Universality is what makes the cut sound: any backtrack
 //! point a deeper exploration would insert into a frozen prefix frame is

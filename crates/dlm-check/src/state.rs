@@ -73,7 +73,7 @@ pub struct State {
     pub channels: BTreeMap<(u32, u32, u32), VecDeque<(u32, Message)>>,
     /// Next unexecuted op per node (scripts are per node, spanning locks).
     pub pos: Vec<usize>,
-    /// `crashed[i]` — node `i` executed its [`OpKind::Crash`] op: it takes
+    /// `crashed[i]` — node `i` executed its [`crate::Op::Crash`] op: it takes
     /// no further transitions, frames addressed to it vanish, and it is
     /// excluded from audits and deadlock detection.
     pub crashed: Vec<bool>,

@@ -37,7 +37,7 @@
 //! ```
 //!
 //! The marker occupies the lock-id slot, and `u32::MAX` is reserved — it is
-//! the transport sentinel ([`crate::transport::TRANSPORT_LOCK`]), never a
+//! the transport sentinel ([`crate::TRANSPORT_LOCK`]), never a
 //! real lock — so a receiver (and the reliability shim's `peek_lock`)
 //! distinguishes a container from a bare frame by its first four bytes
 //! alone. The container travels as one wire frame through the reliability

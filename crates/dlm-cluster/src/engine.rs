@@ -27,8 +27,8 @@
 use crate::codec;
 use crate::handle::{ClusterError, Completion, OpKind, PipeOp, Reply};
 use crate::member::Counters;
-use crate::reliable::{peek_lock, Endpoint, PeerSnapshot};
-use crate::runtime::{ClusterConfig, ScanReport};
+use crate::reliable::{peek_lock, Endpoint};
+use crate::runtime::{ClusterConfig, LinkReport, ScanReport};
 use crate::shard::{effective_shards, shard_of, FastMap, ShardGate};
 use crate::transport::TRANSPORT_LOCK;
 use bytes::{Bytes, BytesMut};
@@ -121,13 +121,6 @@ impl NodeMetrics {
     }
 }
 
-/// Per-peer coalescing counters an engine hands back at exit.
-pub(crate) struct CoalesceStat {
-    pub(crate) peer: u32,
-    pub(crate) proto_sent: u64,
-    pub(crate) wire_sent: u64,
-}
-
 /// What an engine hands back when it stops.
 pub(crate) struct NodeExit {
     /// This shard's protocol instances, keyed by lock id (only locks the
@@ -137,8 +130,9 @@ pub(crate) struct NodeExit {
     pub(crate) trace_dropped: u64,
     pub(crate) decode_errors: u64,
     pub(crate) frames_fenced: u64,
-    pub(crate) links: Vec<PeerSnapshot>,
-    pub(crate) coalesce: Vec<CoalesceStat>,
+    /// Link telemetry rows: reliability counters (when the shim runs) and
+    /// per-peer coalescing counters, unsummed.
+    pub(crate) links: Vec<LinkReport>,
 }
 
 /// A blocked application operation: its reply channel plus the request-span
@@ -267,7 +261,7 @@ impl ShardEngine {
             active: FastMap::default(),
             endpoint: config
                 .reliable
-                .map(|cfg| Endpoint::new(me, config.nodes, cfg, Arc::clone(&counters.unacked))),
+                .map(|cfg| Endpoint::new(me, config.nodes, cfg.rto, Arc::clone(&counters.unacked))),
             encode_scratch: BytesMut::with_capacity(64),
             container_scratch: BytesMut::with_capacity(256),
             effect_buf: EffectBuf::new(),
@@ -817,26 +811,27 @@ impl ShardEngine {
             }
             None => (Vec::new(), 0),
         };
-        let coalesce = self
-            .proto_sent
-            .iter()
-            .zip(&self.wire_sent)
-            .enumerate()
-            .filter(|(_, (&p, &w))| p + w > 0)
-            .map(|(peer, (&p, &w))| CoalesceStat {
-                peer: peer as u32,
-                proto_sent: p,
-                wire_sent: w,
-            })
-            .collect();
+        let mut links = Vec::new();
+        if let Some(ep) = &self.endpoint {
+            ep.link_rows(&mut links);
+        }
+        let me = self.me.0;
+        for (peer, (&proto_sent, &wire_sent)) in
+            self.proto_sent.iter().zip(&self.wire_sent).enumerate()
+        {
+            links.push(LinkReport {
+                proto_sent,
+                wire_sent,
+                ..LinkReport::new(me, peer as u32)
+            });
+        }
         NodeExit {
             locks: self.locks,
             trace,
             trace_dropped,
             decode_errors: self.decode_errors,
             frames_fenced: self.fenced,
-            links: self.endpoint.map(|ep| ep.snapshots()).unwrap_or_default(),
-            coalesce,
+            links,
         }
     }
 }

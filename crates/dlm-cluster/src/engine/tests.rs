@@ -1,6 +1,7 @@
 #[cfg(test)] // implied by `mod tests`; repeated so size tooling sees a test file
 use super::*;
-use crate::reliable::ReliableConfig;
+use crate::member::fold_links;
+use crate::reliable::{ReliableConfig, IN_PROCESS_RTO};
 use crossbeam::channel::{bounded, unbounded, Receiver};
 use dlm_core::audit;
 use std::time::Duration;
@@ -17,7 +18,9 @@ fn engines(nodes: usize, reliable: bool, base: Instant) -> (Vec<ShardEngine>, Co
     let config = ClusterConfig {
         nodes,
         locks: 2,
-        reliable: reliable.then(ReliableConfig::in_process),
+        reliable: reliable.then_some(ReliableConfig {
+            rto: IN_PROCESS_RTO,
+        }),
         ..ClusterConfig::default()
     };
     let counters = Counters::default();
@@ -233,8 +236,9 @@ fn request_ids_step_over_zero_when_the_counter_wraps() {
 /// The property deterministic whole-stack simulation builds on: with time
 /// and the link supplied from outside, a run is a pure function of its
 /// schedule. Three engines behind the reliability shim hand a Write lock
-/// 0 → 1 → 2 over a link that loses the first data frame 1 → 0.
-fn lossy_write_handoff() -> WireLog {
+/// 0 → 1 → 2 over a link that loses the first data frame 1 → 0. Returns
+/// the wire log and the engines' folded link table.
+fn lossy_write_handoff() -> (WireLog, Vec<LinkReport>) {
     let base = Instant::now();
     let mut now = base;
     let (mut es, counters) = engines(3, true, base);
@@ -247,7 +251,7 @@ fn lossy_write_handoff() -> WireLog {
     assert_eq!(log.len(), 1, "the request left once and was lost");
     // The retransmission leaves exactly when `now` reaches the deadline.
     let due = es[1].next_deadline().expect("an unacked frame");
-    assert_eq!(due, base + ReliableConfig::in_process().rto);
+    assert_eq!(due, base + IN_PROCESS_RTO);
     now = due - Duration::from_micros(1);
     settle(&mut es, base, &mut now, &mut log, &mut lose_first);
     assert_eq!(log.len(), 1, "nothing leaves before the deadline");
@@ -274,21 +278,49 @@ fn lossy_write_handoff() -> WireLog {
     settle(&mut es, base, &mut now, &mut log, &mut lose_first);
 
     assert!(counters.is_idle());
-    let states: Vec<HierNode> = es
-        .into_iter()
-        .map(|e| e.finish().locks.remove(&LockId::TABLE.0).expect("touched"))
-        .collect();
+    let mut states = Vec::new();
+    let mut rows = Vec::new();
+    for e in es {
+        let mut exit = e.finish();
+        states.push(exit.locks.remove(&LockId::TABLE.0).expect("touched"));
+        rows.extend(exit.links);
+    }
     let errors = audit(&states, &[], true);
     assert!(errors.is_empty(), "{errors:?}");
-    log
+    (log, fold_links(&rows))
 }
 
 #[test]
 fn a_schedule_replays_byte_for_byte() {
-    let first = lossy_write_handoff();
+    let (log, links) = lossy_write_handoff();
     assert!(
-        first.len() > 6,
+        log.len() > 6,
         "requests, token transfers and acks all logged"
     );
-    assert_eq!(first, lossy_write_handoff());
+    // Every data frame carried one lone protocol frame (nothing to
+    // coalesce), so `proto_sent = wire_sent = data_sent` on each link.
+    let row = |from, to, data_sent, retransmits, acks_sent| LinkReport {
+        data_sent,
+        retransmits,
+        acks_sent,
+        proto_sent: data_sent,
+        wire_sent: data_sent,
+        ..LinkReport::new(from, to)
+    };
+    assert_eq!(
+        links,
+        [
+            // The token 0 → 1, then node 2's request forwarded to node 1;
+            // node 1 acks both bare.
+            row(0, 1, 2, 0, 2),
+            // Node 1's request: the dropped first copy is one retransmit;
+            // node 0's token frame carries the ack.
+            row(1, 0, 1, 1, 0),
+            // The token 1 → 2.
+            row(1, 2, 1, 0, 1),
+            // Node 2's request to its parent, node 0.
+            row(2, 0, 1, 0, 1),
+        ]
+    );
+    assert_eq!((log, links), lossy_write_handoff());
 }

@@ -280,7 +280,7 @@ impl NodeHandle {
 const PIPELINE_CHUNK: usize = 256;
 
 /// A pipelined, single-threaded client to one node: operations are
-/// buffered per shard, shipped in batches of [`PIPELINE_CHUNK`] (one
+/// buffered per shard, shipped in batches of `PIPELINE_CHUNK` (256; one
 /// channel handoff per batch instead of two per operation), and complete
 /// asynchronously on a shared stream.
 ///

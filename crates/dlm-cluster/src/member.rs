@@ -7,11 +7,10 @@
 //! [`ShardEngine`]: it owns the input channel, the clock and the heartbeat
 //! stamp, and nothing else.
 
-use crate::engine::{CoalesceStat, Input, NodeExit, NodeMetrics, ShardEngine};
-use crate::reliable::PeerSnapshot;
+use crate::engine::{Input, NodeExit, NodeMetrics, ShardEngine};
 use crate::runtime::{ClusterConfig, LinkReport, ScanReport};
 use crate::shard::{effective_shards, ShardGate};
-use crate::transport::{LinkFaults, SocketLinkStat, Transport};
+use crate::transport::Transport;
 use crate::NodeHandle;
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
@@ -115,7 +114,8 @@ pub(crate) fn channels(slots: usize) -> (Vec<Sender<Input>>, Vec<Receiver<Input>
 impl Member {
     /// Spawn node `id`'s workers, one per `(input, rx)` pair, sending
     /// through `transport` from worker slots `id * shards + shard`.
-    /// `config.reliable` must already be resolved for the transport class.
+    /// `config.reliable`, if set, carries the retransmission floor of the
+    /// transport (set by `Cluster::new` / `Node::new`).
     pub(crate) fn spawn(
         id: u32,
         config: ClusterConfig,
@@ -228,8 +228,6 @@ impl Member {
     /// what they hand back into `out`.
     pub(crate) fn collect(self, out: &mut Collected) {
         let mut states: Vec<(u32, HierNode)> = Vec::new();
-        let mut links = Vec::new();
-        let mut coalesce = Vec::new();
         for m in &self.metrics {
             let m = m.lock().expect("metrics mutex");
             out.acquire_latency.merge(&m.acquire_latency);
@@ -247,12 +245,10 @@ impl Member {
             out.trace_dropped += exit.trace_dropped;
             out.decode_errors += exit.decode_errors;
             out.frames_fenced += exit.frames_fenced;
-            links.extend(exit.links);
-            coalesce.extend(exit.coalesce);
+            out.links.extend(exit.links);
         }
         states.sort_by_key(|(lock, _)| *lock);
         out.states.push(states);
-        out.per_member.push((self.id, links, coalesce));
     }
 }
 
@@ -292,9 +288,8 @@ pub(crate) struct Collected {
     pub(crate) decode_errors: u64,
     pub(crate) frames_fenced: u64,
     pub(crate) workers_died: u64,
-    /// The directed-link table (see [`merge_links`]).
+    /// The directed-link table (see [`fold_links`]).
     pub(crate) links: Vec<LinkReport>,
-    per_member: Vec<(u32, Vec<PeerSnapshot>, Vec<CoalesceStat>)>,
     pub(crate) acquire_latency: Histogram,
     pub(crate) acquire_hops: Histogram,
 }
@@ -337,57 +332,25 @@ pub(crate) fn shutdown(
     }
     out.traces.push(report.trace);
     out.trace = merge_records(std::mem::take(&mut out.traces));
-    out.links = merge_links(&out.per_member, &report.faults, &report.socket);
+    out.links.extend(report.links);
+    out.links = fold_links(&out.links);
     out
 }
 
-/// Combine per-member reliability snapshots and coalescing counters with
-/// the transport's fault tallies and socket wire counters into one
-/// directed-link table.
-fn merge_links(
-    members: &[(u32, Vec<PeerSnapshot>, Vec<CoalesceStat>)],
-    faults: &[LinkFaults],
-    socket: &[SocketLinkStat],
-) -> Vec<LinkReport> {
-    fn slot(map: &mut BTreeMap<(u32, u32), LinkReport>, from: u32, to: u32) -> &mut LinkReport {
-        map.entry((from, to)).or_insert_with(|| LinkReport {
-            from,
-            to,
-            ..LinkReport::default()
-        })
+/// The directed-link table: every layer's rows summed per `(from, to)`,
+/// sorted, without the all-zero rows.
+pub(crate) fn fold_links(rows: &[LinkReport]) -> Vec<LinkReport> {
+    let mut table: BTreeMap<(u32, u32), LinkReport> = BTreeMap::new();
+    for row in rows {
+        table
+            .entry((row.from, row.to))
+            .or_insert_with(|| LinkReport::new(row.from, row.to))
+            .add(row);
     }
-    let mut map: BTreeMap<(u32, u32), LinkReport> = BTreeMap::new();
-    for (node, snaps, coalesce) in members {
-        for s in snaps {
-            // `s` is `node`'s endpoint state for peer `s.peer`: the sender
-            // half describes the `node → peer` link, the receiver half (and
-            // the acks it produced) describes `peer → node`.
-            let tx = slot(&mut map, *node, s.peer);
-            tx.data_sent += s.data_sent;
-            tx.retransmits += s.retransmits;
-            let rx = slot(&mut map, s.peer, *node);
-            rx.acks_sent += s.acks_sent;
-            rx.dups_suppressed += s.dups_suppressed;
-            rx.reorders_buffered += s.reorders_buffered;
-        }
-        for c in coalesce {
-            let link = slot(&mut map, *node, c.peer);
-            link.proto_sent += c.proto_sent;
-            link.wire_sent += c.wire_sent;
-        }
-    }
-    for f in faults {
-        let link = slot(&mut map, f.from, f.to);
-        link.dropped += f.dropped;
-        link.duplicated += f.duplicated;
-        link.reordered += f.reordered;
-    }
-    for s in socket {
-        let link = slot(&mut map, s.from, s.to);
-        link.wire_bytes += s.bytes;
-        link.resets += s.resets;
-    }
-    map.into_values().collect()
+    table
+        .into_values()
+        .filter(|link| *link != LinkReport::new(link.from, link.to))
+        .collect()
 }
 
 /// The worker thread: feed `engine` from `rx` in batches, stamp its
@@ -442,4 +405,69 @@ fn drive(
         engine.end_batch(now, &mut wire);
     }
     engine.finish()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A `from → to` row with every counter given, in declaration order:
+    /// `data_sent retransmits acks_sent dups_suppressed reorders_buffered |
+    /// dropped duplicated reordered | proto_sent wire_sent | wire_bytes
+    /// resets`.
+    fn link(from: u32, to: u32, c: [u64; 12]) -> LinkReport {
+        let mut row = LinkReport::new(from, to);
+        let r = &mut row;
+        let fields = [
+            &mut r.data_sent,
+            &mut r.retransmits,
+            &mut r.acks_sent,
+            &mut r.dups_suppressed,
+            &mut r.reorders_buffered,
+            &mut r.dropped,
+            &mut r.duplicated,
+            &mut r.reordered,
+            &mut r.proto_sent,
+            &mut r.wire_sent,
+            &mut r.wire_bytes,
+            &mut r.resets,
+        ];
+        for (field, value) in fields.into_iter().zip(c) {
+            *field = value;
+        }
+        row
+    }
+
+    /// Rows for the same two links from every layer, in no particular
+    /// order, plus the all-zero rows engines and the router report for
+    /// links that carried nothing: one sorted row per link comes out,
+    /// counters summed, zero rows gone.
+    #[test]
+    fn the_fold_sums_every_layer_into_one_row_per_link() {
+        let rows = [
+            // Node 0's socket stat: bytes each way, one reset on the pair.
+            link(0, 1, [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 60, 1]),
+            link(1, 0, [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 40, 1]),
+            // Node 1's engine: reliability (sender half 1 → 0, receiver
+            // half 0 → 1), coalescing, an idle peer.
+            link(1, 0, [2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]),
+            link(0, 1, [0, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0]),
+            link(1, 0, [0, 0, 0, 0, 0, 0, 0, 0, 2, 2, 0, 0]),
+            LinkReport::new(1, 2),
+            // The fault router: one link hit, one untouched.
+            link(0, 1, [0, 0, 0, 0, 0, 1, 1, 2, 0, 0, 0, 0]),
+            LinkReport::new(2, 1),
+            // Node 0's engine, the same way round.
+            link(0, 1, [3, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]),
+            link(1, 0, [0, 0, 2, 0, 1, 0, 0, 0, 0, 0, 0, 0]),
+            link(0, 1, [0, 0, 0, 0, 0, 0, 0, 0, 5, 3, 0, 0]),
+            LinkReport::new(0, 2),
+            LinkReport::new(2, 0),
+        ];
+        let expected = [
+            link(0, 1, [3, 1, 1, 1, 0, 1, 1, 2, 5, 3, 60, 1]),
+            link(1, 0, [2, 0, 2, 0, 1, 0, 0, 0, 2, 2, 40, 1]),
+        ];
+        assert_eq!(fold_links(&rows), expected);
+    }
 }

@@ -12,10 +12,9 @@
 //! * **Reliability is always on.** Frames in wire transit are invisible to
 //!   this process's in-flight gauge (see the gauge discipline in
 //!   [`crate::socket`]), so quiescence leans on the sender's unacked
-//!   gauge — which only exists with the shim. `Node::new` therefore treats
-//!   [`ClusterConfig::reliable`]`: None` as [`crate::ReliableConfig::auto`],
-//!   and
-//!   resolves auto to the socket (WAN) RTO floor.
+//!   gauge — which only exists with the shim. `Node::new` therefore turns
+//!   the shim on whatever [`ClusterConfig::reliable`] says, with the socket
+//!   retransmission floor (2 ms; the in-process runtime uses 400 µs).
 //! * **Shutdown is local.** A `Node` can only report its own per-lock
 //!   states; the global audit needs every member's. [`NodeReport::states`]
 //!   carries them out (portably via
@@ -29,11 +28,10 @@
 
 use crate::engine::{fresh_state, Input};
 use crate::member::{self, Collected, Counters, Member};
-use crate::reliable::TransportClass;
+use crate::reliable::{ReliableConfig, SOCKET_RTO};
 use crate::runtime::{ClusterConfig, LinkReport};
 use crate::shard::effective_shards;
 use crate::socket::{SocketConfig, SocketTransport};
-use crate::transport::Transport;
 use crate::NodeHandle;
 use dlm_core::{audit, AuditError, HierNode, NodeId, ProtocolConfig};
 use dlm_metrics::Histogram;
@@ -49,8 +47,8 @@ pub struct NodeConfig {
     /// The cluster-wide parameters — node count, locks, shards, protocol,
     /// reliability, tracing, coalescing. Every member must use identical
     /// values. [`ClusterConfig::transport`] is ignored (the wire is
-    /// [`Self::socket`]); `reliable: None` means automatic (see module
-    /// docs).
+    /// [`Self::socket`]), and so is [`ClusterConfig::reliable`]: sockets
+    /// always run the reliability shim (see module docs).
     pub cluster: ClusterConfig,
     /// This member's identity and the cluster's socket addresses.
     pub socket: SocketConfig,
@@ -92,7 +90,7 @@ pub struct NodeReport {
 }
 
 /// One socket-backed cluster member: this process's shard workers plus a
-/// [`SocketTransport`] to the other members.
+/// socket transport to the other members.
 pub struct Node {
     member: Member,
     transport: Arc<SocketTransport>,
@@ -102,9 +100,9 @@ pub struct Node {
 
 impl Node {
     /// Bind this member's socket and spawn its shard workers. Peers that
-    /// are not up yet are dialed in the background (see
-    /// [`SocketConfig::connect_timeout`]); operations issued before a link
-    /// is established wait in that link's write queue.
+    /// are not up yet are dialed in the background for up to 15 s;
+    /// operations issued before a link is established wait in that link's
+    /// write queue.
     pub fn new(config: NodeConfig) -> std::io::Result<Node> {
         let mut cluster = config.cluster;
         assert!(cluster.nodes >= 1);
@@ -115,14 +113,9 @@ impl Node {
             "one socket address per node"
         );
         assert!((config.socket.me as usize) < cluster.nodes);
-        // Sockets always run the reliability shim (module docs); an auto
-        // or absent config resolves to the WAN floor here.
-        cluster.reliable = Some(
-            cluster
-                .reliable
-                .unwrap_or_default()
-                .resolved_for(TransportClass::Socket),
-        );
+        // Sockets always run the reliability shim (module docs), with the
+        // socket retransmission floor.
+        cluster.reliable = Some(ReliableConfig { rto: SOCKET_RTO });
         let me = config.socket.me;
         let shards = effective_shards(cluster.shards);
         let counters = Counters::default();
@@ -212,13 +205,13 @@ impl Node {
 
     /// Simulate this member's crash: its workers abandon their protocol
     /// state and fail waiting callers with
-    /// [`crate::ClusterError::WorkerDied`], and the wire is torn down so
-    /// peers observe the TCP connections dying *now* — their
-    /// [`Node::suspects`] detectors flag this member. Consumes the node;
-    /// a dead member reports nothing.
+    /// [`crate::ClusterError::WorkerDied`], and the wire is torn down
+    /// without a goodbye so peers observe the TCP connections dying *now*
+    /// — their [`Node::suspects`] detectors flag this member. Consumes the
+    /// node; a dead member reports nothing.
     pub fn crash(self) {
         self.member.broadcast(|| Input::Die);
-        let _ = self.transport.shutdown();
+        let _ = self.transport.stop(false);
         self.member.broadcast(|| Input::Shutdown);
         self.member.collect(&mut Collected::default());
     }
@@ -248,8 +241,9 @@ impl Node {
 
     /// Socket-path failure detector: peers whose TCP link to this member
     /// has died at least once (connection reset, EOF mid-stream, or a
-    /// write failure). A killed member process shows up here on every
-    /// survivor it was connected to.
+    /// write failure) without a goodbye. A killed member process shows up
+    /// here on every survivor it was connected to; one that shut down
+    /// cleanly does not.
     pub fn suspects(&self) -> Vec<u32> {
         self.transport
             .peer_resets()

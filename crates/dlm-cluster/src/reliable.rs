@@ -27,6 +27,7 @@
 //! the retransmission it fails to prevent — a duplicate, which the receiver
 //! suppresses).
 
+use crate::runtime::LinkReport;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use dlm_core::NodeId;
 use dlm_trace::ProtocolEvent;
@@ -35,100 +36,33 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Reliability parameters for a cluster whose transport may lose frames.
-#[derive(Debug, Clone, Copy)]
+/// Turns the reliability shim on ([`crate::ClusterConfig::reliable`]).
+///
+/// There is nothing to tune: the retransmission floor is a property of the
+/// transport, set by the runtime that picks the transport —
+/// [`crate::Cluster::new`] sets 400 µs, [`crate::Node::new`] 2 ms — and the
+/// exponential backoff is capped at 64 ms.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct ReliableConfig {
-    /// Initial retransmission timeout — the floor of the backoff schedule.
-    /// Should comfortably exceed the transport's round-trip (twice the base
-    /// delay plus scheduling noise). The default is tuned for the in-process
-    /// transports ([`Self::in_process`]); a link with real wire latency
-    /// wants [`Self::wan`] or an explicit [`Self::with_rto`].
-    pub rto: Duration,
-    /// Upper bound of the exponential backoff.
-    pub rto_cap: Duration,
+    /// Initial retransmission timeout, the floor of the backoff schedule;
+    /// zero until the runtime sets it for its transport.
+    pub(crate) rto: Duration,
 }
 
-impl Default for ReliableConfig {
-    /// The automatic config: the runtime picks the floor per transport
-    /// class at construction (see [`ReliableConfig::resolved_for`]), so
-    /// channel clusters get the in-process floor and socket clusters the
-    /// WAN floor without the caller tuning anything.
-    fn default() -> Self {
-        Self::auto()
-    }
-}
+/// Retransmission floor on the in-process transports (channel handoffs,
+/// µs round trips). The floor — not the loss rate — sets the latency of a
+/// dropped frame's repair, so on a lossy in-process link this is the
+/// difference between ~26 µs clean round trips degrading to ~1 ms (a 2 ms
+/// floor) versus a few hundred µs. Premature retransmissions cost only a
+/// duplicate, which the receive side suppresses.
+pub(crate) const IN_PROCESS_RTO: Duration = Duration::from_micros(400);
 
-/// The broad latency class of a transport, used to pick a retransmission
-/// floor automatically (see [`ReliableConfig::auto`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TransportClass {
-    /// Channel handoffs inside one process: µs round trips.
-    InProcess,
-    /// Real sockets (TCP/UDP), even on loopback: syscalls, wakeup latency
-    /// and possibly a wire on the path.
-    Socket,
-}
+/// Retransmission floor on real sockets (TCP/UDP), even on loopback:
+/// syscalls, wake-up latency and possibly a wire on the path.
+pub(crate) const SOCKET_RTO: Duration = Duration::from_millis(2);
 
-impl ReliableConfig {
-    /// Tuning for in-process transports (channel handoffs, µs round
-    /// trips): a 400 µs floor. The floor — not the loss rate — sets the
-    /// latency of a dropped frame's repair, so on a lossy in-process link
-    /// this is the difference between ~26 µs clean round trips degrading
-    /// to ~1 ms (the old 2 ms floor) versus a few hundred µs. Premature
-    /// retransmissions cost only a duplicate, which the receive side
-    /// suppresses.
-    pub fn in_process() -> Self {
-        ReliableConfig {
-            rto: Duration::from_micros(400),
-            rto_cap: Duration::from_millis(64),
-        }
-    }
-
-    /// Tuning for links with real wire latency (the previous default):
-    /// 2 ms floor, 64 ms cap.
-    pub fn wan() -> Self {
-        ReliableConfig {
-            rto: Duration::from_millis(2),
-            rto_cap: Duration::from_millis(64),
-        }
-    }
-
-    /// This config with an explicit retransmission-timeout floor.
-    pub fn with_rto(mut self, rto: Duration) -> Self {
-        self.rto = rto;
-        self
-    }
-
-    /// Defer the RTO choice to the runtime: a zero-RTO sentinel that the
-    /// cluster/node constructors resolve to [`Self::in_process`] or
-    /// [`Self::wan`] depending on the transport actually in use. Workers
-    /// never see an unresolved auto config — an [`Endpoint`] built from one
-    /// would retransmit instantly.
-    pub fn auto() -> Self {
-        ReliableConfig {
-            rto: Duration::ZERO,
-            rto_cap: Duration::from_millis(64),
-        }
-    }
-
-    /// True for the [`Self::auto`] sentinel.
-    pub fn is_auto(&self) -> bool {
-        self.rto == Duration::ZERO
-    }
-
-    /// Resolve the [`Self::auto`] sentinel against a transport class:
-    /// in-process channels get the 400 µs floor, sockets the 2 ms WAN
-    /// floor. Explicit (non-auto) configs pass through untouched.
-    pub fn resolved_for(self, class: TransportClass) -> Self {
-        if !self.is_auto() {
-            return self;
-        }
-        match class {
-            TransportClass::InProcess => Self::in_process(),
-            TransportClass::Socket => Self::wan(),
-        }
-    }
-}
+/// Upper bound of the exponential backoff.
+const RTO_CAP: Duration = Duration::from_millis(64);
 
 const KIND_DATA: u8 = 1;
 const KIND_ACK: u8 = 2;
@@ -173,22 +107,12 @@ struct Peer {
     dead: bool,
 }
 
-/// Per-peer reliability counters, reported at node exit.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct PeerSnapshot {
-    pub peer: u32,
-    pub data_sent: u64,
-    pub retransmits: u64,
-    pub acks_sent: u64,
-    pub dups_suppressed: u64,
-    pub reorders_buffered: u64,
-}
-
 /// One node's reliability endpoint: the send/receive state for every peer
 /// link, owned by the node thread.
 pub(crate) struct Endpoint {
     me: NodeId,
-    config: ReliableConfig,
+    /// Retransmission floor ([`ReliableConfig`]).
+    rto: Duration,
     peers: Vec<Peer>,
     /// Cluster-wide gauge of data sequences sent but not yet cumulatively
     /// acked; `quiesce` refuses to declare quiescence while it is non-zero.
@@ -200,16 +124,16 @@ impl Endpoint {
     pub(crate) fn new(
         me: NodeId,
         nodes: usize,
-        config: ReliableConfig,
+        rto: Duration,
         unacked_gauge: Arc<AtomicU64>,
     ) -> Self {
         debug_assert!(
-            !config.is_auto(),
-            "ReliableConfig::auto must be resolved before an Endpoint is built"
+            rto > Duration::ZERO,
+            "the runtime sets the retransmission floor for its transport"
         );
         Endpoint {
             me,
-            config,
+            rto,
             peers: (0..nodes).map(|_| Peer::default()).collect(),
             unacked_gauge,
             scratch: BytesMut::with_capacity(64),
@@ -235,7 +159,6 @@ impl Endpoint {
         payload: Bytes,
         now: Instant,
     ) -> Bytes {
-        let rto = self.config.rto;
         let peer = &mut self.peers[to.index()];
         let seq = peer.next_seq;
         peer.next_seq += 1;
@@ -252,7 +175,7 @@ impl Endpoint {
                 seq,
                 lock,
                 payload,
-                due: now + rto,
+                due: now + self.rto,
                 attempts: 0,
             });
             self.unacked_gauge.fetch_add(1, Ordering::Relaxed);
@@ -382,7 +305,6 @@ impl Endpoint {
         send: &mut impl FnMut(NodeId, Bytes),
         emit: &mut impl FnMut(u32, ProtocolEvent),
     ) {
-        let (rto, cap) = (self.config.rto, self.config.rto_cap);
         for (i, peer) in self.peers.iter_mut().enumerate() {
             let recv_next = peer.recv_next;
             for u in peer.unacked.iter_mut() {
@@ -390,9 +312,10 @@ impl Endpoint {
                     continue;
                 }
                 u.attempts += 1;
-                let backoff = rto
+                let backoff = self
+                    .rto
                     .saturating_mul(1u32 << u.attempts.min(16))
-                    .min(cap.max(rto));
+                    .min(RTO_CAP);
                 u.due = now + backoff;
                 peer.retransmits += 1;
                 // A retransmitted data frame is as good an ack carrier as a
@@ -412,38 +335,37 @@ impl Endpoint {
         }
     }
 
-    /// Per-peer counters for links with any activity.
-    pub(crate) fn snapshots(&self) -> Vec<PeerSnapshot> {
-        self.peers
-            .iter()
-            .enumerate()
-            .filter(|(i, p)| {
-                *i != self.me.index()
-                    && (p.data_sent
-                        + p.retransmits
-                        + p.acks_sent
-                        + p.dups_suppressed
-                        + p.reorders_buffered)
-                        > 0
-            })
-            .map(|(i, p)| PeerSnapshot {
-                peer: i as u32,
+    /// This endpoint's link telemetry: per peer, the sender half as the
+    /// `me → peer` row and the receiver half (with the acks it produced) as
+    /// the `peer → me` row.
+    pub(crate) fn link_rows(&self, rows: &mut Vec<LinkReport>) {
+        let me = self.me.0;
+        for (i, p) in self.peers.iter().enumerate() {
+            let peer = i as u32;
+            if peer == me {
+                continue;
+            }
+            rows.push(LinkReport {
                 data_sent: p.data_sent,
                 retransmits: p.retransmits,
+                ..LinkReport::new(me, peer)
+            });
+            rows.push(LinkReport {
                 acks_sent: p.acks_sent,
                 dups_suppressed: p.dups_suppressed,
                 reorders_buffered: p.reorders_buffered,
-            })
-            .collect()
+                ..LinkReport::new(peer, me)
+            });
+        }
     }
 }
 
 /// The lock id of the wrapped protocol frame (its first four bytes), for
-/// trace stamping; [`crate::transport::TRANSPORT_LOCK`] if too short.
+/// trace stamping; [`crate::TRANSPORT_LOCK`] if too short.
 pub(crate) fn peek_lock(payload: &Bytes) -> u32 {
     match payload.as_ref().get(0..4) {
         Some(b) => u32::from_le_bytes([b[0], b[1], b[2], b[3]]),
-        None => crate::transport::TRANSPORT_LOCK,
+        None => crate::TRANSPORT_LOCK,
     }
 }
 
@@ -452,34 +374,7 @@ mod tests {
     use super::*;
 
     fn endpoint(me: u32) -> Endpoint {
-        Endpoint::new(
-            NodeId(me),
-            3,
-            ReliableConfig::in_process(),
-            Arc::new(AtomicU64::new(0)),
-        )
-    }
-
-    #[test]
-    fn auto_config_resolves_per_transport_class() {
-        let auto = ReliableConfig::default();
-        assert!(auto.is_auto(), "the default defers to the transport class");
-        assert_eq!(
-            auto.resolved_for(TransportClass::InProcess).rto,
-            ReliableConfig::in_process().rto,
-            "channel transports get the in-process floor"
-        );
-        assert_eq!(
-            auto.resolved_for(TransportClass::Socket).rto,
-            ReliableConfig::wan().rto,
-            "socket transports get the WAN floor"
-        );
-        // Explicit configs pass through untouched.
-        let explicit = ReliableConfig::wan().with_rto(Duration::from_millis(7));
-        assert_eq!(
-            explicit.resolved_for(TransportClass::InProcess).rto,
-            Duration::from_millis(7)
-        );
+        Endpoint::new(NodeId(me), 3, IN_PROCESS_RTO, Arc::new(AtomicU64::new(0)))
     }
 
     fn collect_delivered(
@@ -541,7 +436,10 @@ mod tests {
             collect_delivered(&mut rx, 0, frames[1].clone()).unwrap(),
             vec![p[1].clone(), p[2].clone()]
         );
-        assert_eq!(rx.snapshots()[0].reorders_buffered, 1);
+        let mut rows = Vec::new();
+        rx.link_rows(&mut rows);
+        let from_0 = rows.iter().find(|r| (r.from, r.to) == (0, 1));
+        assert_eq!(from_0.map(|r| r.reorders_buffered), Some(1));
     }
 
     #[test]

@@ -34,7 +34,7 @@ use crate::engine::Input;
 use crate::handle::NodeHandle;
 use crate::member::{self, Counters, Member};
 use crate::node::audit_surviving_states;
-use crate::reliable::{ReliableConfig, TransportClass};
+use crate::reliable::{ReliableConfig, IN_PROCESS_RTO};
 use crate::shard::effective_shards;
 use crate::transport::{Direct, Faulty, Transport, TransportKind};
 use dlm_core::{AuditError, NodeId, ProtocolConfig};
@@ -93,10 +93,11 @@ impl Default for ClusterConfig {
     }
 }
 
-/// Per-directed-link telemetry merged from the reliability endpoints, the
-/// coalescing counters, and the transport's fault tallies at shutdown.
-/// Reliability and fault counters are zero unless the corresponding
-/// machinery was configured ([`ClusterConfig::reliable`],
+/// Per-directed-link telemetry: the one table every layer reports into.
+/// Shard engines write the reliability and coalescing counters, the fault
+/// router and the socket transport write theirs, and shutdown sums the rows
+/// per `(from, to)`. Reliability and fault counters are zero unless the
+/// corresponding machinery was configured ([`ClusterConfig::reliable`],
 /// [`TransportKind::Faulty`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LinkReport {
@@ -132,7 +133,52 @@ pub struct LinkReport {
     pub wire_bytes: u64,
     /// Socket connection losses observed on this link (peer reset, EOF
     /// mid-stream, or a write failure); the node keeps serving after each.
+    /// A peer that shut down cleanly says goodbye first and is not counted.
     pub resets: u64,
+}
+
+impl LinkReport {
+    /// An all-zero row for the directed link `from → to`.
+    pub(crate) fn new(from: u32, to: u32) -> Self {
+        LinkReport {
+            from,
+            to,
+            ..LinkReport::default()
+        }
+    }
+
+    /// Add `other`'s counters to this row (the link ids are left alone).
+    pub(crate) fn add(&mut self, other: &LinkReport) {
+        // Destructured so a new counter cannot be left out of the sum.
+        let LinkReport {
+            from: _,
+            to: _,
+            data_sent,
+            retransmits,
+            acks_sent,
+            dups_suppressed,
+            reorders_buffered,
+            dropped,
+            duplicated,
+            reordered,
+            proto_sent,
+            wire_sent,
+            wire_bytes,
+            resets,
+        } = *other;
+        self.data_sent += data_sent;
+        self.retransmits += retransmits;
+        self.acks_sent += acks_sent;
+        self.dups_suppressed += dups_suppressed;
+        self.reorders_buffered += reorders_buffered;
+        self.dropped += dropped;
+        self.duplicated += duplicated;
+        self.reordered += reordered;
+        self.proto_sent += proto_sent;
+        self.wire_sent += wire_sent;
+        self.wire_bytes += wire_bytes;
+        self.resets += resets;
+    }
 }
 
 /// Final report of a shut-down cluster.
@@ -149,7 +195,7 @@ pub struct ClusterReport {
     /// empty when [`ClusterConfig::trace_capacity`] is 0). Ordered by
     /// `(at, node)` with a fresh global sequence. Transport and reliability
     /// events that no lock can claim carry the sentinel lock id
-    /// [`crate::transport::TRANSPORT_LOCK`].
+    /// [`crate::TRANSPORT_LOCK`].
     pub trace: Vec<TraceRecord>,
     /// Events evicted from the per-worker flight recorders before shutdown
     /// (0 means [`Self::trace`] is complete).
@@ -173,8 +219,8 @@ pub struct ClusterReport {
     /// the audit) rather than propagating the panic; the live-cluster
     /// analogue is [`crate::ClusterError::WorkerDied`].
     pub workers_died: u64,
-    /// Per-link reliability/coalescing/fault counters, sorted by
-    /// `(from, to)`; empty when no link carried anything to report.
+    /// Per-link reliability/coalescing/fault counters, one row per link
+    /// with a non-zero counter, sorted by `(from, to)`.
     pub links: Vec<LinkReport>,
     /// Wall-clock latency (µs) of every completed application acquire and
     /// upgrade, merged across nodes: issue at the worker thread → grant
@@ -206,12 +252,12 @@ impl Cluster {
     pub fn new(mut config: ClusterConfig) -> Self {
         assert!(config.nodes >= 1);
         assert!(config.locks >= 1);
-        // Every in-process transport is a channel handoff; an auto reliable
-        // config resolves to the in-process RTO floor here (sockets resolve
-        // to the WAN floor in `Node::new`).
-        config.reliable = config
-            .reliable
-            .map(|cfg| cfg.resolved_for(TransportClass::InProcess));
+        // Every in-process transport is a channel handoff: the shim gets the
+        // in-process retransmission floor (sockets get theirs in
+        // `Node::new`).
+        config.reliable = config.reliable.map(|_| ReliableConfig {
+            rto: IN_PROCESS_RTO,
+        });
         let shards = effective_shards(config.shards);
         let counters = Counters::default();
         // One epoch shared by every worker thread, so wall-clock trace

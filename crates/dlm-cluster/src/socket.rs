@@ -22,7 +22,7 @@
 //! * **UDP** — one datagram per wire frame, with optional seeded
 //!   sender-side loss so the reliability shim ([`crate::ReliableConfig`])
 //!   can be exercised against genuinely lost datagrams. Dropped datagrams
-//!   are tallied as [`LinkFaults`].
+//!   are counted in [`LinkReport::dropped`].
 //!
 //! ## Wire format
 //!
@@ -42,12 +42,12 @@
 //! destinations keep the in-process rule), and the receiving process
 //! raises its own gauge before enqueuing the frame. A data frame in wire
 //! transit is still covered by the *sender's* unacked gauge — which is why
-//! socket clusters always run the reliability shim (see
-//! [`crate::Node`](crate::Node)): quiescence stays sound without a shared
-//! gauge.
+//! socket clusters always run the reliability shim (see [`crate::Node`]):
+//! quiescence stays sound without a shared gauge.
 
 use crate::engine::Input;
-use crate::transport::{LinkFaults, SocketLinkStat, SplitMix64, Transport, TransportReport};
+use crate::runtime::LinkReport;
+use crate::transport::{SplitMix64, Transport, TransportReport};
 use bytes::{BufMut, Bytes, BytesMut};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use dlm_core::NodeId;
@@ -65,7 +65,7 @@ const DGRAM_HEADER: usize = 8;
 /// Sanity cap on a single wire frame's payload. A worker's largest frame is
 /// a container of one drain batch (~256 small frames), far below this; a
 /// length beyond the cap means a corrupt or hostile stream.
-pub const MAX_WIRE_FRAME: usize = 1 << 24;
+const MAX_WIRE_FRAME: usize = 1 << 24;
 /// Idle sleep of the readiness poll loops: short enough to keep loopback
 /// round trips in the tens of microseconds, long enough not to burn a core
 /// per connection when idle.
@@ -75,8 +75,15 @@ const IO_THREADS: usize = 2;
 /// Per-peer write-queue budget in bytes; a sender blocks (backpressure)
 /// while a peer's queue is over budget.
 const WRITE_BUFFER: usize = 4 << 20;
+/// How long to keep re-dialing a peer that is not accepting yet (peers of a
+/// multi-process cluster start in arbitrary order).
+const CONNECT_TIMEOUT: Duration = Duration::from_secs(15);
+/// `to_slot` of the goodbye: a zero-length TCP frame a cleanly shutting-down
+/// member writes last on each connection, so the peer closes the link on
+/// the EOF that follows without counting a reset.
+const GOODBYE: u32 = u32::MAX;
 
-/// Which wire a [`SocketTransport`] speaks.
+/// Which wire a [`crate::Node`] speaks.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SocketMode {
     /// Length-prefixed frames over per-pair TCP connections.
@@ -92,7 +99,7 @@ pub enum SocketMode {
     },
 }
 
-/// Addresses and tuning for one cluster member's socket transport.
+/// Addresses and wire of one cluster member's socket transport.
 #[derive(Debug, Clone)]
 pub struct SocketConfig {
     /// This process's node id (index into [`Self::addrs`]).
@@ -101,23 +108,19 @@ pub struct SocketConfig {
     pub addrs: Vec<SocketAddr>,
     /// TCP or UDP.
     pub mode: SocketMode,
-    /// How long to keep re-dialing a peer that is not accepting yet (peers
-    /// of a multi-process cluster start in arbitrary order).
-    pub connect_timeout: Duration,
 }
 
 impl SocketConfig {
-    /// A TCP config with default tuning.
+    /// A TCP config.
     pub fn tcp(me: u32, addrs: Vec<SocketAddr>) -> Self {
         SocketConfig {
             me,
             addrs,
             mode: SocketMode::Tcp,
-            connect_timeout: Duration::from_secs(15),
         }
     }
 
-    /// A UDP config with default tuning and the given loss injection.
+    /// A UDP config with the given loss injection.
     pub fn udp(me: u32, addrs: Vec<SocketAddr>, loss: f64, seed: u64) -> Self {
         SocketConfig {
             mode: SocketMode::Udp { loss, seed },
@@ -310,9 +313,7 @@ impl WriteQueue {
 /// Per-peer wire counters (all updated with relaxed atomics).
 #[derive(Default)]
 struct PeerStat {
-    frames_sent: AtomicU64,
     bytes_sent: AtomicU64,
-    frames_recv: AtomicU64,
     bytes_recv: AtomicU64,
     resets: AtomicU64,
     udp_dropped: AtomicU64,
@@ -325,6 +326,11 @@ struct Conn {
     rbuf: WireBuf,
     wbuf: Vec<u8>,
     alive: bool,
+    /// Our goodbye is queued on this connection.
+    said_goodbye: bool,
+    /// The peer said goodbye: it is shutting down cleanly, and the
+    /// connection's end is not a fault.
+    peer_left: bool,
 }
 
 enum Wire {
@@ -345,9 +351,9 @@ enum Wire {
 }
 
 /// The real-socket [`Transport`]: one instance per cluster member process.
-/// Built by [`crate::Node`](crate::Node); see the module docs for the wire
-/// format and threading model.
-pub struct SocketTransport {
+/// Built by [`crate::Node`]; see the module docs for the wire format and
+/// threading model.
+pub(crate) struct SocketTransport {
     me: usize,
     nodes: usize,
     shards: usize,
@@ -361,15 +367,18 @@ pub struct SocketTransport {
     /// [`TransportReport::wire_decode_errors`].
     decode_errors: AtomicU64,
     wire: Wire,
-    shutting_down: Arc<AtomicBool>,
+    shutting_down: AtomicBool,
+    /// Set with `shutting_down` by a clean shutdown: the final flush ends
+    /// each TCP connection with a goodbye.
+    goodbye: AtomicBool,
     threads: Mutex<Vec<JoinHandle<()>>>,
 }
 
 impl SocketTransport {
     /// Bind `addrs[me]` and start the wire threads. For TCP this dials
-    /// every lower-id peer (retrying until [`SocketConfig::connect_timeout`])
-    /// and accepts every higher-id peer; frames queued for a peer before
-    /// its connection is up simply wait in its write queue.
+    /// every lower-id peer (retrying until [`CONNECT_TIMEOUT`]) and accepts
+    /// every higher-id peer; frames queued for a peer before its connection
+    /// is up simply wait in its write queue.
     pub(crate) fn bind(
         config: SocketConfig,
         local: Vec<Sender<Input>>,
@@ -381,7 +390,6 @@ impl SocketTransport {
         assert!(me < nodes, "node id out of range");
         assert_eq!(local.len(), shards, "one input channel per shard");
         let stats: Vec<PeerStat> = (0..nodes).map(|_| PeerStat::default()).collect();
-        let shutting_down = Arc::new(AtomicBool::new(false));
 
         match config.mode {
             SocketMode::Tcp => {
@@ -396,13 +404,14 @@ impl SocketTransport {
                     me,
                     nodes,
                     shards,
-                    addrs: config.addrs.clone(),
+                    addrs: config.addrs,
                     local,
                     in_flight,
                     stats,
                     decode_errors: AtomicU64::new(0),
                     wire: Wire::Tcp { queues, streams },
-                    shutting_down,
+                    shutting_down: AtomicBool::new(false),
+                    goodbye: AtomicBool::new(false),
                     threads: Mutex::new(Vec::new()),
                 });
 
@@ -420,11 +429,10 @@ impl SocketTransport {
                 }
                 {
                     let tr = Arc::clone(&transport);
-                    let timeout = config.connect_timeout;
                     joins.push(
                         std::thread::Builder::new()
                             .name(format!("dlm-sock-conn-{me}"))
-                            .spawn(move || tr.establish(listener, reg_txs, timeout))
+                            .spawn(move || tr.establish(listener, reg_txs))
                             .expect("spawn socket connect thread"),
                     );
                 }
@@ -449,7 +457,8 @@ impl SocketTransport {
                         loss,
                         rng: Mutex::new(SplitMix64::new(seed)),
                     },
-                    shutting_down,
+                    shutting_down: AtomicBool::new(false),
+                    goodbye: AtomicBool::new(false),
                     threads: Mutex::new(Vec::new()),
                 });
                 let tr = Arc::clone(&transport);
@@ -488,13 +497,8 @@ impl SocketTransport {
     /// Connection-establishment thread: dial lower-id peers, accept
     /// higher-id peers, register each finished connection with its event
     /// loop, then exit.
-    fn establish(
-        self: Arc<Self>,
-        listener: TcpListener,
-        reg_txs: Vec<Sender<Conn>>,
-        timeout: Duration,
-    ) {
-        let deadline = Instant::now() + timeout;
+    fn establish(self: Arc<Self>, listener: TcpListener, reg_txs: Vec<Sender<Conn>>) {
+        let deadline = Instant::now() + CONNECT_TIMEOUT;
         let mut to_dial: Vec<usize> = (0..self.me).collect();
         let mut to_accept = self.nodes - self.me - 1;
         while (!to_dial.is_empty() || to_accept > 0)
@@ -572,6 +576,8 @@ impl SocketTransport {
             rbuf: WireBuf::new(),
             wbuf: Vec::new(),
             alive: true,
+            said_goodbye: false,
+            peer_left: false,
         };
         let _ = reg_txs[peer % reg_txs.len()].send(conn);
     }
@@ -586,15 +592,17 @@ impl SocketTransport {
             .collect()
     }
 
-    /// Mark a connection dead: bump the pair's reset counters and close its
-    /// write queue so senders drop instead of blocking on a peer that is
-    /// gone. The node itself keeps serving.
+    /// Mark a connection dead: bump the pair's reset counter unless the
+    /// peer said goodbye, and close its write queue so senders drop instead
+    /// of blocking on a peer that is gone. The node itself keeps serving.
     fn kill_conn(&self, conn: &mut Conn) {
         if !conn.alive {
             return;
         }
         conn.alive = false;
-        self.stats[conn.peer].resets.fetch_add(1, Ordering::Relaxed);
+        if !conn.peer_left {
+            self.stats[conn.peer].resets.fetch_add(1, Ordering::Relaxed);
+        }
         if let Wire::Tcp { queues, streams } = &self.wire {
             queues[conn.peer].close();
             *streams[conn.peer].lock().expect("stream slot lock") = None;
@@ -616,7 +624,8 @@ impl SocketTransport {
                 conns.push(conn);
                 progress = true;
             }
-            let draining = self.shutting_down.load(Ordering::Relaxed);
+            let draining = self.shutting_down.load(Ordering::Acquire);
+            let goodbye = draining && self.goodbye.load(Ordering::Relaxed);
             for conn in conns.iter_mut() {
                 if !conn.alive {
                     continue;
@@ -625,6 +634,11 @@ impl SocketTransport {
                 // the kernel will take without blocking.
                 if queues[conn.peer].take_into(&mut conn.wbuf) {
                     progress = true;
+                }
+                if goodbye && !conn.said_goodbye {
+                    conn.said_goodbye = true;
+                    let from_slot = (self.me * self.shards) as u32;
+                    put_wire_frame(&mut conn.wbuf, from_slot, GOODBYE, &[]);
                 }
                 let mut written = 0usize;
                 while written < conn.wbuf.len() {
@@ -649,11 +663,14 @@ impl SocketTransport {
                 if !conn.alive {
                     continue;
                 }
-                // Reads: pull everything available, reassemble, deliver.
+                // Reads: pull everything available, reassemble, deliver —
+                // and only then act on an EOF or error, so a goodbye read
+                // in the same cycle is seen first.
+                let mut ended = false;
                 loop {
                     match conn.stream.read(&mut scratch) {
                         Ok(0) => {
-                            self.kill_conn(conn);
+                            ended = true;
                             break;
                         }
                         Ok(n) => {
@@ -663,20 +680,26 @@ impl SocketTransport {
                         Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                         Err(e) if e.kind() == ErrorKind::Interrupted => continue,
                         Err(_) => {
-                            self.kill_conn(conn);
+                            ended = true;
                             break;
                         }
                     }
                 }
                 let stat = &self.stats[conn.peer];
+                let peer_left = &mut conn.peer_left;
                 let drained = conn.rbuf.drain(&mut |from_slot, to_slot, payload| {
-                    stat.frames_recv.fetch_add(1, Ordering::Relaxed);
+                    if to_slot == GOODBYE {
+                        *peer_left = true;
+                        return;
+                    }
                     stat.bytes_recv
                         .fetch_add(payload.len() as u64, Ordering::Relaxed);
                     self.deliver_local(from_slot, to_slot, payload);
                 });
                 if drained.is_err() {
                     self.decode_errors.fetch_add(1, Ordering::Relaxed);
+                }
+                if ended || drained.is_err() {
                     self.kill_conn(conn);
                 }
             }
@@ -714,9 +737,8 @@ impl SocketTransport {
                     let payload = Bytes::from(scratch[DGRAM_HEADER..n].to_vec());
                     let peer = from_slot as usize / self.shards;
                     if peer < self.nodes {
-                        let stat = &self.stats[peer];
-                        stat.frames_recv.fetch_add(1, Ordering::Relaxed);
-                        stat.bytes_recv
+                        self.stats[peer]
+                            .bytes_recv
                             .fetch_add(payload.len() as u64, Ordering::Relaxed);
                     }
                     self.deliver_local(from_slot, to_slot, payload);
@@ -742,7 +764,6 @@ impl SocketTransport {
                         let mut buf = Vec::with_capacity(WIRE_HEADER + frame.len());
                         put_wire_frame(&mut buf, from_slot, to_slot, frame.as_ref());
                         if stream.write_all(&buf).is_ok() {
-                            stat.frames_sent.fetch_add(1, Ordering::Relaxed);
                             stat.bytes_sent
                                 .fetch_add(frame.len() as u64, Ordering::Relaxed);
                         }
@@ -750,7 +771,6 @@ impl SocketTransport {
                     return;
                 }
                 if queues[to_node].push_frame(from_slot, to_slot, frame.as_ref()) {
-                    stat.frames_sent.fetch_add(1, Ordering::Relaxed);
                     stat.bytes_sent
                         .fetch_add(frame.len() as u64, Ordering::Relaxed);
                 }
@@ -766,7 +786,6 @@ impl SocketTransport {
                 dgram.extend_from_slice(frame.as_ref());
                 match socket.send_to(&dgram, self.addrs[to_node]) {
                     Ok(_) => {
-                        stat.frames_sent.fetch_add(1, Ordering::Relaxed);
                         stat.bytes_sent
                             .fetch_add(frame.len() as u64, Ordering::Relaxed);
                     }
@@ -777,6 +796,51 @@ impl SocketTransport {
                     }
                 }
             }
+        }
+    }
+
+    /// Flush and stop the wire threads, then report. A clean stop
+    /// (`goodbye`) ends every TCP connection's final flush with a goodbye;
+    /// a crash stops without one, so the peers count the connections'
+    /// death as resets and suspect this member.
+    pub(crate) fn stop(&self, goodbye: bool) -> TransportReport {
+        // Release pairs with the event loops' Acquire load of
+        // `shutting_down`: a loop that sees the stop also sees `goodbye`.
+        self.goodbye.store(goodbye, Ordering::Relaxed);
+        self.shutting_down.store(true, Ordering::Release);
+        let joins = std::mem::take(&mut *self.threads.lock().expect("threads lock"));
+        for join in joins {
+            let _ = join.join();
+        }
+        if let Wire::Tcp { queues, .. } = &self.wire {
+            for q in queues {
+                q.close();
+            }
+        }
+        let me = self.me as u32;
+        let mut links = Vec::with_capacity(2 * self.nodes);
+        for (peer, stat) in self.stats.iter().enumerate() {
+            let peer = peer as u32;
+            if peer == me {
+                continue;
+            }
+            let resets = stat.resets.load(Ordering::Relaxed);
+            links.push(LinkReport {
+                wire_bytes: stat.bytes_sent.load(Ordering::Relaxed),
+                resets,
+                dropped: stat.udp_dropped.load(Ordering::Relaxed),
+                ..LinkReport::new(me, peer)
+            });
+            links.push(LinkReport {
+                wire_bytes: stat.bytes_recv.load(Ordering::Relaxed),
+                resets,
+                ..LinkReport::new(peer, me)
+            });
+        }
+        TransportReport {
+            links,
+            wire_decode_errors: self.decode_errors.load(Ordering::Relaxed),
+            ..TransportReport::default()
         }
     }
 }
@@ -803,56 +867,7 @@ impl Transport for SocketTransport {
     }
 
     fn shutdown(&self) -> TransportReport {
-        self.shutting_down.store(true, Ordering::Relaxed);
-        let joins = std::mem::take(&mut *self.threads.lock().expect("threads lock"));
-        for join in joins {
-            let _ = join.join();
-        }
-        if let Wire::Tcp { queues, .. } = &self.wire {
-            for q in queues {
-                q.close();
-            }
-        }
-        let mut report = TransportReport {
-            wire_decode_errors: self.decode_errors.load(Ordering::Relaxed),
-            ..TransportReport::default()
-        };
-        for (peer, stat) in self.stats.iter().enumerate() {
-            if peer == self.me {
-                continue;
-            }
-            let resets = stat.resets.load(Ordering::Relaxed);
-            let sent = SocketLinkStat {
-                from: self.me as u32,
-                to: peer as u32,
-                frames: stat.frames_sent.load(Ordering::Relaxed),
-                bytes: stat.bytes_sent.load(Ordering::Relaxed),
-                resets,
-            };
-            let recv = SocketLinkStat {
-                from: peer as u32,
-                to: self.me as u32,
-                frames: stat.frames_recv.load(Ordering::Relaxed),
-                bytes: stat.bytes_recv.load(Ordering::Relaxed),
-                resets,
-            };
-            for s in [sent, recv] {
-                if s.frames + s.bytes + s.resets > 0 {
-                    report.socket.push(s);
-                }
-            }
-            let dropped = stat.udp_dropped.load(Ordering::Relaxed);
-            if dropped > 0 {
-                report.faults.push(LinkFaults {
-                    from: self.me as u32,
-                    to: peer as u32,
-                    dropped,
-                    duplicated: 0,
-                    reordered: 0,
-                });
-            }
-        }
-        report
+        self.stop(true)
     }
 }
 

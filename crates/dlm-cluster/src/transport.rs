@@ -3,7 +3,7 @@
 //! The node threads never talk to each other directly: every encoded frame
 //! goes through a [`Transport`], the seam where link behavior is decided.
 //! Two in-process implementations ship with the runtime, selected by
-//! [`TransportKind`] (the third, [`crate::SocketTransport`], puts a member
+//! [`TransportKind`] (the third, [`crate::socket::SocketTransport`], puts a member
 //! on a real wire):
 //!
 //! * [`Direct`] — frames land in the receiver's input channel immediately
@@ -13,6 +13,8 @@
 //!   drop / duplicate / reorder injection at configurable rates — the
 //!   adversarial link the reliability shim in [`crate::reliable`] is built
 //!   to survive. With every rate at zero it is a constant-latency link.
+//!   Its fault tallies are [`LinkReport`] rows, folded at shutdown with
+//!   every other layer's.
 //!
 //! Fault decisions are drawn from a seeded SplitMix64 stream, so a given
 //! seed produces a reproducible fault pattern for a given frame arrival
@@ -24,6 +26,7 @@
 //! the sentinel lock id [`TRANSPORT_LOCK`].
 
 use crate::engine::Input;
+use crate::runtime::LinkReport;
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use dlm_core::NodeId;
@@ -37,6 +40,9 @@ use std::time::{Duration, Instant};
 /// Sentinel lock id carried by transport-level trace records (a raw frame's
 /// lock is opaque to the link layer).
 pub const TRANSPORT_LOCK: u32 = u32::MAX;
+
+/// Maximum extra hold-back of a reordered (or duplicated) frame.
+const REORDER_JITTER: Duration = Duration::from_micros(500);
 
 /// Which interconnect a [`crate::Cluster`] runs on.
 #[derive(Debug, Clone, Copy, Default)]
@@ -62,13 +68,12 @@ pub struct FaultConfig {
     pub drop: f64,
     /// Probability a frame is delivered twice (the copy arrives later).
     pub duplicate: f64,
-    /// Probability a frame is held back by a random extra `jitter`,
-    /// letting later frames overtake it.
+    /// Probability a frame is held back by a random extra of up to 500 µs,
+    /// letting later frames overtake it (a duplicate's copy is held back the
+    /// same way).
     pub reorder: f64,
     /// Base one-way latency applied to every frame.
     pub delay: Duration,
-    /// Maximum extra hold-back for reordered (and duplicated) frames.
-    pub jitter: Duration,
 }
 
 impl Default for FaultConfig {
@@ -79,7 +84,6 @@ impl Default for FaultConfig {
             duplicate: 0.0,
             reorder: 0.0,
             delay: Duration::ZERO,
-            jitter: Duration::from_micros(500),
         }
     }
 }
@@ -98,58 +102,21 @@ impl FaultConfig {
     }
 }
 
-/// Per-link fault tallies reported by a transport at shutdown.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LinkFaults {
-    /// Sender.
-    pub from: u32,
-    /// Receiver.
-    pub to: u32,
-    /// Frames dropped in flight.
-    pub dropped: u64,
-    /// Extra copies injected.
-    pub duplicated: u64,
-    /// Frames held back past later traffic.
-    pub reordered: u64,
-}
-
-/// Wire-level counters for one directed socket link, as observed by the
-/// reporting process (sent when `from` is the local node, received when
-/// `to` is). Counts are *wire* frames after coalescing — one wire frame may
-/// carry a whole container of protocol frames.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SocketLinkStat {
-    /// Sending node.
-    pub from: u32,
-    /// Receiving node.
-    pub to: u32,
-    /// Wire frames observed on this directed link.
-    pub frames: u64,
-    /// Payload bytes observed (excluding the wire header).
-    pub bytes: u64,
-    /// Connection losses observed on the link's underlying connection
-    /// (peer reset, EOF mid-stream, or a write failure); the node keeps
-    /// serving after each.
-    pub resets: u64,
-}
-
 /// What a transport hands back when it stops.
 #[derive(Debug, Default)]
-pub struct TransportReport {
+pub(crate) struct TransportReport {
     /// Transport-side trace records (frame drops), stamped with
     /// [`TRANSPORT_LOCK`].
-    pub trace: Vec<TraceRecord>,
+    pub(crate) trace: Vec<TraceRecord>,
     /// Records evicted from the transport's flight recorder.
-    pub trace_dropped: u64,
-    /// Per-link fault tallies (links with at least one fault).
-    pub faults: Vec<LinkFaults>,
-    /// Per-link wire counters (socket transports only; empty for the
-    /// in-process transports).
-    pub socket: Vec<SocketLinkStat>,
+    pub(crate) trace_dropped: u64,
+    /// Link telemetry rows: fault tallies, and a socket transport's wire
+    /// bytes, resets and dropped datagrams.
+    pub(crate) links: Vec<LinkReport>,
     /// Connections a socket transport killed because their byte stream
     /// failed frame reassembly (truncated/corrupt/oversized framing);
     /// always 0 for the in-process transports.
-    pub wire_decode_errors: u64,
+    pub(crate) wire_decode_errors: u64,
 }
 
 /// A cluster interconnect: carries encoded frames between node threads.
@@ -161,7 +128,7 @@ pub struct TransportReport {
 /// `shutdown` must still be delivered (directly, latency no longer
 /// modelled) — the cluster is going down, losing them would corrupt the
 /// final audit.
-pub trait Transport: Send + Sync {
+pub(crate) trait Transport: Send + Sync {
     /// Carry `frame` from `from` toward `to`'s input channel.
     fn send(&self, from: NodeId, to: NodeId, frame: Bytes);
 
@@ -181,7 +148,7 @@ fn deliver(outs: &[Sender<Input>], in_flight: &AtomicU64, from: NodeId, to: Node
 // ------------------------------------------------------------------ Direct
 
 /// Perfect links: a send is an immediate channel handoff.
-pub struct Direct {
+pub(crate) struct Direct {
     outs: Vec<Sender<Input>>,
     in_flight: Arc<AtomicU64>,
 }
@@ -246,7 +213,7 @@ impl Ord for Parked {
 
 /// Lossy, duplicating, reordering, delaying links (seeded): a thread
 /// parking frames in a deadline heap behind a fault stage at ingress.
-pub struct Faulty {
+pub(crate) struct Faulty {
     tx: Sender<RouterMsg>,
     join: Mutex<Option<JoinHandle<TransportReport>>>,
     /// Post-shutdown fallback path (and death accounting).
@@ -269,7 +236,9 @@ impl Faulty {
             config,
             nodes,
             shards,
-            tallies: vec![LinkFaults::default(); nodes * nodes],
+            tallies: (0..nodes * nodes)
+                .map(|i| LinkReport::new((i / nodes) as u32, (i % nodes) as u32))
+                .collect(),
             recorder: (trace_capacity > 0).then(|| RingRecorder::new(trace_capacity)),
             epoch,
         };
@@ -322,7 +291,7 @@ struct FaultState {
     /// (`node * shards + shard`), but faults are reported per node link, so
     /// tallies and trace events divide the slot back down.
     shards: usize,
-    tallies: Vec<LinkFaults>,
+    tallies: Vec<LinkReport>,
     recorder: Option<RingRecorder>,
     epoch: Instant,
 }
@@ -333,12 +302,9 @@ impl FaultState {
         slot.0 / self.shards as u32
     }
 
-    fn tally(&mut self, from: NodeId, to: NodeId) -> &mut LinkFaults {
-        let (from, to) = (self.node_of(from), self.node_of(to));
-        let slot = &mut self.tallies[from as usize * self.nodes + to as usize];
-        slot.from = from;
-        slot.to = to;
-        slot
+    fn tally(&mut self, from: NodeId, to: NodeId) -> &mut LinkReport {
+        let (from, to) = (self.node_of(from) as usize, self.node_of(to) as usize);
+        &mut self.tallies[from * self.nodes + to]
     }
 }
 
@@ -381,12 +347,12 @@ fn router_loop(
         }
         if f.rng.chance(f.config.reorder) {
             f.tally(from, to).reordered += 1;
-            due += f.rng.jitter(f.config.jitter);
+            due += f.rng.jitter(REORDER_JITTER);
         }
         if f.rng.chance(f.config.duplicate) {
             f.tally(from, to).duplicated += 1;
             in_flight.fetch_add(1, Ordering::Relaxed);
-            let copy_due = due + f.rng.jitter(f.config.jitter);
+            let copy_due = due + f.rng.jitter(REORDER_JITTER);
             parked.push(Parked {
                 due: copy_due,
                 seq,
@@ -407,11 +373,7 @@ fn router_loop(
     };
     let report = |f: FaultState| {
         let mut report = TransportReport {
-            faults: f
-                .tallies
-                .into_iter()
-                .filter(|t| t.dropped + t.duplicated + t.reordered > 0)
-                .collect(),
+            links: f.tallies,
             ..TransportReport::default()
         };
         if let Some(ring) = f.recorder {

@@ -94,7 +94,9 @@ fn round_trip_states(states: &[(u32, HierNode)], protocol: ProtocolConfig) -> Ve
 
 /// Three members over real TCP loopback run the chaos-suite op matrix;
 /// the cluster quiesces, every member shuts down cleanly, and the audit
-/// reassembled from codec-round-tripped states is clean.
+/// reassembled from codec-round-tripped states is clean. A clean shutdown
+/// says goodbye, so no member counts another's departure as a reset — the
+/// pause between shutdowns gives every survivor time to see each EOF.
 #[test]
 fn tcp_loopback_cluster_clean_audit() {
     let cluster = member_config(3, 2);
@@ -124,13 +126,22 @@ fn tcp_loopback_cluster_clean_audit() {
     });
 
     quiesce_all(&nodes, Duration::from_secs(20));
-    let reports: Vec<_> = nodes.into_iter().map(Node::shutdown).collect();
+    let reports: Vec<_> = nodes
+        .into_iter()
+        .map(|node| {
+            let report = node.shutdown();
+            std::thread::sleep(Duration::from_millis(50));
+            report
+        })
+        .collect();
 
     let mut wire_bytes = 0;
     let mut all_states = Vec::new();
     for report in &reports {
         assert_eq!(report.decode_errors, 0, "malformed frames on a clean run");
         assert_eq!(report.replies_dropped, 0, "a caller never saw its outcome");
+        let resets: u64 = report.links.iter().map(|l| l.resets).sum();
+        assert_eq!(resets, 0, "a clean shutdown was counted as a reset");
         wire_bytes += report.links.iter().map(|l| l.wire_bytes).sum::<u64>();
         all_states.push(round_trip_states(&report.states, cluster.protocol));
     }

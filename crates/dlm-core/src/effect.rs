@@ -51,7 +51,7 @@ const INLINE_EFFECTS: usize = 8;
 /// The protocol entry points (`on_acquire_into` & co.) push into one of these
 /// instead of returning a fresh `Vec<Effect>`, so a runtime that keeps a
 /// single `EffectBuf` alive performs **zero heap allocations** per protocol
-/// step in steady state: the first [`INLINE_EFFECTS`] effects live inline,
+/// step in steady state: the first `INLINE_EFFECTS` (8) effects live inline,
 /// and the spill vector — only touched by pathological bursts — retains its
 /// capacity across [`EffectBuf::drain`] calls.
 ///

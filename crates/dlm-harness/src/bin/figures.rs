@@ -14,45 +14,47 @@ use dlm_harness::{
 use dlm_sim::{LatencyModel, TwoSite, MICROS_PER_MS};
 use dlm_workload::{run_workload, ProtocolKind, WorkloadParams, WorkloadReport};
 
-/// Mean of `metric` over three runs of `params` at seeds `seed(0..3)`.
-fn mean_of_3(
+/// Means of both `metrics` over three runs of `params` at seeds
+/// `seed(0..3)`: every run is made once and read twice.
+fn means_of_3(
     mut params: WorkloadParams,
     seed: impl Fn(u64) -> u64,
-    metric: impl Fn(&WorkloadReport) -> f64,
-) -> f64 {
-    let mut total = 0.0;
+    metrics: [fn(&WorkloadReport) -> f64; 2],
+) -> [f64; 2] {
+    let mut totals = [0.0; 2];
     for s in 0..3 {
         params.seed = seed(s);
         let report = run_workload(&params);
         assert!(report.complete());
-        total += metric(&report);
+        for (total, metric) in totals.iter_mut().zip(metrics) {
+            *total += metric(&report);
+        }
     }
-    total / 3.0
+    totals.map(|total| total / 3.0)
 }
 
 /// Two series per protocol (hierarchical, Naimi-pure) over the `xs` sweep:
-/// the mean operation wait in ms, then `second`.
+/// the mean operation wait in ms, then `second`, both read off the same
+/// runs.
 fn extension_series(
     xs: &[u64],
     params_at: impl Fn(ProtocolKind, u64) -> WorkloadParams,
     seed: impl Fn(u64) -> u64,
     (second_label, second): (&str, fn(&WorkloadReport) -> f64),
 ) -> Vec<Series> {
+    let wait: fn(&WorkloadReport) -> f64 = |r| r.op_latency.mean() / 1000.0;
     let mut series = Vec::new();
     for protocol in [ProtocolKind::Hier, ProtocolKind::NaimiPure] {
-        let sweep = |metric: fn(&WorkloadReport) -> f64| {
-            xs.iter()
-                .map(|&x| mean_of_3(params_at(protocol, x), &seed, metric))
-                .collect()
-        };
-        series.push(Series {
-            label: format!("{}-wait-ms", protocol.label()),
-            values: sweep(|r| r.op_latency.mean() / 1000.0),
-        });
-        series.push(Series {
-            label: format!("{}-{second_label}", protocol.label()),
-            values: sweep(second),
-        });
+        let points: Vec<[f64; 2]> = xs
+            .iter()
+            .map(|&x| means_of_3(params_at(protocol, x), &seed, [wait, second]))
+            .collect();
+        for (i, label) in ["wait-ms", second_label].into_iter().enumerate() {
+            series.push(Series {
+                label: format!("{}-{label}", protocol.label()),
+                values: points.iter().map(|p| p[i]).collect(),
+            });
+        }
     }
     series
 }

@@ -1,5 +1,5 @@
-//! Measurement utilities for the locking experiments: streaming summary
-//! statistics, power-of-two latency histograms, and labelled counter sets.
+//! Measurement utilities for the locking experiments: power-of-two latency
+//! histograms and labelled counter sets.
 //!
 //! Everything here is allocation-light and branch-cheap so instrumentation
 //! does not distort the simulator's hot loop (per the perf-book guidance the
@@ -10,8 +10,6 @@
 
 mod counters;
 mod histogram;
-mod summary;
 
 pub use counters::CounterSet;
 pub use histogram::{Histogram, Percentiles};
-pub use summary::Summary;

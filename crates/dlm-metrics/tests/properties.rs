@@ -1,7 +1,7 @@
 //! Property tests for the measurement primitives: histogram bucketing
-//! error bounds, quantile monotonicity, and summary/merge algebra.
+//! error bounds, quantile monotonicity, merge algebra and the compact encoding.
 
-use dlm_metrics::{Histogram, Summary};
+use dlm_metrics::Histogram;
 use proptest::prelude::*;
 
 proptest! {
@@ -57,37 +57,6 @@ proptest! {
         prop_assert_eq!(ha.mean(), hall.mean());
         prop_assert_eq!(ha.quantile(0.5), hall.quantile(0.5));
         prop_assert_eq!(ha.max(), hall.max());
-    }
-
-    /// Summary statistics match naive reference computations.
-    #[test]
-    fn summary_matches_reference(values in proptest::collection::vec(-1e6f64..1e6f64, 1..200)) {
-        let mut s = Summary::new();
-        for &v in &values {
-            s.record(v);
-        }
-        let n = values.len() as f64;
-        let mean = values.iter().sum::<f64>() / n;
-        let var = values.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / n;
-        prop_assert!((s.mean() - mean).abs() < 1e-6 * (1.0 + mean.abs()));
-        prop_assert!((s.variance() - var).abs() < 1e-4 * (1.0 + var.abs()));
-    }
-
-    /// Summary merge is associative with sequential recording.
-    #[test]
-    fn summary_merge_homomorphic(
-        a in proptest::collection::vec(-1e5f64..1e5f64, 0..100),
-        b in proptest::collection::vec(-1e5f64..1e5f64, 0..100),
-    ) {
-        let mut sa = Summary::new();
-        let mut sb = Summary::new();
-        let mut sall = Summary::new();
-        for &v in &a { sa.record(v); sall.record(v); }
-        for &v in &b { sb.record(v); sall.record(v); }
-        sa.merge(&sb);
-        prop_assert_eq!(sa.count(), sall.count());
-        prop_assert!((sa.mean() - sall.mean()).abs() < 1e-6 * (1.0 + sall.mean().abs()));
-        prop_assert!((sa.variance() - sall.variance()).abs() < 1e-3 * (1.0 + sall.variance().abs()));
     }
 
     /// Quantile accuracy bound for the power-of-two buckets: the reported

@@ -184,7 +184,7 @@ enum Pending<M> {
 /// sequence assigned at scheduling time — two runs with the same seed and the
 /// same actor logic process identical event sequences.
 ///
-/// Events live in a single [`EventQueue`] whose heap entries carry the
+/// Events live in a single `EventQueue` whose heap entries carry the
 /// payload inline, so scheduling and dispatch are pure heap operations — no
 /// payload side-table on the hot path.
 pub struct Sim<A: Actor> {

@@ -12,6 +12,10 @@ cargo fmt --all -- --check
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> rustdoc: warnings are errors on the first-party crates (vendored shims excluded)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline \
+  --exclude bytes --exclude crossbeam --exclude proptest --exclude rand --exclude serde --exclude serde_derive
+
 echo "==> sans-IO guard: the shard engine reads no clock, owns no thread, receives from no channel"
 if grep -nE 'Instant::now|\.elapsed\(\)|thread::|recv' crates/dlm-cluster/src/engine.rs; then
   echo "crates/dlm-cluster/src/engine.rs must stay sans-IO: time and frames are arguments of step/end_batch" >&2
