@@ -67,7 +67,7 @@ pub use canon::{Canonicalize, SymmetryGroup};
 pub use counterexample::{replay, schedule_trace, walkthrough, Replay, Schedule};
 pub use scenario::{Op, Scenario};
 pub use search::{explore, explore_with, CheckReport, Deadlock, Options, Reduction, Violation};
-pub use state::{Action, State, Step};
+pub use state::{Action, SharedNode, State, Step};
 
 #[cfg(test)]
 mod tests {

@@ -23,7 +23,7 @@
 //! * **the lock-striped set** (`Striped`) and the worker spawn
 //!   (`spawn`).
 
-use crate::canon::{Canonicalize, SymmetryGroup};
+use crate::canon::{self, SymmetryGroup};
 use crate::counterexample::Schedule;
 use crate::scenario::Scenario;
 use crate::state::{Action, State};
@@ -208,9 +208,11 @@ pub struct CheckReport {
     pub group_order: usize,
     /// Work-stealing events between worker deques.
     pub steals: u64,
-    /// Generated successors whose raw fingerprint differed from their
-    /// canonical fingerprint (i.e. states the symmetry reduction actually
-    /// relabeled).
+    /// Generated successors the symmetry reduction relabelled: the
+    /// relabelling their canonical fingerprint came from moves a node. That
+    /// is "canonical fingerprint ≠ raw fingerprint", except on a state that
+    /// a moving relabelling maps to itself, which counts here although its
+    /// two fingerprints are equal.
     pub sym_hits: u64,
     /// Generated successors that were already in the seen set.
     pub dedup_hits: u64,
@@ -464,14 +466,10 @@ impl<'a, T> Core<'a, T> {
     }
 
     /// The fingerprint this run dedups `state` on — canonical under
-    /// symmetry, raw otherwise — and whether canonicalization relabelled it.
+    /// symmetry, raw otherwise — and whether canonicalization relabelled it
+    /// (the relabelling the key came from moves a node).
     pub(crate) fn key(&self, state: &State) -> (Fingerprint, bool) {
-        let raw = state.fingerprint();
-        if self.group.is_trivial() {
-            return (raw, false);
-        }
-        let canon = state.canonical_fingerprint(&self.group);
-        (canon, canon != raw)
+        canon::canonical_fingerprint(state, &self.group)
     }
 
     /// [`Core::key`] for a state the search generated: relabellings count
@@ -522,23 +520,29 @@ impl<'a, T> Core<'a, T> {
 
     /// Count one transition about to fire. False — the run is truncated and
     /// halted — once the transition or wall-clock budget is spent, and after
-    /// any halt.
+    /// any halt. The transition is reserved in one `fetch_update`, like a
+    /// state in [`Core::admit`], so racing workers never fire past the
+    /// budget.
     pub(crate) fn fire(&self) -> bool {
         if self.halted() {
             return false;
         }
         let budget = self.opts.max_states.saturating_mul(TRANSITIONS_PER_STATE);
-        let spent = self.transitions.load(Ordering::Relaxed) >= budget
+        let spent = self
+            .opts
+            .max_seconds
+            .is_some_and(|limit| self.start.elapsed().as_secs_f64() >= limit)
             || self
-                .opts
-                .max_seconds
-                .is_some_and(|limit| self.start.elapsed().as_secs_f64() >= limit);
+                .transitions
+                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |t| {
+                    (t < budget).then_some(t + 1)
+                })
+                .is_err();
         if spent {
             self.truncated.store(true, Ordering::SeqCst);
             self.halt();
             return false;
         }
-        self.transitions.fetch_add(1, Ordering::Relaxed);
         true
     }
 
@@ -664,4 +668,32 @@ pub(crate) fn spawn(workers: usize, work: impl Fn(usize) + Sync) {
             s.spawn(move || work(w));
         }
     });
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Workers that race for the last transitions of the budget reserve
+    /// them one at a time: with `max_states = 1` exactly
+    /// `TRANSITIONS_PER_STATE` fire, however many threads ask at once.
+    /// Reading the count and then adding to it lets a 33rd through only in
+    /// a few-nanosecond window, hence the many rounds.
+    #[test]
+    fn racing_workers_fire_exactly_the_transition_budget() {
+        let scenario = crate::corpus::scenario("two_writers");
+        for _ in 0..5000 {
+            let core: Core<'_, ()> = Core::new(&scenario, Options::exhaustive(1));
+            let (fired, start) = (AtomicUsize::new(0), std::sync::Barrier::new(4));
+            spawn(4, |_| {
+                start.wait();
+                while core.fire() {
+                    fired.fetch_add(1, Ordering::Relaxed);
+                }
+            });
+            assert_eq!(fired.into_inner(), TRANSITIONS_PER_STATE);
+            assert_eq!(core.transitions.into_inner(), TRANSITIONS_PER_STATE);
+            assert!(core.truncated.into_inner());
+        }
+    }
 }

@@ -5,7 +5,10 @@ use dlm_core::{
     fifo_overtakes, AuditError, Effect, Fingerprint, FpHasher, GrantInfo, HierNode, InFlight,
     Message, Mode, NodeId,
 };
+use std::borrow::Borrow;
 use std::collections::{BTreeMap, VecDeque};
+use std::ops::Deref;
+use std::sync::{Arc, OnceLock};
 
 /// One atomic transition of the explored system: deliver the head of a
 /// FIFO channel, or run a node's next script operation. Either way exactly
@@ -52,6 +55,137 @@ impl std::fmt::Display for Action {
     }
 }
 
+/// One version of one node's protocol state on one lock, shared by every
+/// state that holds it: cloning a [`State`] copies pointers, and a
+/// transition copies only the node it changes. The cell also keeps the
+/// version's digest once it is computed — the node hashed with its
+/// identities left out, plus the identities it mentions and where — so a
+/// version is hashed once, however many states, keys and relabellings read
+/// it. Reads go through `Deref` / `Borrow` to the [`HierNode`].
+#[derive(Clone)]
+pub struct SharedNode(Arc<Version>);
+
+struct Version {
+    node: HierNode,
+    digest: OnceLock<Digest>,
+}
+
+impl SharedNode {
+    /// The node, for a transition to change: copied out of the cell when
+    /// another state shares it, and its digest dropped either way.
+    fn make_mut(&mut self) -> &mut HierNode {
+        if Arc::get_mut(&mut self.0).is_none() {
+            *self = SharedNode::from(self.0.node.clone());
+        }
+        let version = Arc::get_mut(&mut self.0).expect("a fresh cell is unshared");
+        version.digest.take();
+        &mut version.node
+    }
+
+    /// This version's digest, computed on first use.
+    pub(crate) fn digest(&self) -> &Digest {
+        self.0.digest.get_or_init(|| Digest::of(&self.0.node))
+    }
+}
+
+impl From<HierNode> for SharedNode {
+    fn from(node: HierNode) -> Self {
+        SharedNode(Arc::new(Version {
+            node,
+            digest: OnceLock::new(),
+        }))
+    }
+}
+
+impl Deref for SharedNode {
+    type Target = HierNode;
+
+    fn deref(&self) -> &HierNode {
+        &self.0.node
+    }
+}
+
+impl Borrow<HierNode> for SharedNode {
+    fn borrow(&self) -> &HierNode {
+        &self.0.node
+    }
+}
+
+/// The marker every identity is written as in a [`Digest`]'s template.
+const ANYONE: NodeId = NodeId(u32::MAX);
+
+/// Entries of one run of equal sites sorted on the stack before spilling to
+/// the heap.
+const RUN_INLINE: usize = 8;
+
+/// What one node version contributes to every fingerprint of a state that
+/// holds it, under any relabelling: `dlm-core`'s mapped visitor run once
+/// with every identity written as one marker gives the `template` (which no
+/// relabelling changes), and the `(site, id)` pairs it handed the map are
+/// the `mentions`, sorted. Each site carries the field and either the queue
+/// position or the full map value, so the template plus the mentions
+/// determine the node: two versions with equal digests are equal nodes,
+/// up to a collision of the 128-bit template.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) struct Digest {
+    pub(crate) template: u128,
+    pub(crate) mentions: Box<[Mention]>,
+}
+
+/// A node mentions node `id` at `site` (see `dlm-core`'s mapped visitor).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) struct Mention {
+    pub(crate) site: u128,
+    pub(crate) id: u32,
+}
+
+impl Digest {
+    fn of(node: &HierNode) -> Self {
+        let mut mentions = Vec::new();
+        let mut h = FpHasher::new();
+        node.fingerprint_mapped_into(&mut h, &mut |site, id| {
+            mentions.push(Mention { site, id: id.0 });
+            ANYONE
+        });
+        mentions.sort_unstable();
+        Digest {
+            template: h.finish().0,
+            mentions: mentions.into(),
+        }
+    }
+
+    /// Write the node as it reads with node `i` renamed `perm[i]`: the
+    /// template, the mention count, then the mentions as `(site, perm[id])`
+    /// in ascending order.
+    fn write_relabelled(&self, h: &mut FpHasher, perm: &[u32]) {
+        h.write_u64(self.template as u64);
+        h.write_u64((self.template >> 64) as u64);
+        h.write_usize(self.mentions.len());
+        // Sorted by site already; only ids that share a site need sorting
+        // under their new labels.
+        for run in self.mentions.chunk_by(|a, b| a.site == b.site) {
+            let mut inline = [0u32; RUN_INLINE];
+            let mut spill = Vec::new();
+            let ids: &mut [u32] = if run.len() <= RUN_INLINE {
+                &mut inline[..run.len()]
+            } else {
+                spill.resize(run.len(), 0);
+                &mut spill
+            };
+            for (id, m) in ids.iter_mut().zip(run) {
+                *id = perm[m.id as usize];
+            }
+            ids.sort_unstable();
+            let site = run[0].site;
+            for &id in ids.iter() {
+                h.write_u64(site as u64);
+                h.write_u64((site >> 64) as u64);
+                h.write_u32(id);
+            }
+        }
+    }
+}
+
 /// The full system state: every lock's node array, every channel, every
 /// script cursor.
 #[derive(Clone)]
@@ -59,8 +193,9 @@ pub struct State {
     /// Per-lock, per-node protocol state: `nodes[lock][node]`. Each lock
     /// object is an independent instance of the protocol over the same node
     /// set (the common multi-lock deployment the paper's §1 motivates: one
-    /// hierarchy per lockable resource).
-    pub nodes: Vec<Vec<HierNode>>,
+    /// hierarchy per lockable resource). Each entry is a node version shared
+    /// with every other state that has it.
+    pub nodes: Vec<Vec<SharedNode>>,
     /// FIFO per ordered channel `(lock, from, to)`. Each in-flight frame is
     /// `(epoch, message)` — stamped with the sender's epoch at transmit
     /// time, exactly as the cluster transport stamps its correlation
@@ -109,7 +244,11 @@ impl State {
     /// The initial state of a scenario: fresh nodes for every lock, no
     /// messages in flight.
     pub fn initial(scenario: &Scenario) -> Self {
-        let one = scenario.initial_nodes();
+        let one: Vec<SharedNode> = scenario
+            .initial_nodes()
+            .into_iter()
+            .map(SharedNode::from)
+            .collect();
         let mut nodes = Vec::with_capacity(scenario.locks as usize);
         for _ in 0..scenario.locks.saturating_sub(1) {
             nodes.push(one.clone());
@@ -133,43 +272,23 @@ impl State {
         self.nodes[0].len()
     }
 
-    /// Structural 128-bit digest of the complete state (nodes feed every
-    /// field via `dlm-core`'s compiler-checked hash visitor).
+    /// Structural 128-bit digest of the complete state: every node through
+    /// its cached digest (built by `dlm-core`'s compiler-checked mapped
+    /// visitor), every channel, cursor and crash flag. It is the relabelled
+    /// fingerprint under the identity, so a state and its relabellings are
+    /// hashed by one writer.
     pub fn fingerprint(&self) -> Fingerprint {
-        let mut h = FpHasher::new();
-        h.write_usize(self.nodes.len());
-        for lock_nodes in &self.nodes {
-            h.write_usize(lock_nodes.len());
-            for n in lock_nodes {
-                h.write(n);
-            }
-        }
-        h.write_usize(self.channels.len());
-        for (&(lock, from, to), q) in &self.channels {
-            h.write_u32(lock);
-            h.write_u32(from);
-            h.write_u32(to);
-            h.write_usize(q.len());
-            for (epoch, m) in q {
-                h.write_u32(*epoch);
-                h.write(m);
-            }
-        }
-        for &p in &self.pos {
-            h.write_usize(p);
-        }
-        for &c in &self.crashed {
-            h.write_u32(c as u32);
-        }
-        h.finish()
+        let identity: Vec<u32> = (0..self.node_count() as u32).collect();
+        self.fingerprint_relabelled(&identity, &identity, &mut Vec::new())
     }
 
     /// The [`State::fingerprint`] of this state with node `i` renamed
     /// `perm[i]` (`inv` is the inverse permutation), computed without
     /// building the renamed state: nodes, cursors and crash flags are read in
     /// the order of their new labels, channels in the order of their new
-    /// endpoints (sorted in `renamed`, a buffer the caller keeps), and every
-    /// embedded identity goes through `dlm-core`'s mapped visitor.
+    /// endpoints (sorted in `renamed`, a buffer the caller keeps). A node is
+    /// written from its digest with each mentioned id renamed; a message goes
+    /// through `dlm-core`'s mapped visitor.
     pub(crate) fn fingerprint_relabelled(
         &self,
         perm: &[u32],
@@ -182,7 +301,9 @@ impl State {
         for lock_nodes in &self.nodes {
             h.write_usize(lock_nodes.len());
             for &old in inv {
-                lock_nodes[old as usize].fingerprint_mapped_into(&mut h, &mut relabel);
+                lock_nodes[old as usize]
+                    .digest()
+                    .write_relabelled(&mut h, perm);
             }
         }
         h.write_usize(self.channels.len());
@@ -236,11 +357,11 @@ impl State {
     pub fn audit_lock(&self, lock: u32, quiescent: bool) -> Vec<AuditError> {
         let in_flight = self.in_flight(lock);
         if self.crashed.iter().any(|&c| c) {
-            let survivors: Vec<HierNode> = self.nodes[lock as usize]
+            let survivors: Vec<&HierNode> = self.nodes[lock as usize]
                 .iter()
                 .enumerate()
                 .filter(|&(i, _)| !self.crashed[i])
-                .map(|(_, n)| n.clone())
+                .map(|(_, n)| &**n)
                 .collect();
             dlm_core::audit(&survivors, &in_flight, quiescent)
         } else {
@@ -324,13 +445,9 @@ impl State {
                 if q.is_empty() {
                     next.channels.remove(&(lock, from, to));
                 }
-                let accepted = next.nodes[lock as usize][to as usize].on_frame_into(
-                    NodeId(from),
-                    epoch,
-                    message.clone(),
-                    &mut buf,
-                    obs,
-                );
+                let accepted = next.nodes[lock as usize][to as usize]
+                    .make_mut()
+                    .on_frame_into(NodeId(from), epoch, message.clone(), &mut buf, obs);
                 if !accepted {
                     // Rule R3 fence: the frame is dropped, nothing changed
                     // but the channel.
@@ -359,7 +476,7 @@ impl State {
                         fenced: false,
                     };
                 }
-                let node_state = &mut next.nodes[lock as usize][i];
+                let node_state = next.nodes[lock as usize][i].make_mut();
                 match kind {
                     OpKind::Acquire(mode) => node_state
                         .on_acquire_into(mode, 0, &mut buf, obs)
@@ -439,7 +556,7 @@ impl State {
             let new_epoch = max_epoch + 1;
             for &s in &survivors {
                 let mut buf = dlm_core::EffectBuf::new();
-                self.nodes[lock][s.index()].on_peer_down_into(
+                self.nodes[lock][s.index()].make_mut().on_peer_down_into(
                     NodeId(dead as u32),
                     new_root,
                     new_epoch,
@@ -517,4 +634,227 @@ fn grant_infos(pre: &HierNode, effects: &[Effect], delivered: Option<&Message>) 
             Effect::Send { .. } => None,
         })
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::scenario::Op;
+    use crate::search::{Core, Options};
+    use dlm_core::{EffectBuf, NullObserver, ProtocolConfig};
+
+    fn paper() -> ProtocolConfig {
+        ProtocolConfig::paper()
+    }
+
+    /// Four-node stars whose walks reach every kind of node and message:
+    /// two locks whose tokens change hands, the token holder crashing (a
+    /// regenerated token, `Recover` on both locks, the dead generation's
+    /// frames fenced) and a leaf crashing mid-traffic.
+    fn scenarios() -> Vec<Scenario> {
+        let hold = |mode| vec![Op::Acquire(mode), Op::Release];
+        vec![
+            crate::corpus::star(4, 2),
+            Scenario::star(
+                4,
+                vec![
+                    vec![Op::Crash],
+                    hold(Mode::Write),
+                    hold(Mode::Read),
+                    vec![Op::AcquireOn(1, Mode::Write), Op::ReleaseOn(1)],
+                ],
+                paper(),
+            ),
+            Scenario::star(
+                4,
+                vec![
+                    hold(Mode::Read),
+                    hold(Mode::Write),
+                    vec![Op::Acquire(Mode::Write), Op::Crash],
+                    hold(Mode::Write),
+                ],
+                paper(),
+            ),
+        ]
+    }
+
+    /// Every state on eight pseudo-random walks of up to 24 steps.
+    fn walks(scenario: &Scenario) -> Vec<State> {
+        let mut states = Vec::new();
+        for seed in 0..8u64 {
+            let mut x = seed;
+            let mut state = State::initial(scenario);
+            for _ in 0..24 {
+                let actions = state.enabled_actions(scenario);
+                if actions.is_empty() {
+                    break;
+                }
+                x = x
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                let next = state.apply(scenario, actions[(x >> 33) as usize % actions.len()]);
+                states.push(std::mem::replace(&mut state, next.state));
+            }
+            states.push(state);
+        }
+        states
+    }
+
+    /// Every permutation of `0..n`.
+    fn permutations(n: u32) -> Vec<Vec<u32>> {
+        if n == 0 {
+            return vec![Vec::new()];
+        }
+        let mut out = Vec::new();
+        for shorter in permutations(n - 1) {
+            for at in 0..n as usize {
+                let mut perm = shorter.clone();
+                perm.insert(at, n - 1);
+                out.push(perm);
+            }
+        }
+        out
+    }
+
+    /// `state` with node `i` renamed `perm[i]`, built out of relabelled
+    /// nodes and messages in fresh cells.
+    fn renamed(state: &State, perm: &[u32]) -> State {
+        let map = |id: NodeId| NodeId(perm[id.index()]);
+        let mut nodes = state.nodes.clone();
+        for (lock, lock_nodes) in state.nodes.iter().enumerate() {
+            for (i, node) in lock_nodes.iter().enumerate() {
+                nodes[lock][perm[i] as usize] = node.relabeled(map).into();
+            }
+        }
+        let channels = state
+            .channels
+            .iter()
+            .map(|(&(lock, from, to), q)| {
+                let q = q.iter().map(|(epoch, m)| (*epoch, m.relabeled(map)));
+                ((lock, perm[from as usize], perm[to as usize]), q.collect())
+            })
+            .collect();
+        let (mut pos, mut crashed) = (state.pos.clone(), state.crashed.clone());
+        for (i, &label) in perm.iter().enumerate() {
+            pos[label as usize] = state.pos[i];
+            crashed[label as usize] = state.crashed[i];
+        }
+        State {
+            nodes,
+            channels,
+            pos,
+            crashed,
+        }
+    }
+
+    /// `state` with every node copied into a fresh cell: nothing shared,
+    /// no digest cached.
+    fn fresh(state: &State) -> State {
+        let mut out = state.clone();
+        for node in out.nodes.iter_mut().flatten() {
+            *node = HierNode::clone(node).into();
+        }
+        out
+    }
+
+    /// The relabelled writer is the fingerprint of the relabelled state, for
+    /// every permutation of the nodes: a digest's template names no node,
+    /// and its mentions rename like the node does.
+    #[test]
+    fn relabelled_fingerprint_is_the_fingerprint_of_the_renamed_state() {
+        let (mut tokens, mut recovers, mut crashes) = (0, 0, 0);
+        for scenario in scenarios() {
+            let perms = permutations(scenario.parents.len() as u32);
+            for state in walks(&scenario) {
+                let in_flight = state.channels.values().flatten();
+                for (_, m) in in_flight {
+                    tokens += matches!(m, Message::Token { .. }) as usize;
+                    recovers += matches!(m, Message::Recover { .. }) as usize;
+                }
+                crashes += state.crashed.iter().filter(|&&c| c).count();
+                for perm in &perms {
+                    let mut inv = vec![0; perm.len()];
+                    for (i, &label) in perm.iter().enumerate() {
+                        inv[label as usize] = i as u32;
+                    }
+                    assert_eq!(
+                        state.fingerprint_relabelled(perm, &inv, &mut Vec::new()),
+                        renamed(&state, perm).fingerprint(),
+                        "{perm:?}"
+                    );
+                }
+            }
+        }
+        assert!(tokens > 0 && recovers > 0 && crashes > 0);
+    }
+
+    /// A successor shares every node it did not change with its parent,
+    /// digest and all; it must hash exactly like the same state with every
+    /// node in a fresh cell — raw fingerprint and canonical key alike.
+    #[test]
+    fn successors_hash_like_the_same_state_in_fresh_cells() {
+        for scenario in scenarios() {
+            let core: Core<'_, ()> =
+                Core::new(&scenario, Options::exhaustive(1).with_symmetry(true));
+            for state in walks(&scenario) {
+                // Fill the parent's digests first: its successors share them.
+                let _ = (state.fingerprint(), core.key(&state));
+                for action in state.enabled_actions(&scenario) {
+                    let next = state.apply(&scenario, action).state;
+                    let rebuilt = fresh(&next);
+                    assert_eq!(next.fingerprint(), rebuilt.fingerprint(), "{action}");
+                    assert_eq!(core.key(&next), core.key(&rebuilt), "{action}");
+                }
+            }
+        }
+    }
+
+    /// A cell nobody else holds is changed in place: its digest must go.
+    #[test]
+    fn changing_an_unshared_cell_drops_its_digest() {
+        let mut cell = SharedNode::from(HierNode::with_token(NodeId(0), paper()));
+        let idle = cell.digest().template;
+        cell.make_mut()
+            .on_acquire_into(Mode::Write, 0, &mut EffectBuf::new(), &mut NullObserver)
+            .expect("the token holder acquires");
+        assert_eq!(
+            cell.digest(),
+            SharedNode::from(HierNode::clone(&cell)).digest()
+        );
+        assert_ne!(cell.digest().template, idle);
+    }
+
+    /// Two grant counters that differ only in their top byte, swapped
+    /// between two peers: a site that dropped that byte would give both
+    /// mentions one site, and the two nodes one digest. The states differ,
+    /// so their fingerprints must — while swapping the two interchangeable
+    /// leaves maps one onto the other, so their keys agree.
+    #[test]
+    fn counters_that_differ_only_in_their_top_byte_stay_apart() {
+        let scenario = crate::corpus::star(3, 1);
+        let root_counting = |to_1: u64, to_2: u64| {
+            let mut bytes = Vec::new();
+            HierNode::with_token(NodeId(0), paper()).encode_state(&mut bytes);
+            // The layout ends with the grants-received map (here a zero
+            // count) and the version byte: put two entries there.
+            let version = bytes.pop().expect("non-empty");
+            bytes.truncate(bytes.len() - 4);
+            bytes.extend(2u32.to_le_bytes());
+            for (peer, count) in [(1u32, to_1), (2, to_2)] {
+                bytes.extend(peer.to_le_bytes());
+                bytes.extend(count.to_le_bytes());
+            }
+            bytes.push(version);
+            let mut state = State::initial(&scenario);
+            state.nodes[0][0] = HierNode::decode_state(&bytes, paper())
+                .expect("well-formed")
+                .into();
+            state
+        };
+        let (low, high) = (1, 1 | 1 << 60);
+        let (a, b) = (root_counting(low, high), root_counting(high, low));
+        assert_ne!(a.fingerprint(), b.fingerprint());
+        let core: Core<'_, ()> = Core::new(&scenario, Options::exhaustive(1).with_symmetry(true));
+        assert_eq!(core.key(&a).0, core.key(&b).0);
+    }
 }

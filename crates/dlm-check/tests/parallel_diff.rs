@@ -78,7 +78,7 @@ fn permute_state(state: &State, perm: &[u32]) -> State {
         .map(|lock_nodes| {
             let mut out = lock_nodes.clone();
             for node in lock_nodes {
-                out[perm[node.id().0 as usize] as usize] = node.relabeled(map);
+                out[perm[node.id().0 as usize] as usize] = node.relabeled(map).into();
             }
             out
         })
@@ -421,7 +421,7 @@ fn ties_that_are_no_symmetry_are_enumerated() {
         let mut state = State::initial(&scenario);
         for (leaf, parent) in (1..).zip(parents) {
             state.nodes[0][leaf] =
-                HierNode::new(NodeId(leaf as u32), NodeId(parent), scenario.config);
+                HierNode::new(NodeId(leaf as u32), NodeId(parent), scenario.config).into();
         }
         state
     };

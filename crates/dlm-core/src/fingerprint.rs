@@ -28,8 +28,10 @@
 //! for every relabelling of the value). [`Message::fingerprint_mapped_into`]
 //! and [`crate::HierNode::fingerprint_mapped_into`] are that second visitor:
 //! same exhaustive destructuring, every [`NodeId`] passed through the map
-//! together with a `site` word saying where it was mentioned, and maps keyed
-//! by node id re-sorted under the mapped keys.
+//! together with a 128-bit `site` word saying where it was mentioned (field
+//! and full queue position or map value, so the sites of a value's mentions
+//! plus its signature onto one marker determine the value), and maps keyed by
+//! node id re-sorted under the mapped keys.
 //!
 //! The hash itself is two independently-seeded multiply–rotate lanes with a
 //! murmur-style finalizer — deterministic across runs and platforms, with no
@@ -313,11 +315,14 @@ pub(crate) mod tag {
 /// The word a mapped fingerprint hands its map beside each [`NodeId`]: the
 /// field the id was found in (`tag`, low byte) and what tells two mentions in
 /// that field apart without naming a node — the position in an ordered queue,
-/// the entry's value in a map keyed by node id (`detail`). Equal for the same
-/// mention in any relabelling of the value.
+/// the entry's value in a map keyed by node id (`detail`, all 64 bits of it,
+/// above the tag). Equal for the same mention in any relabelling of the
+/// value, and different for two mentions that differ in field or detail: a
+/// grant counter keeps its top byte, so which id holds which counter is
+/// recoverable from the sites alone.
 #[inline]
-pub(crate) fn site(tag: u8, detail: u64) -> u64 {
-    (detail << 8) | u64::from(tag)
+pub(crate) fn site(tag: u8, detail: u64) -> u128 {
+    (u128::from(detail) << 8) | u128::from(tag)
 }
 
 /// Entries a keyed map sorts on the stack before spilling to the heap.
@@ -332,7 +337,7 @@ pub(crate) fn write_keyed_mapped<V: Copy + Default, const N: usize>(
     entries: &FlatMap<V, N>,
     tag: u8,
     word: impl Fn(V) -> u64,
-    map: &mut impl FnMut(u64, NodeId) -> NodeId,
+    map: &mut impl FnMut(u128, NodeId) -> NodeId,
 ) {
     let len = entries.len();
     h.write_usize(len);
@@ -380,7 +385,7 @@ impl Message {
     pub fn fingerprint_mapped_into(
         &self,
         h: &mut FpHasher,
-        map: &mut impl FnMut(u64, NodeId) -> NodeId,
+        map: &mut impl FnMut(u128, NodeId) -> NodeId,
     ) {
         match self {
             Message::Request(req) => {

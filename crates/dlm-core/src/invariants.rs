@@ -13,6 +13,7 @@ use crate::ids::NodeId;
 use crate::message::Message;
 use crate::node::HierNode;
 use dlm_modes::{compatible, Mode, ModeSet};
+use std::borrow::Borrow;
 use std::collections::{BTreeMap, HashSet};
 
 /// A message in flight between two nodes, for audit purposes.
@@ -145,13 +146,17 @@ impl std::error::Error for AuditError {}
 /// *every* instant. Structural and liveness checks (tree shape, copyset
 /// coverage, no stuck requests) only hold at **quiescence** — no in-flight
 /// messages and no pending requests expected — and are enabled by
-/// `quiescent`.
-pub fn audit(nodes: &[HierNode], in_flight: &[InFlight], quiescent: bool) -> Vec<AuditError> {
+/// `quiescent`. The snapshot is any slice of things that borrow as a
+/// [`HierNode`]: owned nodes, references, or shared cells.
+pub fn audit<N: Borrow<HierNode>>(
+    nodes: &[N],
+    in_flight: &[InFlight],
+    quiescent: bool,
+) -> Vec<AuditError> {
     let mut errors = Vec::new();
 
     // Mutual exclusion: all concurrently held modes pairwise compatible.
-    let holders: Vec<(NodeId, Mode)> = nodes
-        .iter()
+    let holders: Vec<(NodeId, Mode)> = each(nodes)
         .filter(|n| n.held() != Mode::NoLock)
         .map(|n| (n.id(), n.held()))
         .collect();
@@ -170,7 +175,7 @@ pub fn audit(nodes: &[HierNode], in_flight: &[InFlight], quiescent: bool) -> Vec
     // must converge to exactly one, which mid-repair interleavings can
     // only violate transiently, so that half is gated on quiescence.
     let mut per_epoch: BTreeMap<u32, usize> = BTreeMap::new();
-    for n in nodes.iter().filter(|n| n.has_token()) {
+    for n in each(nodes).filter(|n| n.has_token()) {
         *per_epoch.entry(n.epoch()).or_default() += 1;
     }
     for m in in_flight {
@@ -183,15 +188,15 @@ pub fn audit(nodes: &[HierNode], in_flight: &[InFlight], quiescent: bool) -> Vec
             errors.push(AuditError::TokenEpochCount { epoch, count });
         }
     }
-    let max_epoch = nodes.iter().map(|n| n.epoch()).max().unwrap_or(0);
+    let max_epoch = each(nodes).map(|n| n.epoch()).max().unwrap_or(0);
     let single_epoch =
-        nodes.iter().all(|n| n.epoch() == max_epoch) && per_epoch.keys().all(|&e| e == max_epoch);
+        each(nodes).all(|n| n.epoch() == max_epoch) && per_epoch.keys().all(|&e| e == max_epoch);
     let current = per_epoch.get(&max_epoch).copied().unwrap_or(0);
     if (single_epoch || quiescent) && current != 1 {
         errors.push(AuditError::TokenCount(current));
     }
 
-    for n in nodes {
+    for n in each(nodes) {
         // Parent iff not token. Exception: a node that sent the token away
         // has a parent while the token flies — that still satisfies the rule
         // (it is not a token node). A node AWAITING the token keeps its old
@@ -213,11 +218,16 @@ pub fn audit(nodes: &[HierNode], in_flight: &[InFlight], quiescent: bool) -> Vec
     errors
 }
 
-fn audit_quiescent(nodes: &[HierNode], errors: &mut Vec<AuditError>) {
+/// The nodes of a snapshot, however the caller holds them.
+fn each<N: Borrow<HierNode>>(nodes: &[N]) -> impl Iterator<Item = &HierNode> {
+    nodes.iter().map(Borrow::borrow)
+}
+
+fn audit_quiescent<N: Borrow<HierNode>>(nodes: &[N], errors: &mut Vec<AuditError>) {
     // Tree acyclicity: follow parent links from every node; must reach the
     // token node within n hops.
     let n = nodes.len();
-    for start in nodes {
+    for start in each(nodes) {
         let mut cur = start;
         let mut hops = 0;
         while let Some(p) = cur.parent() {
@@ -226,7 +236,7 @@ fn audit_quiescent(nodes: &[HierNode], errors: &mut Vec<AuditError>) {
                 errors.push(AuditError::ParentCycle(start.id()));
                 break;
             }
-            match nodes.iter().find(|x| x.id() == p) {
+            match each(nodes).find(|x| x.id() == p) {
                 Some(next) => cur = next,
                 None => break, // partial snapshot; cannot follow further
             }
@@ -234,8 +244,8 @@ fn audit_quiescent(nodes: &[HierNode], errors: &mut Vec<AuditError>) {
     }
 
     // Copyset coverage: parent's record dominates child's owned mode.
-    let ids: HashSet<NodeId> = nodes.iter().map(|n| n.id()).collect();
-    for child in nodes {
+    let ids: HashSet<NodeId> = each(nodes).map(|n| n.id()).collect();
+    for child in each(nodes) {
         if child.owned() == Mode::NoLock || child.has_token() {
             continue;
         }
@@ -243,7 +253,7 @@ fn audit_quiescent(nodes: &[HierNode], errors: &mut Vec<AuditError>) {
         if !ids.contains(&pid) {
             continue;
         }
-        let parent = nodes.iter().find(|x| x.id() == pid).expect("checked");
+        let parent = each(nodes).find(|x| x.id() == pid).expect("checked");
         let recorded = parent
             .copyset()
             .get(&child.id())
@@ -258,7 +268,7 @@ fn audit_quiescent(nodes: &[HierNode], errors: &mut Vec<AuditError>) {
     }
 
     // Liveness: nothing pending, nothing queued.
-    for node in nodes {
+    for node in each(nodes) {
         if let Some(m) = node.pending() {
             errors.push(AuditError::StuckRequest(node.id(), m));
         }
@@ -325,15 +335,15 @@ pub fn fifo_overtakes(node: &HierNode, grants: &[GrantInfo]) -> Vec<AuditError> 
 /// set from its queue on every dequeue. In a finite exploration every
 /// state has a path to some terminal state, so "the authority thaws once
 /// every request is served" holds exactly when no terminal state leaves
-/// the *token node* frozen — which is what this audits.
+/// the *token node* frozen — which is what this audits. Like [`audit`], it
+/// takes any slice of things that borrow as a [`HierNode`].
 ///
 /// Non-token nodes are exempt on purpose: after a token transfer a former
 /// copyset member may retain a stale, over-large frozen set. That is a
 /// documented cost trade-off (it only makes the node forward requests it
 /// could have granted; the token serves them), not a convergence failure.
-pub fn frozen_residue(nodes: &[HierNode]) -> Vec<AuditError> {
-    nodes
-        .iter()
+pub fn frozen_residue<N: Borrow<HierNode>>(nodes: &[N]) -> Vec<AuditError> {
+    each(nodes)
         .filter(|n| n.has_token() && !n.frozen().is_empty())
         .map(|n| AuditError::FrozenResidue {
             node: n.id(),

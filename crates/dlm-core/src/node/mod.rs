@@ -443,7 +443,7 @@ impl HierNode {
     pub fn fingerprint_mapped_into(
         &self,
         h: &mut crate::fingerprint::FpHasher,
-        map: &mut impl FnMut(u64, NodeId) -> NodeId,
+        map: &mut impl FnMut(u128, NodeId) -> NodeId,
     ) {
         use crate::fingerprint::{site, tag, write_keyed_mapped};
         // Exhaustive, like `fingerprint_into`: a new field is a compile
@@ -571,7 +571,7 @@ mod tests {
         n
     }
 
-    fn mapped(n: &HierNode, mut map: impl FnMut(u64, NodeId) -> NodeId) -> Fingerprint {
+    fn mapped(n: &HierNode, mut map: impl FnMut(u128, NodeId) -> NodeId) -> Fingerprint {
         let mut h = FpHasher::new();
         n.fingerprint_mapped_into(&mut h, &mut map);
         h.finish()
@@ -614,7 +614,7 @@ mod tests {
         let queued_at = |n: &HierNode, who: NodeId| {
             let mut found = Vec::new();
             mapped(n, |site, id| {
-                if id == who && site & 0xff == u64::from(crate::fingerprint::tag::QUEUE) {
+                if id == who && site & 0xff == u128::from(crate::fingerprint::tag::QUEUE) {
                     found.push(site >> 8);
                 }
                 id
