@@ -17,32 +17,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use dlm_cluster::{Cluster, ClusterError, NodeHandle};
+use dlm_cluster::{ClusterError, NodeHandle};
 use dlm_core::{LockId, Mode};
-
-pub use dlm_cluster::{Completion, Pipeline};
-
-/// A pipelined client to node `id` of `cluster`: submit operations on many
-/// distinct locks without blocking per call, then drain [`Completion`]s.
-///
-/// The service-level counterpart to [`LockSet`] for bulk workloads — one
-/// channel handoff carries a whole batch, and operations on distinct locks
-/// overlap freely (the protocol's single-pending rule only serializes
-/// operations on the *same* lock).
-pub fn pipeline(cluster: &Cluster, id: u32) -> Pipeline {
-    cluster.handle(id).pipeline()
-}
-
-/// Prometheus-text metrics snapshot of the cluster serving this API:
-/// message/drop counters, in-flight gauges, per-node operation totals, and
-/// acquire latency/hop summaries with p50/p95/p99 quantiles.
-///
-/// A thin passthrough to [`Cluster::metrics_snapshot`] so service consumers
-/// scrape observability through the same crate they lock through, without
-/// depending on `dlm_cluster` directly.
-pub fn metrics_snapshot(cluster: &Cluster) -> String {
-    cluster.metrics_snapshot()
-}
 
 /// A named set of locks (one protocol instance per member), bound to one
 /// cluster node.

@@ -124,7 +124,7 @@ fn metrics_snapshot_reflects_api_traffic() {
     a.unlock().unwrap();
     b.lock(Mode::Write).unwrap();
     b.unlock().unwrap();
-    let snap = dlm_api::metrics_snapshot(&c);
+    let snap = c.metrics_snapshot();
     for needle in [
         "# TYPE dlm_messages_total counter",
         "dlm_acquires_total{node=\"0\"} 1",
@@ -149,7 +149,7 @@ fn pipeline_interoperates_with_locksets() {
         shards: 2,
         ..Default::default()
     });
-    let mut pipe = dlm_api::pipeline(&c, 1);
+    let mut pipe = c.handle(1).pipeline();
     for l in 0..128u32 {
         pipe.submit_acquire(LockId(l), Mode::Write, l as u64)
             .unwrap();

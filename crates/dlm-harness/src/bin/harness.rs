@@ -26,11 +26,11 @@
 
 use dlm_cluster::{audit_process_states, audit_surviving_states, plan_recovery, ScanReport};
 use dlm_core::{HierNode, ProtocolConfig};
-use dlm_harness::sockload::hex_decode;
+use dlm_harness::sockload::{await_quiescence, hex_decode, poll_until};
 use dlm_metrics::Histogram;
 use dlm_workload::{ProtocolKind, WorkloadParams};
 use std::io::Write as _;
-use std::net::{SocketAddr, TcpListener, UdpSocket};
+use std::net::{TcpListener, UdpSocket};
 use std::process::{Child, ChildStdin, Command, Stdio};
 use std::time::{Duration, Instant};
 
@@ -90,38 +90,18 @@ struct Cluster {
 
 impl Cluster {
     /// Reserve loopback ports, spawn one `dlm-node` per member, and wait
-    /// for every member's `ready`.
-    fn spawn(
-        nodes: usize,
-        locks: usize,
-        shards: usize,
-        udp: Option<f64>,
-        deadline: Instant,
-    ) -> Cluster {
-        let addrs: Vec<SocketAddr> = if udp.is_some() {
-            (0..nodes)
-                .map(|_| {
-                    UdpSocket::bind("127.0.0.1:0")
-                        .expect("reserve udp port")
-                        .local_addr()
-                        .expect("local addr")
-                })
-                .collect()
-        } else {
-            (0..nodes)
-                .map(|_| {
-                    TcpListener::bind("127.0.0.1:0")
-                        .expect("reserve tcp port")
-                        .local_addr()
-                        .expect("local addr")
-                })
-                .collect()
-        };
-        let addr_list = addrs
-            .iter()
-            .map(|a| a.to_string())
-            .collect::<Vec<_>>()
-            .join(",");
+    /// for every member's `ready`; every later read must land within
+    /// `budget`.
+    fn spawn(nodes: usize, locks: usize, args: &Args, budget: Duration) -> Cluster {
+        let addrs: Vec<String> = (0..nodes)
+            .map(|_| match args.udp {
+                Some(_) => UdpSocket::bind("127.0.0.1:0").and_then(|s| s.local_addr()),
+                None => TcpListener::bind("127.0.0.1:0").and_then(|l| l.local_addr()),
+            })
+            .map(|addr| addr.map(|a| a.to_string()))
+            .collect::<Result<_, _>>()
+            .expect("reserve loopback port");
+        let addr_list = addrs.join(",");
         let exe = std::env::current_exe()
             .expect("current exe")
             .parent()
@@ -130,17 +110,16 @@ impl Cluster {
         let members = (0..nodes)
             .map(|me| {
                 let mut cmd = Command::new(&exe);
-                cmd.arg("--me")
-                    .arg(me.to_string())
-                    .arg("--addrs")
-                    .arg(&addr_list)
-                    .arg("--locks")
-                    .arg(locks.to_string())
-                    .arg("--shards")
-                    .arg(shards.to_string())
+                cmd.args(["--me", &me.to_string(), "--addrs", &addr_list])
+                    .args([
+                        "--locks",
+                        &locks.to_string(),
+                        "--shards",
+                        &args.shards.to_string(),
+                    ])
                     .stdin(Stdio::piped())
                     .stdout(Stdio::piped());
-                if let Some(loss) = udp {
+                if let Some(loss) = args.udp {
                     cmd.arg("--udp")
                         .arg(format!("{loss},{}", 0x5EED + me as u64));
                 }
@@ -154,13 +133,10 @@ impl Cluster {
                 let stdout = child.stdout.take().expect("child stdout");
                 let (tx, lines) = crossbeam::channel::unbounded();
                 std::thread::spawn(move || {
-                    use std::io::BufRead;
-                    for line in std::io::BufReader::new(stdout).lines() {
-                        let Ok(line) = line else { break };
-                        if tx.send(line).is_err() {
-                            break;
-                        }
-                    }
+                    let lines = std::io::BufRead::lines(std::io::BufReader::new(stdout));
+                    let _ = lines
+                        .map_while(Result::ok)
+                        .try_for_each(|line| tx.send(line));
                 });
                 Member {
                     child,
@@ -169,12 +145,10 @@ impl Cluster {
                 }
             })
             .collect();
+        let deadline = Instant::now() + budget;
         let mut cluster = Cluster { members, deadline };
         for me in 0..nodes {
-            let line = cluster.recv(me);
-            if line != "ready" {
-                cluster.fail(&format!("member {me}: expected ready, got {line:?}"));
-            }
+            cluster.reply(me, |line| expect(line, "ready"));
         }
         cluster
     }
@@ -186,14 +160,68 @@ impl Cluster {
     }
 
     fn recv(&mut self, me: usize) -> String {
-        let remaining = self
-            .deadline
-            .checked_duration_since(Instant::now())
-            .unwrap_or(Duration::ZERO);
+        let remaining = self.deadline.saturating_duration_since(Instant::now());
         match self.members[me].lines.recv_timeout(remaining) {
             Ok(line) => line,
             Err(_) => self.fail(&format!("member {me}: no output before the deadline")),
         }
+    }
+
+    /// Read member `me`'s next line through `read`; a line it rejects
+    /// fails the run.
+    fn reply<T>(&mut self, me: usize, read: impl FnOnce(&str) -> Result<T, String>) -> T {
+        let line = self.recv(me);
+        read(&line).unwrap_or_else(|e| self.fail(&format!("member {me}: {e}")))
+    }
+
+    /// Send `command` to member `me` and require an `ok`.
+    fn ok(&mut self, me: usize, command: &str) {
+        self.send(me, command);
+        self.reply(me, |line| {
+            expect(line, "ok").map_err(|e| format!("{command}: {e}"))
+        });
+    }
+
+    /// Poll `members` with `idle?` until global quiescence
+    /// ([`await_quiescence`]), or fail at the deadline.
+    fn quiesce(&mut self, members: &[usize]) {
+        let deadline = self.deadline;
+        let poll = || {
+            let (mut all_idle, mut sum) = (true, 0);
+            for &me in members {
+                self.send(me, "idle?");
+                let (idle, sent) = self.reply(me, read_idle);
+                all_idle &= idle;
+                sum += sent;
+            }
+            (all_idle, sum)
+        };
+        if !await_quiescence(poll, deadline) {
+            self.fail(&format!("{members:?} never reached global quiescence"));
+        }
+    }
+
+    /// Member `me`'s `(lock, has_token, epoch)` rows.
+    fn scan(&mut self, me: usize) -> Vec<(u32, bool, u32)> {
+        self.send(me, "scan");
+        self.reply(me, read_scan)
+    }
+
+    /// Shut `members` down, fold each one's reply stream, and reap every
+    /// child process.
+    fn shutdown(&mut self, members: &[usize], protocol: ProtocolConfig) -> Shutdown {
+        let mut out = Shutdown {
+            states: vec![Vec::new(); self.len()],
+            ..Shutdown::default()
+        };
+        for &me in members {
+            self.send(me, "shutdown");
+            while !self.reply(me, |line| out.read(me, line, protocol)) {}
+        }
+        for m in &mut self.members {
+            let _ = m.child.wait();
+        }
+        out
     }
 
     /// Kill every member and abort: the bounded-deadline escape hatch.
@@ -210,171 +238,159 @@ impl Cluster {
     }
 }
 
+/// A reply that must be exactly `want`.
+fn expect(line: &str, want: &str) -> Result<(), String> {
+    if line == want {
+        Ok(())
+    } else {
+        Err(format!("expected {want}, got {line:?}"))
+    }
+}
+
+/// The `N` numbers after `tag` in a member reply (`done 5 10`).
+fn numbers<const N: usize>(line: &str, tag: &str) -> Result<[u64; N], String> {
+    let bad = || format!("expected `{tag}` and {N} numbers, got {line:?}");
+    let mut words = line.split_whitespace();
+    if words.next() != Some(tag) {
+        return Err(bad());
+    }
+    let nums: Result<Vec<u64>, _> = words.map(str::parse).collect();
+    nums.ok().and_then(|n| n.try_into().ok()).ok_or_else(bad)
+}
+
+/// An `idle?` reply: `idle <messages>` or `busy <messages>`.
+fn read_idle(line: &str) -> Result<(bool, u64), String> {
+    match numbers::<1>(line, "idle") {
+        Ok([sent]) => Ok((true, sent)),
+        Err(_) => numbers::<1>(line, "busy").map(|[sent]| (false, sent)),
+    }
+}
+
+/// A `scan` reply: `locks <lock>:<has_token>:<epoch> …`.
+fn read_scan(line: &str) -> Result<Vec<(u32, bool, u32)>, String> {
+    let bad = || format!("expected `locks` rows, got {line:?}");
+    let body = line.strip_prefix("locks").ok_or_else(bad)?;
+    body.split_whitespace()
+        .map(|row| {
+            let fields: Result<Vec<u32>, _> = row.split(':').map(str::parse).collect();
+            match fields.map_err(|_| bad())?[..] {
+                [lock, has, epoch] => Ok((lock, has != 0, epoch)),
+                _ => Err(bad()),
+            }
+        })
+        .collect()
+}
+
+/// Everything the members' `shutdown` replies carry, summed over members.
+#[derive(Default)]
+struct Shutdown {
+    latency: Histogram,
+    /// Final lock states, indexed by member (empty for one not shut down).
+    states: Vec<Vec<(u32, HierNode)>>,
+    retransmits: u64,
+    dropped: u64,
+    wire_bytes: u64,
+    resets: u64,
+    messages: u64,
+    decode_errors: u64,
+    replies_dropped: u64,
+}
+
+impl Shutdown {
+    /// Fold one line of member `me`'s `shutdown` reply stream; true once
+    /// its closing `exit` line is read.
+    fn read(&mut self, me: usize, line: &str, protocol: ProtocolConfig) -> Result<bool, String> {
+        let mut words = line.split_whitespace();
+        match words.next() {
+            Some("lat") => {
+                let h = Histogram::decode_compact(words.next().unwrap_or(""))
+                    .map_err(|e| format!("bad histogram ({e}) in {line:?}"))?;
+                self.latency.merge(&h);
+            }
+            Some("state") => {
+                let lock = words.next().and_then(|w| w.parse().ok());
+                let node = words
+                    .next()
+                    .and_then(hex_decode)
+                    .and_then(|bytes| HierNode::decode_state(&bytes, protocol));
+                let (Some(lock), Some(node)) = (lock, node) else {
+                    return Err(format!("undecodable state {line:?}"));
+                };
+                self.states[me].push((lock, node));
+            }
+            Some("link") => {
+                // from to retransmits dropped wire_bytes resets proto wire
+                let [_, _, retransmits, dropped, wire_bytes, resets, _, _] =
+                    numbers::<8>(line, "link")?;
+                self.retransmits += retransmits;
+                self.dropped += dropped;
+                self.wire_bytes += wire_bytes;
+                self.resets += resets;
+            }
+            Some("exit") => {
+                let [messages, decode_errors, replies_dropped] = numbers::<3>(line, "exit")?;
+                self.messages += messages;
+                self.decode_errors += decode_errors;
+                self.replies_dropped += replies_dropped;
+                return Ok(true);
+            }
+            _ => return Err(format!("unexpected line {line:?}")),
+        }
+        Ok(false)
+    }
+}
+
 /// Everything one workload run produced, cluster-wide.
 struct RunStats {
     wall: Duration,
     ops: u64,
     acquires: u64,
-    messages: u64,
-    latency: Histogram,
-    retransmits: u64,
-    dropped: u64,
-    wire_bytes: u64,
-    resets: u64,
-    decode_errors: u64,
+    totals: Shutdown,
     audit_errors: usize,
 }
 
 /// Drive one already-spawned cluster through one workload command, then
 /// quiesce, shut down, and audit.
 fn drive(mut cluster: Cluster, command: &str, protocol: ProtocolConfig) -> RunStats {
-    let n = cluster.len();
+    let all: Vec<usize> = (0..cluster.len()).collect();
     let start = Instant::now();
-    for me in 0..n {
+    for &me in &all {
         cluster.send(me, command);
     }
-    let mut ops = 0u64;
-    let mut acquires = 0u64;
-    for me in 0..n {
-        let line = cluster.recv(me);
-        let nums: Vec<u64> = line
-            .strip_prefix("done ")
-            .unwrap_or_else(|| cluster.fail(&format!("member {me}: expected done, got {line:?}")))
-            .split_whitespace()
-            .map(|w| w.parse().expect("done counts"))
-            .collect();
-        ops += nums[0];
-        acquires += nums[1];
+    let (mut ops, mut acquires) = (0, 0);
+    for &me in &all {
+        let [done_ops, done_acquires] = cluster.reply(me, |line| numbers(line, "done"));
+        ops += done_ops;
+        acquires += done_acquires;
     }
     let wall = start.elapsed();
 
-    // Global quiescence: every member simultaneously idle, message sum
-    // stable across two consecutive polls.
-    let mut last_sum = u64::MAX;
-    loop {
-        let mut all_idle = true;
-        let mut sum = 0u64;
-        for me in 0..n {
-            cluster.send(me, "idle?");
-            let line = cluster.recv(me);
-            let (state, count) = line.split_once(' ').unwrap_or(("busy", "0"));
-            all_idle &= state == "idle";
-            sum += count.parse::<u64>().unwrap_or(0);
-        }
-        if all_idle && sum == last_sum {
-            break;
-        }
-        last_sum = sum;
-        if Instant::now() >= cluster.deadline {
-            cluster.fail("cluster never reached global quiescence");
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    }
-
-    // Shutdown: collect every member's latency histogram, final states,
-    // and link counters, then reassemble the cross-process audit.
-    let mut stats = RunStats {
-        wall,
-        ops,
-        acquires,
-        messages: 0,
-        latency: Histogram::new(),
-        retransmits: 0,
-        dropped: 0,
-        wire_bytes: 0,
-        resets: 0,
-        decode_errors: 0,
-        audit_errors: 0,
-    };
-    let mut all_states: Vec<Vec<(u32, HierNode)>> = Vec::with_capacity(n);
-    for me in 0..n {
-        cluster.send(me, "shutdown");
-        let mut states = Vec::new();
-        loop {
-            let line = cluster.recv(me);
-            let mut words = line.split_whitespace();
-            match words.next() {
-                Some("lat") => {
-                    let compact = words.next().unwrap_or("");
-                    match Histogram::decode_compact(compact) {
-                        Ok(h) => stats.latency.merge(&h),
-                        Err(e) => cluster.fail(&format!("member {me}: bad histogram: {e}")),
-                    }
-                }
-                Some("state") => {
-                    let lock: u32 = words.next().and_then(|w| w.parse().ok()).unwrap_or(0);
-                    let hex = words.next().unwrap_or("");
-                    let Some(bytes) = hex_decode(hex) else {
-                        cluster.fail(&format!("member {me}: undecodable state hex"));
-                    };
-                    let Some(node) = HierNode::decode_state(&bytes, protocol) else {
-                        cluster.fail(&format!("member {me}: undecodable state for lock {lock}"));
-                    };
-                    states.push((lock, node));
-                }
-                Some("link") => {
-                    let nums: Vec<u64> = words.map(|w| w.parse().expect("link counters")).collect();
-                    // from to retransmits dropped wire_bytes resets proto wire
-                    stats.retransmits += nums[2];
-                    stats.dropped += nums[3];
-                    stats.wire_bytes += nums[4];
-                    stats.resets += nums[5];
-                }
-                Some("exit") => {
-                    let nums: Vec<u64> = words.map(|w| w.parse().expect("exit counters")).collect();
-                    stats.messages += nums[0];
-                    stats.decode_errors += nums[1];
-                    break;
-                }
-                _ => cluster.fail(&format!("member {me}: unexpected line {line:?}")),
-            }
-        }
-        all_states.push(states);
-    }
+    cluster.quiesce(&all);
+    let mut totals = cluster.shutdown(&all, protocol);
     // Link counters are double-observed (each endpoint reports its side);
     // wire totals were summed over both, so halve the symmetric ones.
-    stats.wire_bytes /= 2;
-    for m in &mut cluster.members {
-        let _ = m.child.wait();
-    }
-    let errors = audit_process_states(protocol, &all_states);
+    totals.wire_bytes /= 2;
+    let errors = audit_process_states(protocol, &totals.states);
     if !errors.is_empty() {
         eprintln!("audit errors: {errors:?}");
     }
-    stats.audit_errors = errors.len();
-    stats
+    RunStats {
+        wall,
+        ops,
+        acquires,
+        totals,
+        audit_errors: errors.len(),
+    }
 }
 
-struct FigureRow {
-    name: String,
-    stats: RunStats,
-}
-
-fn run_workload_figure(
-    name: String,
-    params: &WorkloadParams,
-    args: &Args,
-    budget: Duration,
-) -> FigureRow {
-    let cluster = Cluster::spawn(
-        params.nodes,
-        params.lock_count(),
-        args.shards,
-        args.udp,
-        Instant::now() + budget,
-    );
+/// Run the §4 workload `params` on a fresh cluster.
+fn run_workload(p: &WorkloadParams, args: &Args, budget: Duration) -> RunStats {
+    let cluster = Cluster::spawn(p.nodes, p.lock_count(), args, budget);
     let command = format!(
         "run {} {} {} {} {} {} {}",
-        params.entries,
-        params.cs_mean,
-        params.idle_mean,
-        params.ops_per_node,
-        params.seed,
-        args.scale,
-        params.hot_entry_percent
+        p.entries, p.cs_mean, p.idle_mean, p.ops_per_node, p.seed, args.scale, p.hot_entry_percent
     );
-    let stats = drive(cluster, &command, params.hier_config);
-    FigureRow { name, stats }
+    drive(cluster, &command, p.hier_config)
 }
 
 /// The `--crash-smoke` run: SIGKILL a token-holding member of a 3-process
@@ -391,24 +407,15 @@ fn crash_smoke(seed: u64, args: &Args) {
     // with a held Write so its death forces R2 token regeneration.
     let victim = 1 + (seed % (nodes as u64 - 1)) as usize;
     let survivors: Vec<u32> = (0..nodes as u32).filter(|&n| n != victim as u32).collect();
+    let members: Vec<usize> = survivors.iter().map(|&s| s as usize).collect();
     let surv_csv = survivors
         .iter()
         .map(u32::to_string)
         .collect::<Vec<_>>()
         .join(",");
 
-    let mut cluster = Cluster::spawn(
-        nodes,
-        locks,
-        args.shards,
-        args.udp,
-        Instant::now() + Duration::from_secs(60),
-    );
-    cluster.send(victim, "acquire 0 w");
-    let line = cluster.recv(victim);
-    if line != "ok" {
-        cluster.fail(&format!("victim acquire: expected ok, got {line:?}"));
-    }
+    let mut cluster = Cluster::spawn(nodes, locks, args, Duration::from_secs(60));
+    cluster.ok(victim, "acquire 0 w");
 
     let killed_at = Instant::now();
     let _ = cluster.members[victim].child.kill();
@@ -416,49 +423,26 @@ fn crash_smoke(seed: u64, args: &Args) {
 
     // Failure detection: every survivor's socket detector must flag the
     // victim (its connections died with the process).
-    loop {
-        let mut all_saw = true;
-        for &s in &survivors {
-            cluster.send(s as usize, "suspects");
-            let line = cluster.recv(s as usize);
-            let flagged = line
-                .strip_prefix("suspects")
-                .map(|rest| {
-                    rest.split_whitespace()
-                        .any(|w| w.parse::<u32>() == Ok(victim as u32))
-                })
-                .unwrap_or(false);
-            all_saw &= flagged;
-        }
-        if all_saw {
-            break;
-        }
-        if Instant::now() >= cluster.deadline {
-            cluster.fail("survivors never suspected the killed member");
-        }
-        std::thread::sleep(Duration::from_millis(20));
+    let (deadline, victim_id) = (cluster.deadline, victim.to_string());
+    let suspected = poll_until(deadline, || {
+        members.iter().all(|&s| {
+            cluster.send(s, "suspects");
+            cluster
+                .recv(s)
+                .split_whitespace()
+                .skip(1)
+                .any(|w| w == victim_id)
+        })
+    });
+    if !suspected {
+        cluster.fail("survivors never suspected the killed member");
     }
 
     // Scan → plan → repair: the driver is the recovery coordinator.
-    let mut rows: Vec<ScanReport> = Vec::new();
-    for &s in &survivors {
-        cluster.send(s as usize, "scan");
-        let line = cluster.recv(s as usize);
-        let Some(body) = line.strip_prefix("locks") else {
-            cluster.fail(&format!("member {s}: expected locks, got {line:?}"));
-        };
-        let locks_row: Vec<(u32, bool, u32)> = body
-            .split_whitespace()
-            .map(|item| {
-                let mut it = item.split(':');
-                let lock: u32 = it.next().and_then(|w| w.parse().ok()).expect("scan lock");
-                let has: u32 = it.next().and_then(|w| w.parse().ok()).expect("scan token");
-                let epoch: u32 = it.next().and_then(|w| w.parse().ok()).expect("scan epoch");
-                (lock, has != 0, epoch)
-            })
-            .collect();
-        rows.push((s, locks_row));
-    }
+    let rows: Vec<ScanReport> = survivors
+        .iter()
+        .map(|&s| (s, cluster.scan(s as usize)))
+        .collect();
     let plans = plan_recovery(&rows, victim as u32, &survivors, locks);
     if plans.is_empty() {
         cluster.fail("the dead holder's lock was not planned for repair");
@@ -468,40 +452,22 @@ fn crash_smoke(seed: u64, args: &Args) {
         .map(|(l, r, e)| format!("{l}:{r}:{e}"))
         .collect::<Vec<_>>()
         .join(",");
-    for &s in &survivors {
-        cluster.send(
-            s as usize,
-            &format!("repair {victim} {surv_csv} {plans_csv}"),
-        );
-        let line = cluster.recv(s as usize);
-        if line != "ok" {
-            cluster.fail(&format!("member {s}: repair failed: {line:?}"));
-        }
+    for &s in &members {
+        cluster.ok(s, &format!("repair {victim} {surv_csv} {plans_csv}"));
     }
 
     // Restored service: every survivor write-cycles the repaired lock.
-    for &s in &survivors {
-        for command in ["acquire 0 w", "release 0"] {
-            cluster.send(s as usize, command);
-            let line = cluster.recv(s as usize);
-            if line != "ok" {
-                cluster.fail(&format!("member {s}: {command}: {line:?}"));
-            }
-        }
+    for &s in &members {
+        cluster.ok(s, "acquire 0 w");
+        cluster.ok(s, "release 0");
     }
     let recovery_ms = killed_at.elapsed().as_millis();
 
     // Exactly one token across the survivors, in the regenerated epoch.
-    let mut tokens: Vec<(u32, u32, u32)> = Vec::new();
-    for &s in &survivors {
-        cluster.send(s as usize, "scan");
-        let line = cluster.recv(s as usize);
-        for item in line.strip_prefix("locks").unwrap_or("").split_whitespace() {
-            let mut it = item.split(':');
-            let lock: u32 = it.next().and_then(|w| w.parse().ok()).expect("scan lock");
-            let has: u32 = it.next().and_then(|w| w.parse().ok()).expect("scan token");
-            let epoch: u32 = it.next().and_then(|w| w.parse().ok()).expect("scan epoch");
-            if has != 0 {
+    let mut tokens: Vec<(usize, u32, u32)> = Vec::new();
+    for &s in &members {
+        for (lock, has, epoch) in cluster.scan(s) {
+            if has {
                 tokens.push((s, lock, epoch));
             }
         }
@@ -511,65 +477,12 @@ fn crash_smoke(seed: u64, args: &Args) {
     }
 
     // Global quiescence over the survivors, then shutdown + audit.
-    let mut last_sum = u64::MAX;
-    loop {
-        let mut all_idle = true;
-        let mut sum = 0u64;
-        for &s in &survivors {
-            cluster.send(s as usize, "idle?");
-            let line = cluster.recv(s as usize);
-            let (state, count) = line.split_once(' ').unwrap_or(("busy", "0"));
-            all_idle &= state == "idle";
-            sum += count.parse::<u64>().unwrap_or(0);
-        }
-        if all_idle && sum == last_sum {
-            break;
-        }
-        last_sum = sum;
-        if Instant::now() >= cluster.deadline {
-            cluster.fail("survivors never reached quiescence");
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    }
-
-    let mut all_states: Vec<Vec<(u32, HierNode)>> = vec![Vec::new(); nodes];
-    let mut decode_errors = 0u64;
-    let mut replies_dropped = 0u64;
-    for &s in &survivors {
-        cluster.send(s as usize, "shutdown");
-        loop {
-            let line = cluster.recv(s as usize);
-            let mut words = line.split_whitespace();
-            match words.next() {
-                Some("lat") | Some("link") => {}
-                Some("state") => {
-                    let lock: u32 = words.next().and_then(|w| w.parse().ok()).unwrap_or(0);
-                    let hex = words.next().unwrap_or("");
-                    let Some(bytes) = hex_decode(hex) else {
-                        cluster.fail(&format!("member {s}: undecodable state hex"));
-                    };
-                    let Some(node) = HierNode::decode_state(&bytes, protocol) else {
-                        cluster.fail(&format!("member {s}: undecodable state for lock {lock}"));
-                    };
-                    all_states[s as usize].push((lock, node));
-                }
-                Some("exit") => {
-                    let nums: Vec<u64> = words.map(|w| w.parse().expect("exit counters")).collect();
-                    decode_errors += nums[1];
-                    replies_dropped += nums[2];
-                    break;
-                }
-                _ => cluster.fail(&format!("member {s}: unexpected line {line:?}")),
-            }
-        }
-    }
-    for m in &mut cluster.members {
-        let _ = m.child.wait();
-    }
-    let errors = audit_surviving_states(protocol, &all_states, &[victim as u32]);
+    cluster.quiesce(&members);
+    let totals = cluster.shutdown(&members, protocol);
+    let errors = audit_surviving_states(protocol, &totals.states, &[victim as u32]);
     assert!(errors.is_empty(), "crash-smoke audit: {errors:?}");
-    assert_eq!(decode_errors, 0, "crash-smoke saw malformed frames");
-    assert_eq!(replies_dropped, 0, "crash-smoke dropped a reply");
+    assert_eq!(totals.decode_errors, 0, "crash-smoke saw malformed frames");
+    assert_eq!(totals.replies_dropped, 0, "crash-smoke dropped a reply");
     println!(
         "crash-smoke ok: seed {seed} killed member {victim}, {} survivors recovered \
          to epoch {} in {recovery_ms} ms (one token at member {})",
@@ -591,13 +504,13 @@ fn main() {
         // deadline, loud non-zero exit on any audit or decode error.
         let mut params = WorkloadParams::linux_cluster(3, ProtocolKind::Hier);
         params.ops_per_node = 5;
-        let row = run_workload_figure("smoke".into(), &params, &args, Duration::from_secs(60));
-        assert_eq!(row.stats.audit_errors, 0, "smoke audit failed");
-        assert_eq!(row.stats.decode_errors, 0, "smoke saw malformed frames");
-        assert_eq!(row.stats.ops, 3 * 5);
+        let stats = run_workload(&params, &args, Duration::from_secs(60));
+        assert_eq!(stats.audit_errors, 0, "smoke audit failed");
+        assert_eq!(stats.totals.decode_errors, 0, "smoke saw malformed frames");
+        assert_eq!(stats.ops, 3 * 5);
         println!(
             "smoke ok: {} ops, {} msgs, {} wire bytes over 3 processes in {:?}",
-            row.stats.ops, row.stats.messages, row.stats.wire_bytes, row.stats.wall
+            stats.ops, stats.totals.messages, stats.totals.wire_bytes, stats.wall
         );
         return;
     }
@@ -605,119 +518,130 @@ fn main() {
     let nodes = args.nodes;
     let budget = Duration::from_secs(120);
     let wire = if args.udp.is_some() { "udp" } else { "tcp" };
-    let mut rows = Vec::new();
-
-    // Figures 7 and 8 share the §4.1 Linux-cluster workload: one run,
-    // two readings (latency and messages-per-request).
+    // Figures 7 and 8 share the §4.1 Linux-cluster workload: one run, two
+    // readings (latency and messages-per-request). Figures 9 and 10: the
+    // §4.2 IBM-SP workload at idle:CS ratios 25 and 1.
     let fig7 = WorkloadParams::linux_cluster(nodes, ProtocolKind::Hier);
-    rows.push(run_workload_figure(
-        format!("fig7_{wire}"),
-        &fig7,
-        &args,
-        budget,
-    ));
-    // Figures 9 and 10: the §4.2 IBM-SP workload at idle:CS ratios 25 and 1.
-    let fig9 = WorkloadParams::ibm_sp(nodes, 25);
-    rows.push(run_workload_figure(
-        format!("fig9_{wire}"),
-        &fig9,
-        &args,
-        budget,
-    ));
-    let fig10 = WorkloadParams::ibm_sp(nodes, 1);
-    rows.push(run_workload_figure(
-        format!("fig10_{wire}"),
-        &fig10,
-        &args,
-        budget,
-    ));
+    let (fig9, fig10) = (
+        WorkloadParams::ibm_sp(nodes, 25),
+        WorkloadParams::ibm_sp(nodes, 1),
+    );
+    let mut rows = Vec::new();
+    for (name, params) in [("fig7", fig7), ("fig9", fig9), ("fig10", fig10)] {
+        rows.push((
+            format!("{name}_{wire}"),
+            run_workload(&params, &args, budget),
+        ));
+    }
     // Shard churn: each member hammers its own entry lock (locks = one
     // entry per member + the table), measuring the partitioned fast path.
-    let churn_cluster = Cluster::spawn(
-        nodes,
-        nodes + 1,
-        args.shards,
-        args.udp,
-        Instant::now() + budget,
-    );
-    let churn_stats = drive(churn_cluster, "churn 500", ProtocolConfig::paper());
-    rows.push(FigureRow {
-        name: format!("shard_churn_{wire}"),
-        stats: churn_stats,
-    });
+    let churn = Cluster::spawn(nodes, nodes + 1, &args, budget);
+    let churn_stats = drive(churn, "churn 500", ProtocolConfig::paper());
+    rows.push((format!("shard_churn_{wire}"), churn_stats));
 
+    let mut tsv = String::from(
+        "figure\tnodes\tops\tacquires\tmessages\tmsgs_per_acquire\tlat_p50_us\tlat_p95_us\tlat_mean_us\twall_ms\twire_bytes\tretransmits\tdropped\tresets\taudit_errors\n",
+    );
+    for (name, s) in &rows {
+        let t = &s.totals;
+        tsv += &format!(
+            "{}\t{}\t{}\t{}\t{}\t{:.3}\t{}\t{}\t{:.1}\t{}\t{}\t{}\t{}\t{}\t{}\n",
+            name,
+            nodes,
+            s.ops,
+            s.acquires,
+            t.messages,
+            t.messages as f64 / s.acquires.max(1) as f64,
+            t.latency.quantile(0.50),
+            t.latency.quantile(0.95),
+            t.latency.mean(),
+            s.wall.as_millis(),
+            t.wire_bytes,
+            t.retransmits,
+            t.dropped,
+            t.resets,
+            s.audit_errors
+        );
+    }
     println!(
         "socket cluster figures — {nodes} processes over {wire} loopback, think times ÷{}",
         args.scale
     );
-    println!(
-        "{:<16} {:>8} {:>10} {:>12} {:>12} {:>10} {:>12} {:>8} {:>7}",
-        "figure",
-        "ops",
-        "msgs/op",
-        "lat p50 µs",
-        "lat p95 µs",
-        "wall ms",
-        "wire bytes",
-        "rexmit",
-        "audit"
-    );
-    for row in &rows {
-        let s = &row.stats;
-        println!(
-            "{:<16} {:>8} {:>10.2} {:>12} {:>12} {:>10} {:>12} {:>8} {:>7}",
-            row.name,
-            s.ops,
-            s.messages as f64 / s.acquires.max(1) as f64,
-            s.latency.quantile(0.50),
-            s.latency.quantile(0.95),
-            s.wall.as_millis(),
-            s.wire_bytes,
-            s.retransmits,
-            if s.audit_errors == 0 { "clean" } else { "FAIL" }
-        );
-    }
-
+    print!("{tsv}");
     std::fs::create_dir_all(&args.out).expect("results dir");
     let path = std::path::Path::new(&args.out).join(format!("socket_figures_{wire}.tsv"));
-    let mut f = std::fs::File::create(&path).expect("tsv file");
-    writeln!(
-        f,
-        "figure\tnodes\tops\tacquires\tmessages\tmsgs_per_acquire\tlat_p50_us\tlat_p95_us\tlat_mean_us\twall_ms\twire_bytes\tretransmits\tdropped\tresets\taudit_errors"
-    )
-    .expect("tsv header");
-    for row in &rows {
-        let s = &row.stats;
-        writeln!(
-            f,
-            "{}\t{}\t{}\t{}\t{}\t{:.3}\t{}\t{}\t{:.1}\t{}\t{}\t{}\t{}\t{}\t{}",
-            row.name,
-            nodes,
-            s.ops,
-            s.acquires,
-            s.messages,
-            s.messages as f64 / s.acquires.max(1) as f64,
-            s.latency.quantile(0.50),
-            s.latency.quantile(0.95),
-            s.latency.mean(),
-            s.wall.as_millis(),
-            s.wire_bytes,
-            s.retransmits,
-            s.dropped,
-            s.resets,
-            s.audit_errors
-        )
-        .expect("tsv row");
-    }
+    std::fs::write(&path, tsv).expect("write tsv");
     println!("wrote {}", path.display());
 
     let failed: Vec<&str> = rows
         .iter()
-        .filter(|r| r.stats.audit_errors > 0 || r.stats.decode_errors > 0)
-        .map(|r| r.name.as_str())
+        .filter(|(_, s)| s.audit_errors > 0 || s.totals.decode_errors > 0)
+        .map(|(name, _)| name.as_str())
         .collect();
     if !failed.is_empty() {
         eprintln!("failed figures: {failed:?}");
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dlm_core::NodeId;
+    use dlm_harness::sockload::hex_encode;
+
+    /// Fold a `shutdown` reply stream from member 0; true once `exit` is read.
+    fn read_stream(lines: &[&str]) -> Result<(Shutdown, bool), String> {
+        let mut out = Shutdown {
+            states: vec![Vec::new()],
+            ..Shutdown::default()
+        };
+        let mut done = false;
+        for line in lines {
+            done = out.read(0, line, ProtocolConfig::paper())?;
+        }
+        Ok((out, done))
+    }
+
+    #[test]
+    fn well_formed_replies_are_read() {
+        assert_eq!(numbers(" done 5 10", "done"), Ok([5, 10]));
+        assert_eq!(read_idle("busy 7"), Ok((false, 7)));
+        let rows = read_scan("locks 0:1:2 3:0:0");
+        assert_eq!(rows, Ok(vec![(0, true, 2), (3, false, 0)]));
+        let mut state = Vec::new();
+        HierNode::new(NodeId(0), NodeId(0), ProtocolConfig::paper()).encode_state(&mut state);
+        let lat = format!("lat {}", Histogram::new().encode_compact());
+        let state = format!("state 2 {}", hex_encode(&state));
+        let lines = [&lat, &state, "link 0 1 2 3 4 5 6 7", "exit 9 1 0"];
+        let (out, done) = read_stream(&lines).unwrap();
+        assert!(done, "exit closes the stream");
+        assert_eq!(
+            (out.states[0].len(), out.states[0][0].0),
+            (1, 2),
+            "one state, lock 2"
+        );
+        assert_eq!((out.retransmits, out.dropped, out.wire_bytes), (2, 3, 4));
+        assert_eq!((out.resets, out.messages, out.decode_errors), (5, 9, 1));
+    }
+
+    #[test]
+    fn short_or_non_numeric_replies_are_errors_naming_the_line() {
+        let short = numbers::<2>("done 5", "done").unwrap_err();
+        assert!(short.contains("\"done 5\""), "{short}");
+        assert!(numbers::<2>("done 5 x", "done").is_err());
+        for bad in [
+            "link 0 1 2",
+            "exit 9",
+            "exit 9 x 0",
+            "state 2",
+            "lat 1;2",
+            "link 0 1 2 3 four 5 6 7",
+        ] {
+            assert!(read_stream(&[bad]).err().unwrap().contains(bad), "{bad}");
+        }
+        assert!(read_idle("idle many").is_err());
+        assert!(read_scan("locks 0:1").is_err());
+        assert!(read_scan("locks 0:yes:0").is_err());
     }
 }

@@ -90,6 +90,7 @@ struct Point {
 }
 
 /// A figure minus its values; `run_plan` fills the series in.
+#[derive(Default)]
 struct Skeleton {
     name: &'static str,
     title: &'static str,
@@ -99,21 +100,33 @@ struct Skeleton {
     series_labels: Vec<String>,
 }
 
+/// The seed of the `s`-th run of every point: each sweep keeps the schedule
+/// its committed `results/*.tsv` were made with.
+type SeedSchedule = fn(u32) -> u64;
+
+/// Figures 7–10, the ablations and the latency tail.
+const PAPER_SEEDS: SeedSchedule = |s| 0xFEED + s as u64 * 7919;
+
 /// Execute every `(point, seed)` job across the pool and fold the metric
 /// values into figures.
 ///
 /// Jobs are enumerated point-major / seed-minor and the pool returns results
 /// in job order, so each slot accumulates its seed values in ascending seed
 /// order — the same floating-point fold the sequential per-point loop did.
-fn run_plan(skeletons: Vec<Skeleton>, points: Vec<Point>, opts: &FigureOptions) -> Vec<Figure> {
+fn run_plan(
+    skeletons: Vec<Skeleton>,
+    points: Vec<Point>,
+    seed: SeedSchedule,
+    opts: &FigureOptions,
+) -> Vec<Figure> {
     let jobs: Vec<(usize, u32)> = (0..points.len())
         .flat_map(|p| (0..opts.seeds).map(move |s| (p, s)))
         .collect();
-    let results = run_jobs(jobs, opts.worker_count(), |(p, seed)| {
+    let results = run_jobs(jobs, opts.worker_count(), |(p, s)| {
         let point = &points[p];
         let mut params = point.params;
         params.ops_per_node = opts.ops_per_node;
-        params.seed = 0xFEED + seed as u64 * 7919;
+        params.seed = seed(s);
         let report = run_workload(&params);
         assert!(
             report.complete(),
@@ -368,10 +381,9 @@ fn skeleton_ablations() -> Skeleton {
     }
 }
 
+/// One figure on the paper's seed schedule.
 fn single(skeleton: Skeleton, points: Vec<Point>, opts: &FigureOptions) -> Figure {
-    run_plan(vec![skeleton], points, opts)
-        .pop()
-        .expect("one figure per skeleton")
+    run_plan(vec![skeleton], points, PAPER_SEEDS, opts).remove(0)
 }
 
 /// Figure 7: *Scalability of Message Overhead* — average messages per lock
@@ -420,6 +432,104 @@ pub fn fig10(opts: &FigureOptions) -> Figure {
 /// series report messages/request, mean operation wait, and p99 write wait.
 pub fn ablations(opts: &FigureOptions) -> Figure {
     single(skeleton_ablations(), ablation_points(0), opts)
+}
+
+/// A labelled series reading of a run.
+type Reading = (&'static str, fn(&WorkloadReport) -> f64);
+
+/// The extension sweeps compare the hierarchical protocol with pure Naimi.
+const EXTENSION_PROTOS: [ProtocolKind; 2] = [ProtocolKind::Hier, ProtocolKind::NaimiPure];
+
+/// An extension figure: per protocol, the mean operation wait (ms) and then
+/// `second`, both read off the same runs of `params_at(protocol, x)`.
+fn extension(
+    skeleton: Skeleton,
+    xs: &[u64],
+    params_at: impl Fn(ProtocolKind, u64) -> WorkloadParams,
+    second: Reading,
+    seed: SeedSchedule,
+    opts: &FigureOptions,
+) -> Figure {
+    let wait: Reading = ("wait-ms", |r| r.op_latency.mean() / 1000.0);
+    let metrics = [wait, second];
+    let (mut points, mut series_labels) = (Vec::new(), Vec::new());
+    for (p, &protocol) in EXTENSION_PROTOS.iter().enumerate() {
+        series_labels.extend(metrics.map(|(label, _)| format!("{}-{label}", protocol.label())));
+        for (x, &value) in xs.iter().enumerate() {
+            let mut outputs: Vec<(Slot, Metric)> = Vec::new();
+            for (i, (_, metric)) in metrics.into_iter().enumerate() {
+                let (fig, series) = (0, 2 * p + i);
+                outputs.push((Slot { fig, series, x }, Box::new(metric)));
+            }
+            let params = params_at(protocol, value);
+            points.push(Point { params, outputs });
+        }
+    }
+    let skeleton = Skeleton {
+        x: xs.iter().map(|&x| x as f64).collect(),
+        series_labels,
+        ..skeleton
+    };
+    run_plan(vec![skeleton], points, seed, opts).remove(0)
+}
+
+/// Extension experiment (not in the paper, motivated by its §1: replicated
+/// data "across geographically distant server farms"): two 16-node sites
+/// with fast intra-site links, sweeping the WAN latency between them.
+///
+/// The hierarchical protocol's copy-grants and intent-mode locality keep
+/// most traffic intra-site once ownership settles; Naimi's token commutes
+/// across the WAN for every remote handoff.
+pub fn geo(opts: &FigureOptions) -> Figure {
+    use dlm_sim::{LatencyModel, TwoSite, MICROS_PER_MS};
+    let params_at = |protocol, wan_ms| {
+        let mut params = WorkloadParams::linux_cluster(32, protocol);
+        params.latency = LatencyModel::uniform(MICROS_PER_MS); // 1 ms intra-site
+        params.geo = Some(TwoSite {
+            site_a: 16,
+            wan: LatencyModel::uniform(wan_ms * MICROS_PER_MS),
+        });
+        params
+    };
+    let skeleton = Skeleton {
+        name: "geo",
+        title: "Two-site deployment: WAN latency sensitivity (extension)",
+        x_label: "wan_ms",
+        y_label: "mean op wait (ms) / messages per request",
+        ..Skeleton::default()
+    };
+    let msgs: Reading = ("msgs", |r| r.messages_per_request());
+    let seed = |s| 0x6E0 + s as u64;
+    extension(
+        skeleton,
+        &[5, 25, 50, 100, 200],
+        params_at,
+        msgs,
+        seed,
+        opts,
+    )
+}
+
+/// Extension experiment: hot-spot contention. An increasing fraction of
+/// entry operations targets one "hot" fare; the hierarchical protocol's
+/// shared read modes keep hot readers concurrent, while Naimi serializes
+/// every access to the hot entry.
+pub fn contention(opts: &FigureOptions) -> Figure {
+    let params_at = |protocol, hot| {
+        let mut params = WorkloadParams::linux_cluster(32, protocol);
+        params.hot_entry_percent = hot as u8;
+        params
+    };
+    let skeleton = Skeleton {
+        name: "contention",
+        title: "Hot-entry skew sensitivity (extension)",
+        x_label: "hot%",
+        y_label: "mean / p99 operation wait (ms)",
+        ..Skeleton::default()
+    };
+    let p99: Reading = ("p99-ms", |r| r.op_latency.quantile(0.99) as f64 / 1000.0);
+    let seed = |s| 0xC0 + s as u64 * 101;
+    extension(skeleton, &[0, 25, 50, 75, 90], params_at, p99, seed, opts)
 }
 
 /// Node counts for the crash-recovery sweep. In-process clusters spawn
@@ -513,5 +623,5 @@ pub fn all_figures(opts: &FigureOptions) -> Vec<Figure> {
     let mut points = linux_points(&[(0, fig7_metric), (1, fig8_metric)], Some(5));
     points.extend(sp_points(&[(2, fig9_metric), (3, fig10_metric)]));
     points.extend(ablation_points(4));
-    run_plan(skeletons, points, opts)
+    run_plan(skeletons, points, PAPER_SEEDS, opts)
 }

@@ -8,6 +8,8 @@
 //! | Fig. 9 (messages vs nodes per ratio)    | [`fig9`] | messages / lock request |
 //! | Fig. 10 (latency vs nodes per ratio)    | [`fig10`] | mean wait (ms) |
 //! | §4.1 design claims | [`ablations`] | per-feature deltas |
+//! | Two-site WAN sweep (extension)          | [`geo`] | mean op wait (ms), messages / request |
+//! | Hot-entry skew sweep (extension)        | [`contention`] | mean / p99 op wait (ms) |
 //!
 //! The `figures` binary (`figures <name>|all`) prints an aligned table and
 //! writes a TSV under `results/` per figure. Runs are averaged over a small
@@ -29,7 +31,6 @@ pub mod sockload;
 
 pub use figure::{render_table, write_tsv, Figure, Series};
 pub use figures::{
-    ablations, all_figures, fig10, fig7, fig8, fig9, latency_tail, recovery, FigureOptions,
-    RECOVERY_NODES,
+    ablations, all_figures, contention, fig10, fig7, fig8, fig9, geo, latency_tail, recovery,
+    FigureOptions, RECOVERY_NODES,
 };
-pub use pool::run_jobs;

@@ -15,7 +15,7 @@ use dlm_core::LockId;
 use dlm_workload::{OpKind, OpPlan, ProtocolKind, WorkloadParams};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// What one member did over the wire.
 #[derive(Debug, Clone, Copy, Default)]
@@ -24,8 +24,6 @@ pub struct MemberOutcome {
     pub ops_completed: u32,
     /// Lock acquisitions performed (entry ops take two locks).
     pub acquires: u64,
-    /// Rule 7 upgrades performed.
-    pub upgrades: u64,
 }
 
 /// The [`ClusterConfig`] every member of a socket cluster running
@@ -97,7 +95,6 @@ pub fn run_member_workload(
         think(sample_around(params.cs_mean, &mut rng), time_scale);
         if plan.upgrade {
             handle.upgrade(LockId::TABLE).expect("upgrade");
-            out.upgrades += 1;
             think(sample_around(params.cs_mean / 2, &mut rng), time_scale);
         }
         for (lock, _) in plan.locks.iter().rev() {
@@ -128,31 +125,32 @@ pub fn run_member_churn(handle: &NodeHandle, me: u32, entries: u32, ops: u32) ->
     out
 }
 
-/// Wait for **global** quiescence of an in-process member set: every
-/// member simultaneously idle with the cluster-wide message sum stable
-/// for `window`. Returns false if `timeout` passes first. (The
-/// multi-process driver does the same dance over the `idle?` line
-/// protocol; a single member's idleness is necessary, not sufficient.)
-pub fn quiesce_members(nodes: &[dlm_cluster::Node], window: Duration, timeout: Duration) -> bool {
-    use std::time::Instant;
-    let deadline = Instant::now() + timeout;
-    let sum = |nodes: &[dlm_cluster::Node]| -> u64 {
-        nodes.iter().map(dlm_cluster::Node::messages_sent).sum()
-    };
-    let mut last = sum(nodes);
-    let mut stable = Instant::now();
+/// Wait for **global** quiescence: every member idle at once, with the
+/// cluster-wide message sum unchanged since the previous poll (a single
+/// member's idleness is necessary, not sufficient). `poll` sweeps the
+/// members once and returns `(all idle, message sum)`; it runs every 5 ms
+/// until the rule holds (true) or `deadline` passes (false). The
+/// multi-process driver polls over the `idle?` line; in-process callers
+/// read [`dlm_cluster::Node::is_idle`] and `messages_sent` directly.
+pub fn await_quiescence(mut poll: impl FnMut() -> (bool, u64), deadline: Instant) -> bool {
+    let mut last = None;
+    poll_until(deadline, || {
+        let (idle, sum) = poll();
+        last.replace(sum) == Some(sum) && idle
+    })
+}
+
+/// Call `done` every 5 ms until it returns true (then true) or `deadline`
+/// passes (then false).
+pub fn poll_until(deadline: Instant, mut done: impl FnMut() -> bool) -> bool {
     loop {
-        std::thread::sleep(Duration::from_millis(2));
-        let now_sum = sum(nodes);
-        if now_sum != last || !nodes.iter().all(dlm_cluster::Node::is_idle) {
-            last = now_sum;
-            stable = Instant::now();
-        } else if stable.elapsed() >= window {
+        if done() {
             return true;
         }
         if Instant::now() >= deadline {
             return false;
         }
+        std::thread::sleep(Duration::from_millis(5));
     }
 }
 
@@ -243,10 +241,12 @@ mod tests {
             assert_eq!(outcome.ops_completed, 6, "member {me}");
             assert!(outcome.acquires >= 6, "member {me}");
         }
-        assert!(
-            quiesce_members(&nodes, Duration::from_millis(30), Duration::from_secs(10)),
-            "never quiesced"
-        );
+        let poll = || {
+            let idle = nodes.iter().all(Node::is_idle);
+            (idle, nodes.iter().map(Node::messages_sent).sum())
+        };
+        let deadline = Instant::now() + Duration::from_secs(10);
+        assert!(await_quiescence(poll, deadline), "never quiesced");
         let states: Vec<_> = nodes.into_iter().map(|n| n.shutdown().states).collect();
         let errors = audit_process_states(params.hier_config, &states);
         assert!(errors.is_empty(), "{errors:?}");

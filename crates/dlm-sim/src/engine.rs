@@ -343,11 +343,6 @@ impl<A: Actor> Sim<A> {
         self.stats.clone()
     }
 
-    /// Consume the simulation, returning the actors for inspection.
-    pub fn into_actors(self) -> Vec<A> {
-        self.actors
-    }
-
     /// Iterate messages currently in flight as `(from, to, payload)` —
     /// needed by audits that must account for e.g. an in-flight token.
     pub fn in_flight(&self) -> impl Iterator<Item = (NodeId, NodeId, &A::Msg)> {

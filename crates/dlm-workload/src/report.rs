@@ -45,41 +45,6 @@ pub struct WorkloadReport {
     pub freeze_spans: Histogram,
 }
 
-/// Render one histogram as a JSON object: headline stats, tail percentiles,
-/// and the lossless compact bucket encoding (see
-/// [`Histogram::encode_compact`]) so a consumer can rebuild the full
-/// distribution, not just the summary.
-fn histogram_json(h: &Histogram) -> String {
-    let p = h.percentiles();
-    format!(
-        concat!(
-            "{{\"count\":{},\"mean\":{:.3},\"min\":{},\"max\":{},",
-            "\"p50\":{},\"p95\":{},\"p99\":{},\"compact\":\"{}\"}}"
-        ),
-        h.count(),
-        h.mean(),
-        h.min(),
-        h.max(),
-        p.p50,
-        p.p95,
-        p.p99,
-        h.encode_compact()
-    )
-}
-
-/// Render a counter set as a JSON object (kinds sorted by the set itself).
-fn counters_json(set: &dlm_metrics::CounterSet) -> String {
-    let mut out = String::from("{");
-    for (i, (kind, count)) in set.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("\"{kind}\":{count}"));
-    }
-    out.push('}');
-    out
-}
-
 impl WorkloadReport {
     /// Messages per lock request — the paper's Fig. 7 / Fig. 9 metric.
     pub fn messages_per_request(&self) -> f64 {
@@ -104,11 +69,6 @@ impl WorkloadReport {
         }
     }
 
-    /// Mean per-request wait in milliseconds — the Fig. 10 metric.
-    pub fn mean_request_latency_ms(&self) -> f64 {
-        self.request_latency.mean() / 1_000.0
-    }
-
     /// Mean per-request wait divided by the mean one-way network latency —
     /// the Fig. 8 "latency factor".
     pub fn latency_factor(&self) -> f64 {
@@ -121,121 +81,5 @@ impl WorkloadReport {
     /// True if every node completed its operations.
     pub fn complete(&self) -> bool {
         self.ops_completed == self.ops_expected
-    }
-
-    /// Hand-rolled JSON rendering of the full report, histograms included:
-    /// each distribution carries its tail percentiles (p50/p95/p99) plus the
-    /// lossless compact bucket string, so archived reports can answer
-    /// questions the headline means cannot.
-    pub fn to_json(&self) -> String {
-        let p = &self.params;
-        let mut out = String::from("{");
-        out.push_str(&format!(
-            concat!(
-                "\"params\":{{\"protocol\":\"{}\",\"nodes\":{},\"entries\":{},",
-                "\"ops_per_node\":{},\"cs_mean_us\":{},\"idle_mean_us\":{},",
-                "\"hot_entry_percent\":{},\"seed\":{}}},"
-            ),
-            p.protocol.label(),
-            p.nodes,
-            p.entries,
-            p.ops_per_node,
-            p.cs_mean,
-            p.idle_mean,
-            p.hot_entry_percent,
-            p.seed
-        ));
-        out.push_str(&format!(
-            concat!(
-                "\"requests\":{},\"messages\":{},\"ops_completed\":{},",
-                "\"ops_expected\":{},\"upgrades\":{},\"end_time\":{},",
-                "\"quiesced\":{},"
-            ),
-            self.requests,
-            self.messages,
-            self.ops_completed,
-            self.ops_expected,
-            self.upgrades,
-            self.end_time,
-            self.quiesced
-        ));
-        out.push_str(&format!(
-            "\"request_latency_us\":{},",
-            histogram_json(&self.request_latency)
-        ));
-        out.push_str(&format!(
-            "\"op_latency_us\":{},",
-            histogram_json(&self.op_latency)
-        ));
-        out.push_str("\"op_latency_by_kind_us\":[");
-        for (i, h) in self.op_latency_by_kind.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&histogram_json(h));
-        }
-        out.push_str("],");
-        out.push_str(&format!(
-            "\"queue_depth\":{},",
-            histogram_json(&self.queue_depth)
-        ));
-        out.push_str(&format!(
-            "\"freeze_spans_us\":{},",
-            histogram_json(&self.freeze_spans)
-        ));
-        out.push_str(&format!(
-            "\"sent_by_kind\":{},",
-            counters_json(&self.sent_by_kind)
-        ));
-        out.push_str(&format!(
-            "\"rule_counters\":{},",
-            counters_json(&self.rule_counters)
-        ));
-        out.push_str(&format!(
-            "\"trace_sends\":{}",
-            counters_json(&self.trace_sends)
-        ));
-        out.push('}');
-        out
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use crate::{run_workload, ProtocolKind, WorkloadParams};
-    use dlm_metrics::Histogram;
-
-    #[test]
-    fn report_json_carries_percentiles_and_lossless_histograms() {
-        let params = WorkloadParams {
-            ops_per_node: 6,
-            seed: 99,
-            ..WorkloadParams::linux_cluster(4, ProtocolKind::Hier)
-        };
-        let report = run_workload(&params);
-        assert!(report.complete());
-        let json = report.to_json();
-        for needle in [
-            "\"protocol\":\"our-protocol\"",
-            "\"request_latency_us\":{\"count\":",
-            "\"p50\":",
-            "\"p95\":",
-            "\"p99\":",
-            "\"compact\":\"v1;",
-            "\"rule_counters\":{",
-        ] {
-            assert!(json.contains(needle), "missing {needle} in:\n{json}");
-        }
-        // The embedded compact string is lossless: extract the request
-        // latency one and rebuild the exact distribution from it.
-        let tag = "\"request_latency_us\":{";
-        let obj = &json[json.find(tag).unwrap()..];
-        let compact_tag = "\"compact\":\"";
-        let start = obj.find(compact_tag).unwrap() + compact_tag.len();
-        let compact = &obj[start..start + obj[start..].find('"').unwrap()];
-        let rebuilt = Histogram::decode_compact(compact).unwrap();
-        assert_eq!(rebuilt.count(), report.request_latency.count());
-        assert_eq!(rebuilt.percentiles(), report.request_latency.percentiles());
-        assert_eq!(rebuilt.max(), report.request_latency.max());
     }
 }

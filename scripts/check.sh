@@ -68,8 +68,9 @@ DLM_CHAOS_CASES="${DLM_CHAOS_CASES:-4}" cargo test -q -p dlm-cluster --test chao
 echo "==> model-check gate: check gate (serial/parallel differential + symmetry acceptance)"
 cargo run --release -q -p dlm-check --bin check -- gate
 
-echo "==> request-span smoke: capture + reconstruct a 4-node cluster trace"
-cargo run --release -q -p dlm-harness --bin spans -- 4
+echo "==> trace-analyzer smoke: capture a 4-node cluster trace (under target/), then analyze the committed fixture"
+cargo run --release -q -p dlm-harness --bin events -- cluster 4
+cargo run --release -q -p dlm-harness --bin events -- results/cluster4-trace.jsonl
 
 echo "==> socket-cluster smoke: 3 dlm-node processes over TCP loopback (bounded deadline)"
 cargo build --release -q -p dlm-harness --bin dlm-node

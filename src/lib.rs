@@ -14,7 +14,7 @@
 //! * [`cluster`] — a thread-per-node runtime with a binary wire codec,
 //! * [`api`] — a CosConcurrency-style `LockSet` facade with RAII guards,
 //! * [`workload`] — the multi-airline-reservation workload of §4,
-//! * [`metrics`] — histograms and summary statistics,
+//! * [`metrics`] — latency histograms and labelled counter sets,
 //! * [`harness`] — regenerates every figure of the paper's evaluation.
 //!
 //! # Quickstart
