@@ -45,6 +45,7 @@ fn assert_clean(report: &ClusterReport) {
 /// must make every blocking acquire complete and leave a clean audit.
 #[test]
 fn chaos_matrix_survives_ten_percent_loss_dup_reorder() {
+    let mut retransmits = 0;
     for seed in [11, 23, 47] {
         let c = lossy_cluster(seed, 0.10, 4, 2);
         let threads: Vec<_> = (0..4)
@@ -66,15 +67,19 @@ fn chaos_matrix_survives_ten_percent_loss_dup_reorder() {
         c.quiesce(Duration::from_millis(5));
         let report = c.shutdown();
         assert_clean(&report);
-        let (dropped, retransmits): (u64, u64) = report
-            .links
-            .iter()
-            .fold((0, 0), |(d, r), l| (d + l.dropped, r + l.retransmits));
+        let dropped: u64 = report.links.iter().map(|l| l.dropped).sum();
+        retransmits += report.links.iter().map(|l| l.retransmits).sum::<u64>();
         // At 10% over hundreds of frames, a fault-free run is implausible;
         // its absence would mean the fault stage was never in the path.
         assert!(dropped > 0, "seed {seed}: no frame ever dropped");
-        assert!(retransmits > 0, "seed {seed}: drops but no retransmissions");
     }
+    // A seed whose only drops were bare acks or duplicates needs no
+    // retransmission, so the shim's recovery path is asserted across the
+    // matrix rather than per seed.
+    assert!(
+        retransmits > 0,
+        "drops on every seed but no retransmissions"
+    );
 }
 
 /// A second blocking operation on a lock that already has a waiter on the

@@ -4,10 +4,10 @@
 //! small `Copy` values. `BTreeMap` pays a heap node allocation the moment a
 //! map goes non-empty — which the shared-mode churn path does every round as
 //! the copyset flips between empty and one child. A [`FlatMap`] keeps up to
-//! `N` entries inline in the node struct, sorted by key, and only touches the
-//! heap if the map outgrows the inline capacity (and even then the spill
-//! vector's capacity is retained when the map empties, so steady-state
-//! transitions stay allocation-free).
+//! `N` entries inline in its owner (the node's peer box), sorted by key, and
+//! only touches the heap if the map outgrows the inline capacity (and even
+//! then the spill vector's capacity is retained when the map empties, so
+//! steady-state transitions stay allocation-free).
 //!
 //! Iteration order is ascending by `NodeId`, identical to the `BTreeMap`s
 //! this replaces — the structural fingerprints that serve as the
@@ -42,9 +42,15 @@ pub struct FlatMap<V: Copy + Default, const N: usize> {
 impl<V: Copy + Default, const N: usize> FlatMap<V, N> {
     /// Create an empty map. Allocation-free.
     pub fn new() -> Self {
+        FlatMap::empty(V::default())
+    }
+
+    /// An empty map in `const` context, where `V::default()` cannot be
+    /// called: `pad` fills the unoccupied inline slots and is never read.
+    pub const fn empty(pad: V) -> Self {
         FlatMap {
             len: 0,
-            inline: [(NodeId(0), V::default()); N],
+            inline: [(NodeId(0), pad); N],
             spilled: false,
             spill: Vec::new(),
         }

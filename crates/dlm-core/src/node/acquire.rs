@@ -33,7 +33,7 @@ impl HierNode {
             // Self-grant is message-free only while nothing is queued (an
             // empty queue implies an empty freeze set, so `refresh_frozen`
             // cannot change anything, so no `SetFrozen` traffic).
-            self.queue.is_empty() && self.frozen.is_empty()
+            self.queue_len() == 0 && self.frozen.is_empty()
         } else {
             // A non-token node can only admit what its owned mode covers.
             self.owned.ge(mode)

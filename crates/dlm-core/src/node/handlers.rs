@@ -88,7 +88,7 @@ impl HierNode {
         effects: &mut EffectBuf,
         obs: &mut O,
     ) {
-        if self.queue.iter().any(|q| q.from == req.from) {
+        if self.queued().any(|q| q.from == req.from) {
             // A node has at most one outstanding request, so a second
             // arrival from the same originator can only be a crash-recovery
             // re-issue (Rule R1) racing a queue entry that survived — either
@@ -189,7 +189,7 @@ impl HierNode {
     ) {
         debug_assert_eq!(self.pending.map(|p| p.mode), Some(mode));
         debug_assert!(!self.pending.map(|p| p.upgrade).unwrap_or(false));
-        self.count_grant_received(from);
+        self.peers.get_or_alloc().count_grant_received(from);
         self.detach_from_old_parent(from, effects, obs);
         let old_parent = self.parent;
         self.pending = None;
@@ -279,7 +279,6 @@ impl HierNode {
         obs: &mut O,
     ) {
         debug_assert_eq!(self.pending.map(|p| p.mode), Some(mode));
-        self.count_grant_received(from);
         self.detach_from_old_parent(from, effects, obs);
         let old_parent = self.parent;
         let upgrade = self.pending.map(|p| p.upgrade).unwrap_or(false);
@@ -316,19 +315,21 @@ impl HierNode {
             self.held = mode;
             effects.push(Effect::Granted { mode });
         }
+        let peers = self.peers.get_or_alloc();
+        peers.count_grant_received(from);
         if granter_owned != Mode::NoLock {
-            self.update_copyset(from, granter_owned);
+            peers.copyset.insert(from, granter_owned);
         }
-        self.owned = self.recompute_owned();
-
         let mut queue = carried_queue;
-        queue.extend(self.queue.drain(..));
-        self.queue = queue;
+        queue.extend(peers.queue.drain(..));
+        peers.queue = queue;
         // Drop any self-entry the carried queue may hold for the request the
         // token itself just answered.
         let me = self.id;
-        self.queue
+        peers
+            .queue
             .retain(|q| !(q.from == me && q.mode == mode && q.upgrade == upgrade));
+        self.owned = self.recompute_owned();
         self.frozen = carried_frozen;
         self.serve_queue_token(effects, obs);
     }
@@ -401,16 +402,20 @@ impl HierNode {
             }
         }
         let delta = modes.difference(old).union(old.difference(modes));
+        // No box, no children to tell.
+        let Some(peers) = self.peers.get_mut() else {
+            return;
+        };
         // Walk the copyset by index (it is not mutated here — only
         // `frozen_sent` is) instead of collecting the children into a
         // temporary Vec.
-        for i in 0..self.copyset.len() {
-            let (child, child_mode) = self.copyset.get_index(i);
+        for i in 0..peers.copyset.len() {
+            let (child, child_mode) = peers.copyset.get_index(i);
             let relevant = REQUEST_MODES
                 .iter()
                 .any(|&m| delta.contains(m) && child_can_grant(child_mode, m));
             if relevant {
-                self.frozen_sent.insert(child, modes);
+                peers.frozen_sent.insert(child, modes);
                 effects.push(Effect::send(child, Message::SetFrozen { modes }));
                 if obs.enabled() {
                     obs.emit(self.id.0, ProtocolEvent::FreezeSent { to: child.0, modes });

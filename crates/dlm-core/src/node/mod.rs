@@ -13,6 +13,7 @@ use crate::message::QueuedRequest;
 use dlm_modes::{Mode, ModeSet};
 use dlm_trace::{Observer, ProtocolEvent};
 use std::collections::VecDeque;
+use std::fmt;
 
 /// One node's instance of the hierarchical locking protocol for one lock
 /// object.
@@ -75,24 +76,10 @@ pub struct HierNode {
     owned: Mode,
     /// `MP`: the outstanding request of the local application, if any.
     pending: Option<QueuedRequest>,
-    /// Children whose requests this node granted (Definition 4), with the
-    /// owned mode they last reported. Sorted flat map (ascending `NodeId`,
-    /// same deterministic iteration order as the `BTreeMap` it replaced).
-    copyset: CopySet,
-    /// The local request queue (Rule 4); FIFO.
-    queue: VecDeque<QueuedRequest>,
     /// Modes frozen at this node (Rule 6). At the token node this is
     /// recomputed from the queue; elsewhere it is whatever the parent last
     /// pushed via `SetFrozen`.
     frozen: ModeSet,
-    /// The frozen set last communicated to each copyset child, so freeze
-    /// updates are only sent to children for which they matter.
-    frozen_sent: FlatMap<ModeSet, MAP_INLINE>,
-    /// Grants (copy grants and token transfers) sent per peer; used to
-    /// detect stale releases (see `Message::Release::ack`).
-    grants_sent: FlatMap<u64, MAP_INLINE>,
-    /// Grants received per peer; stamped into outgoing releases.
-    grants_received: FlatMap<u64, MAP_INLINE>,
     /// True while this node believes its current parent holds a copyset
     /// entry for it. Set on grant/token interactions, cleared when the node
     /// reports `NoLock` to its parent. Drives the *detach* message on
@@ -110,6 +97,101 @@ pub struct HierNode {
     /// fences (drops) any frame whose stamp differs from its own epoch, so a
     /// token or grant from a dead generation can never resurrect authority.
     epoch: u32,
+    /// Copyset, local queue and per-peer bookkeeping: boxed on first use,
+    /// so a lock no other node ever touched stays one cache line.
+    peers: Peers,
+}
+
+/// The part of a node's state that only other nodes fill. A lock nobody
+/// else uses keeps all five collections empty for its whole life, so they
+/// live in a [`Peers`] box rather than inline in [`HierNode`].
+#[derive(Debug, Clone, Default)]
+struct PeerState {
+    /// Children whose requests this node granted (Definition 4), with the
+    /// owned mode they last reported. Sorted flat map (ascending `NodeId`,
+    /// same deterministic iteration order as the `BTreeMap` it replaced).
+    copyset: CopySet,
+    /// The local request queue (Rule 4); FIFO.
+    queue: VecDeque<QueuedRequest>,
+    /// The frozen set last communicated to each copyset child, so freeze
+    /// updates are only sent to children for which they matter.
+    frozen_sent: FlatMap<ModeSet, MAP_INLINE>,
+    /// Grants (copy grants and token transfers) sent per peer; used to
+    /// detect stale releases (see `Message::Release::ack`).
+    grants_sent: FlatMap<u64, MAP_INLINE>,
+    /// Grants received per peer; stamped into outgoing releases.
+    grants_received: FlatMap<u64, MAP_INLINE>,
+}
+
+/// What an absent box reads as. Built from `const fn`s, so a read of a
+/// peerless node pays no lazy-initialisation check.
+static NO_PEERS: PeerState = PeerState {
+    copyset: FlatMap::empty(Mode::NoLock),
+    queue: VecDeque::new(),
+    frozen_sent: FlatMap::empty(ModeSet::EMPTY),
+    grants_sent: FlatMap::empty(0),
+    grants_received: FlatMap::empty(0),
+};
+
+impl PeerState {
+    fn is_empty(&self) -> bool {
+        self.copyset.is_empty()
+            && self.queue.is_empty()
+            && self.frozen_sent.is_empty()
+            && self.grants_sent.is_empty()
+            && self.grants_received.is_empty()
+    }
+
+    /// Record that a grant (copy or token) is being sent to `to`.
+    fn count_grant_sent(&mut self, to: NodeId) {
+        let n = self.grants_sent.get(&to).copied().unwrap_or(0);
+        self.grants_sent.insert(to, n + 1);
+    }
+
+    /// Record that a grant (copy or token) arrived from `from`.
+    fn count_grant_received(&mut self, from: NodeId) {
+        let n = self.grants_received.get(&from).copied().unwrap_or(0);
+        self.grants_received.insert(from, n + 1);
+    }
+}
+
+/// A node's [`PeerState`], allocated by the first insert and kept from then
+/// on (shared-mode churn empties and refills the copyset every round; a
+/// kept box keeps that allocation-free). An absent box and a box of empty
+/// collections are the same state: they read, fingerprint and encode alike.
+#[derive(Clone, Default)]
+struct Peers(Option<Box<PeerState>>);
+
+impl Peers {
+    /// The collections; [`NO_PEERS`] when no box exists. Never allocates.
+    #[inline]
+    fn get(&self) -> &PeerState {
+        self.0.as_deref().unwrap_or(&NO_PEERS)
+    }
+
+    /// The collections for removal and reset, `None` when no box exists:
+    /// removing from an empty collection is a no-op, so callers skip it.
+    #[inline]
+    fn get_mut(&mut self) -> Option<&mut PeerState> {
+        self.0.as_deref_mut()
+    }
+
+    /// The collections for insertion, boxing them on first use.
+    #[inline]
+    fn get_or_alloc(&mut self) -> &mut PeerState {
+        self.0.get_or_insert_with(Box::default)
+    }
+
+    /// Box `state` only if it holds anything.
+    fn from_state(state: PeerState) -> Self {
+        Peers((!state.is_empty()).then(|| Box::new(state)))
+    }
+}
+
+impl fmt::Debug for Peers {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.get().fmt(f)
+    }
 }
 
 impl HierNode {
@@ -123,15 +205,11 @@ impl HierNode {
             held: Mode::NoLock,
             owned: Mode::NoLock,
             pending: None,
-            copyset: CopySet::new(),
-            queue: VecDeque::new(),
             frozen: ModeSet::EMPTY,
-            frozen_sent: FlatMap::new(),
-            grants_sent: FlatMap::new(),
-            grants_received: FlatMap::new(),
             registered: false,
             anomalies: 0,
             epoch: 0,
+            peers: Peers::default(),
         }
     }
 
@@ -188,17 +266,17 @@ impl HierNode {
 
     /// The copyset: children and the owned mode they last reported.
     pub fn copyset(&self) -> &CopySet {
-        &self.copyset
+        &self.peers.get().copyset
     }
 
     /// Number of locally queued requests.
     pub fn queue_len(&self) -> usize {
-        self.queue.len()
+        self.peers.get().queue.len()
     }
 
     /// The locally queued requests, front (oldest) first.
     pub fn queued(&self) -> impl Iterator<Item = &QueuedRequest> {
-        self.queue.iter()
+        self.peers.get().queue.iter()
     }
 
     /// Modes currently frozen at this node.
@@ -226,7 +304,7 @@ impl HierNode {
 
     /// Recompute the owned mode from held + copyset (Definition 3).
     pub(crate) fn recompute_owned(&self) -> Mode {
-        self.copyset
+        self.copyset()
             .iter()
             .fold(self.held, |acc, (_, m)| acc.join(m))
     }
@@ -241,7 +319,7 @@ impl HierNode {
         } else {
             self.held
         };
-        self.copyset
+        self.copyset()
             .iter()
             .filter(|&(c, _)| c != who)
             .fold(base, |acc, (_, m)| acc.join(m))
@@ -250,10 +328,12 @@ impl HierNode {
     /// Record a weaker owned report from (or removal of) a copyset child.
     pub(crate) fn update_copyset(&mut self, child: NodeId, reported: Mode) {
         if reported == Mode::NoLock {
-            self.copyset.remove(&child);
-            self.frozen_sent.remove(&child);
+            if let Some(peers) = self.peers.get_mut() {
+                peers.copyset.remove(&child);
+                peers.frozen_sent.remove(&child);
+            }
         } else {
-            self.copyset.insert(child, reported);
+            self.peers.get_or_alloc().copyset.insert(child, reported);
         }
     }
 
@@ -266,39 +346,28 @@ impl HierNode {
     /// (stable ⇒ FIFO within a priority level; all-zero priorities reproduce
     /// the paper's plain FIFO exactly).
     pub(crate) fn enqueue<O: Observer + ?Sized>(&mut self, req: QueuedRequest, obs: &mut O) {
-        let at = self
-            .queue
+        let queue = &mut self.peers.get_or_alloc().queue;
+        let at = queue
             .iter()
             .position(|q| q.priority < req.priority)
-            .unwrap_or(self.queue.len());
-        self.queue.insert(at, req);
+            .unwrap_or(queue.len());
+        queue.insert(at, req);
         if obs.enabled() {
             obs.emit(
                 self.id.0,
                 ProtocolEvent::RequestQueued {
                     requester: req.from.0,
                     mode: req.mode,
-                    depth: self.queue.len(),
+                    depth: queue.len(),
                 },
             );
         }
     }
 
-    /// Record that a grant (copy or token) is being sent to `to`.
-    pub(crate) fn count_grant_sent(&mut self, to: NodeId) {
-        let n = self.grants_sent.get(&to).copied().unwrap_or(0);
-        self.grants_sent.insert(to, n + 1);
-    }
-
-    /// Record that a grant (copy or token) arrived from `from`.
-    pub(crate) fn count_grant_received(&mut self, from: NodeId) {
-        let n = self.grants_received.get(&from).copied().unwrap_or(0);
-        self.grants_received.insert(from, n + 1);
-    }
-
     /// The ack value to stamp into a release sent to `to`.
     pub(crate) fn release_ack(&self, to: NodeId) -> u64 {
-        self.grants_received.get(&to).copied().unwrap_or(0)
+        let received = &self.peers.get().grants_received;
+        received.get(&to).copied().unwrap_or(0)
     }
 
     /// True if a release from `child` carrying `ack` predates a grant this
@@ -309,7 +378,8 @@ impl HierNode {
             // `ProtocolConfig::accept_stale_releases`.
             return false;
         }
-        ack < self.grants_sent.get(&child).copied().unwrap_or(0)
+        let sent = &self.peers.get().grants_sent;
+        ack < sent.get(&child).copied().unwrap_or(0)
     }
 
     /// A copy of this node with every node identity (its own id, the parent
@@ -329,22 +399,17 @@ impl HierNode {
             from: map(q.from),
             ..*q
         };
-        let mut copyset = CopySet::new();
-        for (child, mode) in self.copyset.iter() {
-            copyset.insert(map(child), mode);
+        fn relabel_map<V: Copy + Default>(
+            from: &FlatMap<V, MAP_INLINE>,
+            map: impl Fn(NodeId) -> NodeId,
+        ) -> FlatMap<V, MAP_INLINE> {
+            let mut to = FlatMap::new();
+            for (peer, value) in from.iter() {
+                to.insert(map(peer), value);
+            }
+            to
         }
-        let mut frozen_sent = FlatMap::new();
-        for (child, set) in self.frozen_sent.iter() {
-            frozen_sent.insert(map(child), set);
-        }
-        let mut grants_sent = FlatMap::new();
-        for (peer, count) in self.grants_sent.iter() {
-            grants_sent.insert(map(peer), count);
-        }
-        let mut grants_received = FlatMap::new();
-        for (peer, count) in self.grants_received.iter() {
-            grants_received.insert(map(peer), count);
-        }
+        let peers = self.peers.get();
         HierNode {
             id: map(self.id),
             config: self.config,
@@ -353,15 +418,17 @@ impl HierNode {
             held: self.held,
             owned: self.owned,
             pending: self.pending.as_ref().map(relabel_req),
-            copyset,
-            queue: self.queue.iter().map(relabel_req).collect(),
             frozen: self.frozen,
-            frozen_sent,
-            grants_sent,
-            grants_received,
             registered: self.registered,
             anomalies: self.anomalies,
             epoch: self.epoch,
+            peers: Peers::from_state(PeerState {
+                copyset: relabel_map(&peers.copyset, &map),
+                queue: peers.queue.iter().map(relabel_req).collect(),
+                frozen_sent: relabel_map(&peers.frozen_sent, &map),
+                grants_sent: relabel_map(&peers.grants_sent, &map),
+                grants_received: relabel_map(&peers.grants_received, &map),
+            }),
         }
     }
 }
@@ -379,16 +446,19 @@ impl crate::fingerprint::Fingerprintable for HierNode {
             held,
             owned,
             pending,
-            copyset,
-            queue,
             frozen,
-            frozen_sent,
-            grants_sent,
-            grants_received,
             registered,
             anomalies,
             epoch,
+            peers,
         } = self;
+        let PeerState {
+            copyset,
+            queue,
+            frozen_sent,
+            grants_sent,
+            grants_received,
+        } = peers.get();
         h.write(id);
         h.write(config);
         h.write(parent);
@@ -456,16 +526,19 @@ impl HierNode {
             held,
             owned,
             pending,
-            copyset,
-            queue,
             frozen,
-            frozen_sent,
-            grants_sent,
-            grants_received,
             registered,
             anomalies,
             epoch,
+            peers,
         } = self;
+        let PeerState {
+            copyset,
+            queue,
+            frozen_sent,
+            grants_sent,
+            grants_received,
+        } = peers.get();
         h.write(&map(site(tag::ID, 0), *id));
         h.write(config);
         h.write(&parent.map(|p| map(site(tag::PARENT, 0), p)));
@@ -525,11 +598,15 @@ mod tests {
     fn owned_is_join_of_held_and_copyset() {
         let mut n = HierNode::with_token(NodeId(0), cfg());
         n.held = Mode::IntentRead;
-        n.copyset.insert(NodeId(1), Mode::Read);
-        n.copyset.insert(NodeId(2), Mode::IntentRead);
+        let copyset = &mut n.peers.get_or_alloc().copyset;
+        copyset.insert(NodeId(1), Mode::Read);
+        copyset.insert(NodeId(2), Mode::IntentRead);
         assert_eq!(n.recompute_owned(), Mode::Read);
         // Incomparable pair joins to Write.
-        n.copyset.insert(NodeId(3), Mode::IntentWrite);
+        n.peers
+            .get_or_alloc()
+            .copyset
+            .insert(NodeId(3), Mode::IntentWrite);
         assert_eq!(n.recompute_owned(), Mode::Write);
     }
 
@@ -537,10 +614,47 @@ mod tests {
     fn owned_excluding_removes_one_contribution() {
         let mut n = HierNode::with_token(NodeId(0), cfg());
         n.held = Mode::Upgrade;
-        n.copyset.insert(NodeId(1), Mode::IntentRead);
+        n.update_copyset(NodeId(1), Mode::IntentRead);
         assert_eq!(n.owned_excluding(NodeId(0)), Mode::IntentRead);
         assert_eq!(n.owned_excluding(NodeId(1)), Mode::Upgrade);
         assert_eq!(n.owned_excluding(NodeId(9)), Mode::Upgrade);
+    }
+
+    #[test]
+    fn a_lock_table_bucket_is_one_cache_line() {
+        let bucket = std::mem::size_of::<(u32, HierNode)>();
+        assert!(bucket <= 64, "a (LockId, HierNode) bucket is {bucket} B");
+    }
+
+    #[test]
+    fn only_inserts_allocate_the_peer_box() {
+        // A lone token node: local churn, a view change that purges a peer
+        // it never had, and every read accessor leave it without a box.
+        let mut n = HierNode::with_token(NodeId(0), cfg());
+        let (mut effects, mut obs) = (crate::EffectBuf::new(), dlm_trace::NullObserver);
+        for mode in [Mode::Write, Mode::Read] {
+            n.on_acquire_into(mode, 0, &mut effects, &mut obs).unwrap();
+            n.on_release_into(&mut effects, &mut obs).unwrap();
+        }
+        n.on_peer_down_into(
+            NodeId(1),
+            NodeId(0),
+            1,
+            &[NodeId(0)],
+            &mut effects,
+            &mut obs,
+        );
+        let _ = effects.drain().count();
+        assert!(n.copyset().is_empty() && n.queue_len() == 0);
+        assert!(n.peers.0.is_none(), "no peer ever touched this lock");
+        // The first grant to a peer boxes the collections.
+        n.on_message_into(
+            NodeId(1),
+            crate::Message::Request(QueuedRequest::plain(NodeId(1), Mode::Read)),
+            &mut effects,
+            &mut obs,
+        );
+        assert!(n.peers.0.is_some());
     }
 
     #[test]
@@ -559,15 +673,18 @@ mod tests {
     fn busy_node() -> HierNode {
         let mut n = HierNode::new(NodeId(2), NodeId(5), cfg());
         n.pending = Some(QueuedRequest::plain(NodeId(2), Mode::Write));
+        let peers = n.peers.get_or_alloc();
         for (i, id) in [4u32, 1, 6, 0, 3].into_iter().enumerate() {
-            n.copyset.insert(NodeId(id), Mode::Read);
-            n.frozen_sent
+            peers.copyset.insert(NodeId(id), Mode::Read);
+            peers
+                .frozen_sent
                 .insert(NodeId(id), ModeSet::from_bits(i as u8 + 1));
-            n.grants_sent.insert(NodeId(id), i as u64);
-            n.queue
+            peers.grants_sent.insert(NodeId(id), i as u64);
+            peers
+                .queue
                 .push_back(QueuedRequest::plain(NodeId(id), Mode::IntentRead));
         }
-        n.grants_received.insert(NodeId(5), 3);
+        peers.grants_received.insert(NodeId(5), 3);
         n
     }
 
@@ -610,7 +727,7 @@ mod tests {
         // What the markers hide, the sites keep: two anonymous requesters
         // swap places in the queue, and each is mentioned somewhere new.
         let mut other = n.clone();
-        other.queue.swap(0, 1);
+        other.peers.get_or_alloc().queue.swap(0, 1);
         let queued_at = |n: &HierNode, who: NodeId| {
             let mut found = Vec::new();
             mapped(n, |site, id| {

@@ -23,8 +23,8 @@ impl HierNode {
         debug_assert!(self.has_token);
         'rescan: loop {
             let mut blocked = ModeSet::EMPTY;
-            for i in 0..self.queue.len() {
-                let entry = self.queue[i];
+            for i in 0..self.queue_len() {
+                let entry = self.peers.get().queue[i];
                 let eff_owned = if entry.upgrade {
                     self.owned_excluding(entry.from)
                 } else {
@@ -49,14 +49,17 @@ impl HierNode {
                     }
                     continue;
                 }
-                self.queue.remove(i);
+                // The queue is non-empty, so its box exists.
+                if let Some(peers) = self.peers.get_mut() {
+                    peers.queue.remove(i);
+                }
                 if obs.enabled() {
                     obs.emit(
                         self.id.0,
                         ProtocolEvent::QueueServed {
                             requester: entry.from.0,
                             mode: entry.mode,
-                            depth: self.queue.len(),
+                            depth: self.queue_len(),
                         },
                     );
                 }
@@ -94,15 +97,15 @@ impl HierNode {
         debug_assert!(!self.has_token);
         // Pop-in-place: nothing below touches the queue, so this visits the
         // same entries in the same order as the drain-and-collect it
-        // replaced, without the temporary Vec.
-        while let Some(entry) = self.queue.pop_front() {
+        // replaced, without the temporary Vec. Popping allocates no box.
+        while let Some(entry) = self.peers.get_mut().and_then(|p| p.queue.pop_front()) {
             if obs.enabled() {
                 obs.emit(
                     self.id.0,
                     ProtocolEvent::QueueServed {
                         requester: entry.from.0,
                         mode: entry.mode,
-                        depth: self.queue.len(),
+                        depth: self.queue_len(),
                     },
                 );
             }
@@ -184,15 +187,16 @@ impl HierNode {
         obs: &mut O,
     ) {
         debug_assert!(self.owned.ge(entry.mode) || (self.has_token && self.owned == Mode::NoLock));
-        let recorded = self
+        let peers = self.peers.get_or_alloc();
+        let recorded = peers
             .copyset
             .get(&entry.from)
             .copied()
             .unwrap_or(Mode::NoLock)
             .join(entry.mode);
-        self.copyset.insert(entry.from, recorded);
+        peers.copyset.insert(entry.from, recorded);
+        peers.count_grant_sent(entry.from);
         self.owned = self.recompute_owned();
-        self.count_grant_sent(entry.from);
         effects.push(Effect::send(
             entry.from,
             Message::Grant { mode: entry.mode },
@@ -221,11 +225,12 @@ impl HierNode {
         debug_assert_ne!(entry.from, self.id);
         // The requester stops being our child: its mode (e.g. the U of an
         // upgrade) moves to the other side of the parent/child relation.
-        self.copyset.remove(&entry.from);
-        self.frozen_sent.remove(&entry.from);
+        let peers = self.peers.get_or_alloc();
+        peers.copyset.remove(&entry.from);
+        peers.frozen_sent.remove(&entry.from);
+        peers.count_grant_sent(entry.from);
+        let queue = std::mem::take(&mut peers.queue);
         self.owned = self.recompute_owned();
-
-        let queue = std::mem::take(&mut self.queue);
         let frozen = self.frozen;
         // Our own pending request, if any, is inside `queue` and will be
         // answered by the new token node like any other requester's.
@@ -235,7 +240,6 @@ impl HierNode {
         // is not NoLock (see `handle_token`).
         self.registered = self.owned != Mode::NoLock;
 
-        self.count_grant_sent(entry.from);
         if obs.enabled() {
             obs.emit(
                 self.id.0,
@@ -275,7 +279,7 @@ impl HierNode {
         debug_assert!(self.has_token);
         let mut fresh = ModeSet::EMPTY;
         if self.config.freezing {
-            for entry in &self.queue {
+            for entry in self.queued() {
                 let eff_owned = if entry.upgrade {
                     self.owned_excluding(entry.from)
                 } else {
@@ -300,14 +304,18 @@ impl HierNode {
                 obs.emit(self.id.0, ProtocolEvent::Frozen { modes: fresh });
             }
         }
+        // No box, no children to tell.
+        let Some(peers) = self.peers.get_mut() else {
+            return;
+        };
         // Notify exactly the children for which the change matters: those
         // whose recorded mode lets them grant some mode whose frozen status
         // changed (transitive freezing, §3.3). Walk the copyset by index
         // (only `frozen_sent` is mutated in the loop) instead of collecting
         // the children into a temporary Vec.
-        for i in 0..self.copyset.len() {
-            let (child, child_mode) = self.copyset.get_index(i);
-            let last = self
+        for i in 0..peers.copyset.len() {
+            let (child, child_mode) = peers.copyset.get_index(i);
+            let last = peers
                 .frozen_sent
                 .get(&child)
                 .copied()
@@ -320,7 +328,7 @@ impl HierNode {
                 .iter()
                 .any(|&m| delta.contains(m) && child_can_grant(child_mode, m));
             if relevant {
-                self.frozen_sent.insert(child, fresh);
+                peers.frozen_sent.insert(child, fresh);
                 effects.push(Effect::send(child, Message::SetFrozen { modes: fresh }));
                 if obs.enabled() {
                     obs.emit(

@@ -86,11 +86,14 @@ impl HierNode {
         // Purge the dead node and the old generation's link bookkeeping.
         // Counters restart from zero on both sides of every link, so the
         // stale-release arithmetic stays consistent within the new epoch.
-        self.update_copyset(dead, Mode::NoLock);
-        self.queue.retain(|q| q.from != dead);
-        self.grants_sent = FlatMap::new();
-        self.grants_received = FlatMap::new();
-        self.frozen_sent = FlatMap::new();
+        // Without a box there is nothing to purge (and none is allocated).
+        if let Some(peers) = self.peers.get_mut() {
+            peers.copyset.remove(&dead);
+            peers.queue.retain(|q| q.from != dead);
+            peers.grants_sent = FlatMap::new();
+            peers.grants_received = FlatMap::new();
+            peers.frozen_sent = FlatMap::new();
+        }
         self.frozen = ModeSet::EMPTY;
 
         // Gossip the view change before any other send: FIFO channels then
@@ -161,7 +164,9 @@ impl HierNode {
             // local queue predates its authority and every originator
             // re-issues directly to us (R1), so the entries would only
             // duplicate. Keep our own pending request, drop the rest.
-            self.queue.clear();
+            if let Some(peers) = self.peers.get_mut() {
+                peers.queue.clear();
+            }
             if let Some(own) = self.pending {
                 self.enqueue(own, obs);
             }
@@ -173,7 +178,10 @@ impl HierNode {
             // (old FIFO order is sacrificed to the re-issue race either
             // way). Our own queued pending is the one entry nobody
             // re-issues — keep it.
-            self.queue.retain(|q| q.from == self.id);
+            let me = self.id;
+            if let Some(peers) = self.peers.get_mut() {
+                peers.queue.retain(|q| q.from == me);
+            }
         }
         // Pessimistic seeding: assume every survivor owns W until its R1
         // re-report replaces the entry with truth. join(W, …) = W blocks
@@ -183,7 +191,7 @@ impl HierNode {
             if peer == self.id || peer == dead {
                 continue;
             }
-            self.copyset.insert(peer, Mode::Write);
+            self.peers.get_or_alloc().copyset.insert(peer, Mode::Write);
         }
         self.owned = self.recompute_owned();
         self.serve_queue_token(effects, obs);
@@ -221,8 +229,10 @@ impl HierNode {
         // The flattened tree dissolves this node's subtree bookkeeping:
         // former copyset children re-report straight to the root, and
         // locally queued requests are re-issued by their originators.
-        self.copyset = crate::flatmap::CopySet::new();
-        self.queue.clear();
+        if let Some(peers) = self.peers.get_mut() {
+            peers.copyset = crate::flatmap::CopySet::new();
+            peers.queue.clear();
+        }
         self.owned = self.recompute_owned();
 
         // Re-report: replaces the root's pessimistic W entry with truth

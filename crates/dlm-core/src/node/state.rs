@@ -13,7 +13,7 @@
 //! [`crate::config::ProtocolConfig`] is *not* serialized — all members of a
 //! cluster share one configuration, so the decoder's caller supplies it.
 
-use super::HierNode;
+use super::{HierNode, PeerState, Peers};
 use crate::config::ProtocolConfig;
 use crate::flatmap::{CopySet, FlatMap};
 use crate::ids::NodeId;
@@ -143,27 +143,28 @@ impl HierNode {
         }
         out.push(modeset_bits(self.frozen));
         put_u64(out, self.anomalies);
-        put_u32(out, self.copyset.len() as u32);
-        for (node, mode) in self.copyset.iter() {
+        let peers = self.peers.get();
+        put_u32(out, peers.copyset.len() as u32);
+        for (node, mode) in peers.copyset.iter() {
             put_u32(out, node.0);
             out.push(mode.index() as u8);
         }
-        put_u32(out, self.queue.len() as u32);
-        for q in &self.queue {
+        put_u32(out, peers.queue.len() as u32);
+        for q in &peers.queue {
             put_queued(out, q);
         }
-        put_u32(out, self.frozen_sent.len() as u32);
-        for (node, set) in self.frozen_sent.iter() {
+        put_u32(out, peers.frozen_sent.len() as u32);
+        for (node, set) in peers.frozen_sent.iter() {
             put_u32(out, node.0);
             out.push(modeset_bits(set));
         }
-        put_u32(out, self.grants_sent.len() as u32);
-        for (node, count) in self.grants_sent.iter() {
+        put_u32(out, peers.grants_sent.len() as u32);
+        for (node, count) in peers.grants_sent.iter() {
             put_u32(out, node.0);
             put_u64(out, count);
         }
-        put_u32(out, self.grants_received.len() as u32);
-        for (node, count) in self.grants_received.iter() {
+        put_u32(out, peers.grants_received.len() as u32);
+        for (node, count) in peers.grants_received.iter() {
             put_u32(out, node.0);
             put_u64(out, count);
         }
@@ -174,7 +175,8 @@ impl HierNode {
     ///
     /// `config` must be the cluster's shared [`ProtocolConfig`] (it is not
     /// part of the encoding). Returns `None` on truncated or malformed
-    /// input or an unknown layout version — never panics.
+    /// input or an unknown layout version — never panics. A state whose
+    /// peer collections are all empty decodes without a peer box.
     pub fn decode_state(buf: &[u8], config: ProtocolConfig) -> Option<HierNode> {
         let mut c = Cursor { buf, pos: 0 };
         if c.u8()? != STATE_VERSION {
@@ -240,14 +242,16 @@ impl HierNode {
             held,
             owned,
             pending,
-            copyset,
-            queue,
             frozen,
-            frozen_sent,
-            grants_sent,
-            grants_received,
             registered: flags & FLAG_REGISTERED != 0,
             anomalies,
+            peers: Peers::from_state(PeerState {
+                copyset,
+                queue,
+                frozen_sent,
+                grants_sent,
+                grants_received,
+            }),
         })
     }
 }
@@ -256,6 +260,7 @@ impl HierNode {
 mod tests {
     use super::*;
     use crate::effect::{effects_of, Effect};
+    use crate::message::Message;
 
     fn encoded(node: &HierNode) -> Vec<u8> {
         let mut out = Vec::new();
@@ -309,6 +314,36 @@ mod tests {
             assert_eq!(back.copyset().len(), node.copyset().len());
             assert_eq!(back.pending().is_some(), node.pending().is_some());
         }
+    }
+
+    /// A box whose collections a view change emptied is the same state as
+    /// no box: the decode round trip (which boxes nothing) fingerprints,
+    /// encodes and behaves identically.
+    #[test]
+    fn emptied_peer_box_is_the_same_state_as_none() {
+        use crate::fingerprint::Fingerprintable;
+        let config = ProtocolConfig::paper();
+        let mut token = HierNode::with_token(NodeId(0), config);
+        let req = Message::Request(QueuedRequest::plain(NodeId(1), Mode::Read));
+        effects_of(|b, o| token.on_message_into(NodeId(1), req, b, o));
+        assert_eq!(token.copyset().len(), 1);
+        // The only peer dies: copyset, counters and freeze bookkeeping go.
+        effects_of(|b, o| token.on_peer_down_into(NodeId(1), NodeId(0), 1, &[NodeId(0)], b, o));
+        assert!(token.peers.0.as_deref().is_some_and(PeerState::is_empty));
+
+        let back = HierNode::decode_state(&encoded(&token), config).expect("decodes");
+        assert!(
+            back.peers.0.is_none(),
+            "an empty state decodes without a box"
+        );
+        assert_eq!(back.fingerprint(), token.fingerprint());
+        assert_eq!(encoded(&back), encoded(&token));
+        let mut twins = [token, back];
+        for node in &mut twins {
+            let effects = effects_of(|b, o| node.on_acquire_into(Mode::Write, 0, b, o).unwrap());
+            assert_eq!(effects, [Effect::Granted { mode: Mode::Write }]);
+        }
+        assert_eq!(twins[0].fingerprint(), twins[1].fingerprint());
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Proves the headline claim of the zero-allocation protocol core: after
 //! warm-up, a steady-state acquire/release churn step performs **no heap
 //! allocations** — effects live in the reused [`EffectBuf`], copysets and
-//! grant counters in inline flat maps, and the testkit's inbox/log vectors
-//! retain their capacity.
+//! grant counters in flat maps inside a peer box that, once allocated, is
+//! kept, and the testkit's inbox/log vectors retain their capacity. A node
+//! that never had a peer allocates nothing at all, not even when copied.
 //!
 //! This is an integration-test target so it may host the (unsafe)
 //! counting `GlobalAlloc`; the library crates all `forbid(unsafe_code)`.
@@ -97,4 +98,21 @@ fn steady_state_protocol_step_is_allocation_free() {
     let delta = alloc_count() - before;
     assert_eq!(effects, 100, "one grant per acquire, none per release");
     assert_eq!(delta, 0, "reused-buffer run allocated {delta} times");
+
+    // A peerless node has no peer box, and copying it makes none: clone,
+    // relabelling and the state-codec round trip allocate nothing (the
+    // encode buffer is sized up front).
+    let config = ProtocolConfig::paper();
+    let mut blob = Vec::with_capacity(64);
+    let before = alloc_count();
+    for node in [&node, &HierNode::new(NodeId(3), NodeId(0), config)] {
+        let copy = node.clone();
+        let relabelled = copy.relabeled(|id| NodeId(id.0 + 1));
+        blob.clear();
+        relabelled.encode_state(&mut blob);
+        let back = HierNode::decode_state(&blob, config).expect("decodes");
+        assert_eq!(back.id(), NodeId(node.id().0 + 1));
+    }
+    let delta = alloc_count() - before;
+    assert_eq!(delta, 0, "copying peerless nodes allocated {delta} times");
 }

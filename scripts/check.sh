@@ -42,6 +42,19 @@ if grep -rnE 'MAX_BRUTE_NODES|permute_state\(' crates/dlm-check/src; then
   exit 1
 fi
 
+echo "==> design-reference guard: every DESIGN.md §N cited in code names a '## N.' heading of DESIGN.md"
+dangling=0
+while IFS=: read -r file line cite; do
+  n="${cite##*§}"
+  if ! grep -q "^## $n\. " DESIGN.md; then
+    echo "$file:$line cites DESIGN.md §$n, but DESIGN.md has no '## $n.' heading" >&2
+    dangling=1
+  fi
+done < <(grep -rnoE 'DESIGN\.md`? §[0-9]+' crates src tests benchmark/src || true)
+if [ "$dangling" != 0 ]; then
+  exit 1
+fi
+
 echo "==> bench gate self-test: scripts/bench_gate.sh --self-test"
 scripts/bench_gate.sh --self-test
 
