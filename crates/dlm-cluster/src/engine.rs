@@ -93,8 +93,9 @@ pub(crate) enum Input {
 /// Per-worker operation metrics: request latency/hop distributions and
 /// operation counters. Written by the engine, read live by
 /// [`crate::Cluster::metrics_snapshot`] under a short-lived mutex that is
-/// touched once per completed *operation* (not per message), so the
-/// steady-state message path never contends on it.
+/// touched once per application input for the operations it settled in
+/// its own step, and once per grant that network traffic completes — never
+/// per message — so the counts are exact at input boundaries.
 #[derive(Debug, Default)]
 pub(crate) struct NodeMetrics {
     /// Wall-clock µs, issue → grant, for completed acquires and upgrades.
@@ -133,6 +134,29 @@ pub(crate) struct NodeExit {
     /// Link telemetry rows: reliability counters (when the shim runs) and
     /// per-peer coalescing counters, unsummed.
     pub(crate) links: Vec<LinkReport>,
+}
+
+/// Grants and releases settled in the step of their own input, counted in
+/// plain fields and folded into the shared [`NodeMetrics`] once per input
+/// ([`ShardEngine::publish`]).
+#[derive(Default)]
+struct Settled {
+    acquires: u64,
+    upgrades: u64,
+    releases: u64,
+}
+
+/// Who hears an operation's outcome.
+enum Caller<'a> {
+    /// A blocking call's own reply channel.
+    Blocking(Reply),
+    /// An op of the pipelined chunk being stepped: answered through the
+    /// chunk's completion batch when it settles in this step, and through a
+    /// [`Reply`] on `tx` only if it has to wait.
+    Pipelined {
+        tx: &'a Sender<Vec<Completion>>,
+        tag: u64,
+    },
 }
 
 /// A blocked application operation: its reply channel plus the request-span
@@ -223,11 +247,15 @@ pub(crate) struct ShardEngine {
     pending_peers: Vec<u32>,
     proto_sent: Vec<u64>,
     wire_sent: Vec<u64>,
-    /// Completions settled synchronously while processing one pipelined
-    /// [`Input::Ops`] chunk, shipped to the client as a single channel send
-    /// at chunk end. Deferred grants (waiters completed by later network
-    /// traffic) bypass this and send singletons.
+    /// Completions of the pipelined [`Input::Ops`] chunk being stepped that
+    /// settled in the chunk's own step, shipped to the client as a single
+    /// channel send at chunk end, and the locks among them that were
+    /// granted (released again if the send finds nobody). Ops that wait
+    /// answer later, one singleton each, through their waiter's [`Reply`].
     comp_batch: Vec<Completion>,
+    batch_grants: Vec<LockId>,
+    /// Same-step grants and releases not yet folded into `metrics`.
+    settled: Settled,
     metrics: Arc<Mutex<NodeMetrics>>,
     gate: Arc<ShardGate>,
     counters: Counters,
@@ -280,6 +308,8 @@ impl ShardEngine {
             proto_sent: vec![0; config.nodes],
             wire_sent: vec![0; config.nodes],
             comp_batch: Vec::new(),
+            batch_grants: Vec::new(),
+            settled: Settled::default(),
             metrics,
             gate,
             counters,
@@ -321,22 +351,26 @@ impl ShardEngine {
             Input::Net { from, frame } => self.on_net(from, frame),
             Input::Op { lock, kind, reply } => {
                 self.gate.leave(1);
-                self.issue(lock, kind, reply);
+                self.issue(lock, kind, Caller::Blocking(reply));
+                self.publish();
             }
             Input::Ops { ops, tx } => {
                 self.gate.leave(ops.len());
-                // Synchronously-settled outcomes accumulate in the chunk
-                // batch and ship as one channel send below; only deferred
-                // grants pay a per-completion send (later, when they
-                // resolve).
+                // Outcomes settled in this step accumulate in the chunk
+                // batch and ship as one channel send below; only an op that
+                // waits gets a `Reply` of its own (and a send, later, when
+                // it resolves).
                 debug_assert!(self.comp_batch.is_empty());
                 self.comp_batch.reserve(ops.len());
                 for op in ops {
-                    let reply =
-                        Reply::shared(tx.clone(), op.lock, op.tag, &self.counters.replies_dropped);
-                    self.issue(op.lock, op.kind, reply);
+                    let caller = Caller::Pipelined {
+                        tx: &tx,
+                        tag: op.tag,
+                    };
+                    self.issue(op.lock, op.kind, caller);
                 }
                 self.ship_completions(&tx);
+                self.publish();
             }
             Input::Die => self.die(),
             Input::Isolate { dead } => {
@@ -529,16 +563,16 @@ impl ShardEngine {
     }
 
     /// Process one application operation, blocking or pipelined.
-    fn issue(&mut self, lock: LockId, kind: OpKind, reply: Reply) {
+    fn issue(&mut self, lock: LockId, kind: OpKind, caller: Caller<'_>) {
         let (mode, upgrade) = match kind {
-            OpKind::Release => return self.release(lock, reply),
+            OpKind::Release => return self.release(lock, caller),
             OpKind::Acquire(mode) => (mode, false),
             OpKind::Upgrade => (Mode::Write, true),
             OpKind::TryAcquire(mode) => {
                 let node = lock_state(&mut self.locks, self.me, self.protocol, lock);
                 if !node.can_admit_locally(mode) {
                     // Any refusal reads as `false` at a try-acquire's sink.
-                    return reply.complete_into(Err(ClusterError::Busy), &mut self.comp_batch);
+                    return self.answer(lock, caller, Err(ClusterError::Busy));
                 }
                 (mode, false)
             }
@@ -547,7 +581,7 @@ impl ShardEngine {
         // single-pending model; refuse loudly instead. Operations on
         // *other* locks are unaffected — waiters are keyed `(lock, req)`.
         if self.active.contains_key(&lock.0) {
-            return reply.complete_into(Err(ClusterError::Busy), &mut self.comp_batch);
+            return self.answer(lock, caller, Err(ClusterError::Busy));
         }
         let req = self.alloc_req();
         self.trace(lock.0, ProtocolEvent::RequestStart { req, mode, upgrade });
@@ -561,10 +595,16 @@ impl ShardEngine {
             }
         });
         if let Err(e) = result {
-            return reply.complete_into(Err(e), &mut self.comp_batch);
+            return self.answer(lock, caller, Err(e));
         }
-        let Some(reply) = self.fast_grant(lock, req, reply) else {
+        let Some(caller) = self.fast_grant(lock, req, caller) else {
             return;
+        };
+        let reply = match caller {
+            Caller::Blocking(reply) => reply,
+            Caller::Pipelined { tx, tag } => {
+                Reply::shared(tx.clone(), lock, tag, &self.counters.replies_dropped)
+            }
         };
         self.active.insert(lock.0, req);
         let started = self.now;
@@ -579,30 +619,91 @@ impl ShardEngine {
         self.apply_effects(lock, req, 0, node_epoch);
     }
 
-    fn release(&mut self, lock: LockId, reply: Reply) {
+    fn release(&mut self, lock: LockId, caller: Caller<'_>) {
         let (result, node_epoch) =
             self.drive(lock, |node, buf, obs| node.on_release_into(buf, obs));
         if let Err(e) = result {
-            return reply.complete_into(Err(ClusterError::Release(e)), &mut self.comp_batch);
+            return self.answer(lock, caller, Err(ClusterError::Release(e)));
         }
         // Releases open no span: their frames travel with req 0
         // (uncorrelated).
         self.apply_effects(lock, 0, 0, node_epoch);
-        self.metrics.lock().expect("metrics mutex").releases += 1;
-        reply.complete_into(Ok(()), &mut self.comp_batch);
+        self.settled.releases += 1;
+        self.answer(lock, caller, Ok(()));
     }
 
-    /// Ship the chunk's synchronously-settled completions as one send.
+    /// Answer an operation that settled in its own step without a grant: a
+    /// blocking caller on its channel, a pipelined op in the chunk's
+    /// completion batch.
+    fn answer(&mut self, lock: LockId, caller: Caller<'_>, result: Result<(), ClusterError>) {
+        match caller {
+            Caller::Blocking(reply) => {
+                reply.complete(result);
+            }
+            Caller::Pipelined { tag, .. } => self.comp_batch.push(Completion { lock, tag, result }),
+        }
+    }
+
+    /// Ship the chunk's same-step completions as one send. If the client
+    /// has gone, every completion counts as a dropped reply, and every grant
+    /// among them that is still held is released.
     fn ship_completions(&mut self, tx: &Sender<Vec<Completion>>) {
         if self.comp_batch.is_empty() {
             return;
         }
         let n = self.comp_batch.len() as u64;
-        if tx.send(std::mem::take(&mut self.comp_batch)).is_err() {
+        let heard = tx.send(std::mem::take(&mut self.comp_batch)).is_ok();
+        let mut grants = std::mem::take(&mut self.batch_grants);
+        if !heard {
             self.counters
                 .replies_dropped
                 .fetch_add(n, Ordering::Relaxed);
+            for &lock in &grants {
+                self.abandon(lock);
+            }
         }
+        grants.clear();
+        self.batch_grants = grants;
+    }
+
+    /// Release `lock`'s grant because nobody will hear of it: its waiter is
+    /// gone, or its completion could not be delivered. To the protocol this
+    /// is a client that acquired and released at once, so whoever queued
+    /// behind the grant is served instead of wedged. Counted in
+    /// `grants_abandoned`; a lock no longer held here (a chunk that
+    /// acquired and released it, or an upgrade still pending on it) is left
+    /// alone.
+    fn abandon(&mut self, lock: LockId) {
+        let (result, node_epoch) =
+            self.drive(lock, |node, buf, obs| node.on_release_into(buf, obs));
+        if result.is_ok() {
+            self.counters
+                .grants_abandoned
+                .fetch_add(1, Ordering::Relaxed);
+            self.apply_effects(lock, 0, 0, node_epoch);
+        }
+    }
+
+    /// Fold the grants and releases settled in this input's own step into
+    /// the shared metrics: one mutex acquisition per input, not per op.
+    fn publish(&mut self) {
+        let Settled {
+            acquires,
+            upgrades,
+            releases,
+        } = std::mem::take(&mut self.settled);
+        if acquires + upgrades + releases == 0 {
+            return;
+        }
+        let mut m = self.metrics.lock().expect("metrics mutex");
+        // A same-step grant never left the worker; its service time is
+        // below the histogram's µs resolution, so it is recorded as 0, at
+        // 0 hops.
+        m.acquire_latency.record_n(0, acquires + upgrades);
+        m.acquire_hops.record_n(0, acquires + upgrades);
+        m.acquires += acquires;
+        m.upgrades += upgrades;
+        m.releases += releases;
     }
 
     /// Allocate a fresh, never-zero request id: `node << 32 | counter`,
@@ -651,25 +752,39 @@ impl ShardEngine {
 
     /// Fast path for a protocol step whose only effect is the local grant
     /// (the token is here and nothing conflicts — the case a well-sharded
-    /// single node hits millions of times per second): complete the reply
-    /// immediately and skip the waiter registration the generic path would
-    /// insert and remove again within the same call. Returns the reply back
-    /// when the step produced anything else and the slow path must run.
-    fn fast_grant(&mut self, lock: LockId, req: u64, reply: Reply) -> Option<Reply> {
+    /// single node hits millions of times per second): answer the caller
+    /// immediately, count the grant for [`Self::publish`], and skip the
+    /// waiter registration the generic path would insert and remove again
+    /// within the same call. Hands the caller back when the step produced
+    /// anything else and the slow path must run.
+    fn fast_grant<'a>(&mut self, lock: LockId, req: u64, caller: Caller<'a>) -> Option<Caller<'a>> {
         let upgraded = match (self.effect_buf.len(), self.effect_buf.iter().next()) {
             (1, Some(Effect::Granted { .. })) => false,
             (1, Some(Effect::Upgraded)) => true,
-            _ => return Some(reply),
+            _ => return Some(caller),
         };
         self.effect_buf.clear();
-        // A same-step grant never left the worker; its service time is
-        // below the histogram's µs resolution, so it is recorded as 0.
-        self.metrics
-            .lock()
-            .expect("metrics mutex")
-            .granted(0, 0, upgraded);
+        if upgraded {
+            self.settled.upgrades += 1;
+        } else {
+            self.settled.acquires += 1;
+        }
         self.trace(lock.0, ProtocolEvent::RequestGrant { req, hops: 0 });
-        reply.complete_into(Ok(()), &mut self.comp_batch);
+        match caller {
+            Caller::Blocking(reply) => {
+                if !reply.complete(Ok(())) {
+                    self.abandon(lock);
+                }
+            }
+            Caller::Pipelined { tag, .. } => {
+                self.batch_grants.push(lock);
+                self.comp_batch.push(Completion {
+                    lock,
+                    tag,
+                    result: Ok(()),
+                });
+            }
+        }
         None
     }
 
@@ -679,8 +794,13 @@ impl ShardEngine {
     /// triggered this step, so outgoing frames carry `hops + 1` — and
     /// buffered for their destination until [`Self::end_batch`]. Grants
     /// complete the lock's waiting application call, record its latency/hop
-    /// metrics, and close its trace span.
+    /// metrics, and close its trace span; a grant with no waiter, or whose
+    /// waiter cannot be told, is released once the effects are drained
+    /// ([`Self::abandon`]).
     fn apply_effects(&mut self, lock: LockId, req: u64, hops: u16, node_epoch: u32) {
+        // Every effect of one entry point concerns `lock`, so at most one
+        // grant can be left without a listener.
+        let mut unheard = false;
         for effect in self.effect_buf.drain() {
             let upgraded = matches!(effect, Effect::Upgraded);
             match effect {
@@ -705,17 +825,19 @@ impl ShardEngine {
                     buf.push(payload);
                 }
                 Effect::Granted { .. } | Effect::Upgraded => {
-                    let Some(req0) = self.active.remove(&lock.0) else {
-                        continue;
-                    };
                     // A grant without a matching waiter can occur after a
                     // recovery wave re-issues an operation whose original
                     // waiter was already torn down; count the dropped
                     // completion instead of panicking the worker.
-                    let Some(w) = self.waiters.remove(&(lock.0, req0)) else {
+                    let waiter = self
+                        .active
+                        .remove(&lock.0)
+                        .and_then(|req0| self.waiters.remove(&(lock.0, req0)));
+                    let Some(w) = waiter else {
                         self.counters
                             .replies_dropped
                             .fetch_add(1, Ordering::Relaxed);
+                        unheard = true;
                         continue;
                     };
                     let latency = self.now.saturating_duration_since(w.started).as_micros() as u64;
@@ -731,9 +853,12 @@ impl ShardEngine {
                         };
                         ring.record(self.at, lock.0, self.me.0, event);
                     }
-                    w.reply.complete(Ok(()));
+                    unheard |= !w.reply.complete(Ok(()));
                 }
             }
+        }
+        if unheard {
+            self.abandon(lock);
         }
     }
 

@@ -156,12 +156,162 @@ fn grant_for_a_vanished_waiter_is_counted_not_fatal() {
     // protocol; the caller sees its channel close.
     es[1].waiters.clear();
     assert!(parked.try_recv().is_err());
-    // The release hands node 1 the token; the grant has nobody to answer.
+    // The release hands node 1 the token; the grant has nobody to answer,
+    // so node 1 releases it in the same step.
     op(&mut es[0], LockId::TABLE, OpKind::Release, now);
     settle_clean(&mut es, &mut now);
     assert_eq!(counters.replies_dropped.load(Ordering::Relaxed), 1);
+    assert_eq!(counters.grants_abandoned.load(Ordering::Relaxed), 1);
+    assert_eq!(es[1].locks[&LockId::TABLE.0].held(), Mode::NoLock);
     let released = op(&mut es[1], LockId::TABLE, OpKind::Release, now);
-    assert_eq!(released.try_recv(), Ok(Ok(())), "the engine keeps serving");
+    assert_eq!(
+        released.try_recv(),
+        Ok(Err(ClusterError::Release(dlm_core::ReleaseError::NotHeld)))
+    );
+    // The engine keeps serving, and the lock is free for anyone.
+    let again = op(&mut es[0], LockId::TABLE, OpKind::Acquire(Mode::Write), now);
+    settle_clean(&mut es, &mut now);
+    assert_eq!(again.try_recv(), Ok(Ok(())));
+}
+
+/// Hand `e` one pipelined chunk the way a `Pipeline` does (gate slots
+/// included).
+fn chunk(
+    e: &mut ShardEngine,
+    ops: &[(u32, OpKind, u64)],
+    tx: &Sender<Vec<Completion>>,
+    now: Instant,
+) {
+    assert!(e.gate.try_admit(ops.len()));
+    let ops = ops
+        .iter()
+        .map(|&(lock, kind, tag)| PipeOp {
+            lock: LockId(lock),
+            kind,
+            tag,
+        })
+        .collect();
+    let tx = tx.clone();
+    assert!(e.step(Input::Ops { ops, tx }, now));
+}
+
+/// `(acquires, upgrades, releases)` as the engine's live metrics read now.
+fn counts(e: &ShardEngine) -> (u64, u64, u64) {
+    let m = e.metrics.lock().unwrap();
+    assert_eq!(m.acquire_latency.count(), m.acquires + m.upgrades);
+    assert_eq!(m.acquire_hops.count(), m.acquires + m.upgrades);
+    (m.acquires, m.upgrades, m.releases)
+}
+
+fn done(lock: u32, tag: u64, result: Result<(), ClusterError>) -> Completion {
+    Completion {
+        lock: LockId(lock),
+        tag,
+        result,
+    }
+}
+
+#[test]
+fn a_chunk_answers_what_it_settles_at_once_and_a_waiter_later() {
+    let mut now = Instant::now();
+    let (mut es, counters) = engines(2, false, now);
+    // Node 1 takes lock 0 in W: the token leaves node 0.
+    let held = op(&mut es[1], LockId(0), OpKind::Acquire(Mode::Write), now);
+    settle_clean(&mut es, &mut now);
+    assert_eq!(held.try_recv(), Ok(Ok(())));
+    assert_eq!(counts(&es[1]), (1, 0, 0));
+
+    // One chunk at node 0: free locks, the lock held elsewhere, a second op
+    // on it (refused), a release of a lock granted earlier in the chunk, and
+    // a failing release.
+    let (tx, rx) = unbounded();
+    let w = OpKind::Acquire(Mode::Write);
+    let ops = [
+        (1, w, 11),
+        (0, w, 10),
+        (2, OpKind::Acquire(Mode::Read), 12),
+        (0, w, 14),
+        (1, OpKind::Release, 13),
+        (3, OpKind::Release, 15),
+        (4, OpKind::Acquire(Mode::Upgrade), 16),
+        (4, OpKind::Upgrade, 17),
+    ];
+    chunk(&mut es[0], &ops, &tx, now);
+    let not_held = Err(ClusterError::Release(dlm_core::ReleaseError::NotHeld));
+    assert_eq!(
+        rx.try_recv().expect("the chunk's batch"),
+        [
+            done(1, 11, Ok(())),
+            done(2, 12, Ok(())),
+            done(0, 14, Err(ClusterError::Busy)),
+            done(1, 13, Ok(())),
+            done(3, 15, not_held),
+            done(4, 16, Ok(())),
+            done(4, 17, Ok(())),
+        ],
+        "everything settled in the step, in submission order, as one vector"
+    );
+    assert!(rx.try_recv().is_err(), "the waiting op is not answered yet");
+    assert_eq!(
+        counts(&es[0]),
+        (3, 1, 1),
+        "published at the end of the input"
+    );
+
+    // Node 1 releases; the token comes back and the waiter is answered on
+    // its own.
+    op(&mut es[1], LockId(0), OpKind::Release, now);
+    assert_eq!(counts(&es[1]), (1, 0, 1));
+    settle_clean(&mut es, &mut now);
+    assert_eq!(rx.try_recv(), Ok(vec![done(0, 10, Ok(()))]));
+    assert!(rx.try_recv().is_err());
+    assert_eq!(counts(&es[0]), (4, 1, 1));
+    assert_eq!(counters.replies_dropped.load(Ordering::Relaxed), 0);
+    assert_eq!(counters.grants_abandoned.load(Ordering::Relaxed), 0);
+}
+
+#[test]
+fn a_chunk_nobody_hears_releases_its_grants() {
+    let mut now = Instant::now();
+    let (mut es, counters) = engines(2, false, now);
+    let held = op(&mut es[1], LockId(0), OpKind::Acquire(Mode::Write), now);
+    settle_clean(&mut es, &mut now);
+    assert_eq!(held.try_recv(), Ok(Ok(())));
+    let held_before = op(&mut es[0], LockId(3), OpKind::Acquire(Mode::Read), now);
+    assert_eq!(held_before.try_recv(), Ok(Ok(())));
+
+    // The client is gone before its chunk is stepped.
+    let (tx, rx) = unbounded();
+    drop(rx);
+    let w = OpKind::Acquire(Mode::Write);
+    let ops = [
+        // Granted and still held at chunk end: released.
+        (1, w, 1),
+        // Granted, then released by the chunk itself: nothing to do.
+        (2, w, 2),
+        (2, OpKind::Release, 3),
+        // Held before the chunk, released and granted again: released.
+        (3, OpKind::Release, 4),
+        (3, w, 5),
+        // Held by node 1: waits, and is released when its grant arrives.
+        (0, w, 6),
+    ];
+    chunk(&mut es[0], &ops, &tx, now);
+    drop(tx);
+    assert_eq!(counters.replies_dropped.load(Ordering::Relaxed), 5);
+    assert_eq!(counters.grants_abandoned.load(Ordering::Relaxed), 2);
+    for lock in [1, 2, 3] {
+        assert_eq!(es[0].locks[&lock].held(), Mode::NoLock, "lock {lock}");
+    }
+    op(&mut es[1], LockId(0), OpKind::Release, now);
+    settle_clean(&mut es, &mut now);
+    assert_eq!(counters.replies_dropped.load(Ordering::Relaxed), 6);
+    assert_eq!(counters.grants_abandoned.load(Ordering::Relaxed), 3);
+    assert_eq!(es[0].locks[&0].held(), Mode::NoLock);
+    // Every lock is free again: node 1 takes lock 0 straight back.
+    let again = op(&mut es[1], LockId(0), w, now);
+    settle_clean(&mut es, &mut now);
+    assert_eq!(again.try_recv(), Ok(Ok(())));
 }
 
 #[test]

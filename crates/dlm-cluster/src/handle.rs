@@ -93,10 +93,11 @@ pub(crate) struct PipeOp {
 
 /// Where a worker delivers an operation's outcome: a dedicated one-shot
 /// channel (blocking calls; `try_acquire`'s carries just granted-or-not) or
-/// a shared completion stream tagged with the operation's identity
-/// (pipelined calls). The stream carries *vectors* of completions so a
-/// worker can answer a whole synchronous chunk with one channel send;
-/// deferred completions travel as singleton vectors.
+/// a shared completion stream tagged with the operation's identity (a
+/// pipelined op that had to wait). The stream carries *vectors* of
+/// completions: a worker answers the ops a chunk settles in its own step
+/// with one send and builds no `Reply` for them; a waiter's completion
+/// travels later as a singleton vector.
 enum ReplySink {
     Oneshot(Sender<Result<(), ClusterError>>),
     Try(Sender<bool>),
@@ -141,11 +142,11 @@ impl Reply {
         }
     }
 
-    /// Deliver the outcome immediately (deferred grants, completing long
-    /// after the batch that submitted them).
-    pub(crate) fn complete(self, result: Result<(), ClusterError>) {
-        // The application side may have given up; an answer nobody hears is
-        // not an error, but it must not vanish silently either.
+    /// Deliver the outcome now. Returns whether anybody heard it: the
+    /// application side may have given up, and an answer nobody hears is
+    /// not an error, but it must not vanish silently either — it is counted
+    /// in `replies_dropped`, and the engine releases a grant nobody heard.
+    pub(crate) fn complete(self, result: Result<(), ClusterError>) -> bool {
         let heard = match self.sink {
             ReplySink::Oneshot(tx) => tx.send(result).is_ok(),
             ReplySink::Try(tx) => tx.send(result.is_ok()).is_ok(),
@@ -156,21 +157,7 @@ impl Reply {
         if !heard {
             self.dropped.fetch_add(1, Ordering::Relaxed);
         }
-    }
-
-    /// Deliver the outcome of a synchronously-settled operation: pipelined
-    /// outcomes are appended to `batch` (the worker ships the whole batch
-    /// with one send at chunk end), blocking outcomes go straight to their
-    /// one-shot channel.
-    pub(crate) fn complete_into(
-        self,
-        result: Result<(), ClusterError>,
-        batch: &mut Vec<Completion>,
-    ) {
-        match self.sink {
-            ReplySink::Shared { lock, tag, .. } => batch.push(Completion { lock, tag, result }),
-            _ => self.complete(result),
-        }
+        heard
     }
 }
 
@@ -290,15 +277,18 @@ const PIPELINE_CHUNK: usize = 256;
 /// locks overlap freely, which is what the pipeline is for.
 ///
 /// Dropping a pipeline with operations still in flight is safe: their
-/// completions count into the cluster's `replies_dropped` tally, and
-/// operations it never shipped give their admission slots back.
+/// completions count into the cluster's `replies_dropped` tally, a grant
+/// that arrives for it is released at once (`grants_abandoned`), so no lock
+/// stays wedged behind it, and operations it never shipped give their
+/// admission slots back.
 pub struct Pipeline {
     txs: Vec<Sender<Input>>,
     gates: Vec<Arc<ShardGate>>,
     comp_tx: Sender<Vec<Completion>>,
     comp_rx: Receiver<Vec<Completion>>,
     /// Completions received from the stream but not yet handed to the
-    /// caller (workers answer synchronous chunks as whole vectors).
+    /// caller (workers answer what a chunk settles in its own step as one
+    /// vector).
     ready: std::collections::VecDeque<Completion>,
     /// Not-yet-shipped operations, per shard.
     bufs: Vec<Vec<PipeOp>>,

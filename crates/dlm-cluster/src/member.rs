@@ -41,6 +41,9 @@ pub(crate) struct Counters {
     pub(crate) messages: Arc<AtomicU64>,
     /// Completion replies whose application-side receiver was already gone.
     pub(crate) replies_dropped: Arc<AtomicU64>,
+    /// Grants released by their engine because nobody was left to hear of
+    /// them (see [`crate::ClusterReport::grants_abandoned`]).
+    pub(crate) grants_abandoned: Arc<AtomicU64>,
     /// Physical frames created but not yet fully processed by their
     /// receiving worker (includes frames parked inside the transport and
     /// protocol frames buffered for coalescing).
@@ -227,19 +230,23 @@ impl Member {
     /// Join the workers (after [`Input::Shutdown`] was broadcast) and fold
     /// what they hand back into `out`.
     pub(crate) fn collect(self, out: &mut Collected) {
-        let mut states: Vec<(u32, HierNode)> = Vec::new();
         for m in &self.metrics {
             let m = m.lock().expect("metrics mutex");
             out.acquire_latency.merge(&m.acquire_latency);
             out.acquire_hops.merge(&m.acquire_hops);
         }
-        for join in self.joins {
-            // A worker that panicked is reported, not propagated: its
-            // shard's state is simply gone, exactly as if the node crashed.
-            let Ok(exit) = join.join() else {
-                out.workers_died += 1;
-                continue;
-            };
+        // A worker that panicked is reported, not propagated: its shard's
+        // state is simply gone, exactly as if the node crashed.
+        let exits: Vec<NodeExit> = self
+            .joins
+            .into_iter()
+            .filter_map(|join| join.join().ok())
+            .collect();
+        out.workers_died += (self.inputs.len() - exits.len()) as u64;
+        // Sized once: the lock tables are the largest thing a member hands
+        // back, and a growing vector would hold two copies at its last step.
+        let mut states = Vec::with_capacity(exits.iter().map(|exit| exit.locks.len()).sum());
+        for exit in exits {
             states.extend(exit.locks);
             out.traces.push(exit.trace);
             out.trace_dropped += exit.trace_dropped;
@@ -247,7 +254,9 @@ impl Member {
             out.frames_fenced += exit.frames_fenced;
             out.links.extend(exit.links);
         }
-        states.sort_by_key(|(lock, _)| *lock);
+        // Lock ids are unique across shards, so the in-place sort loses
+        // nothing to the stable one (which would borrow half a copy).
+        states.sort_unstable_by_key(|(lock, _)| *lock);
         out.states.push(states);
     }
 }

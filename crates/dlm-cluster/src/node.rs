@@ -36,7 +36,7 @@ use crate::NodeHandle;
 use dlm_core::{audit, AuditError, HierNode, NodeId, ProtocolConfig};
 use dlm_metrics::Histogram;
 use dlm_trace::TraceRecord;
-use std::collections::{BTreeSet, HashMap};
+use std::borrow::Cow;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -77,6 +77,9 @@ pub struct NodeReport {
     pub workers_died: u64,
     /// Completion replies whose application-side receiver had gone away.
     pub replies_dropped: u64,
+    /// Grants this member released because their requester was gone (see
+    /// [`crate::ClusterReport::grants_abandoned`]).
+    pub grants_abandoned: u64,
     /// Per-link reliability/coalescing/wire counters involving this member.
     pub links: Vec<LinkReport>,
     /// This member's merged structured event trace.
@@ -190,6 +193,7 @@ impl Node {
             frames_fenced: done.frames_fenced,
             workers_died: done.workers_died,
             replies_dropped: self.counters.replies_dropped.load(Ordering::Relaxed),
+            grants_abandoned: self.counters.grants_abandoned.load(Ordering::Relaxed),
             links: done.links,
             trace: done.trace,
             trace_dropped: done.trace_dropped,
@@ -278,32 +282,163 @@ pub fn audit_process_states(
 /// token the recovery's new epoch replaced. The per-lock audit runs over
 /// the survivors only (the audit resolves nodes by id, so a survivor-only
 /// snapshot is well-formed).
+///
+/// The audit walks the members' lists in lock order side by side, so it
+/// builds no index of the locks: lists sorted by lock (as shutdown
+/// collects them) are read in place, and an unsorted one (e.g. decoded by a
+/// harness in arrival order) is sorted into a copy first. Locks are audited
+/// in ascending order; a lock a member lists twice reads as its last entry.
 pub fn audit_surviving_states(
     protocol: ProtocolConfig,
     states: &[Vec<(u32, HierNode)>],
     crashed: &[u32],
 ) -> Vec<AuditError> {
-    let nodes = states.len();
-    let touched: BTreeSet<u32> = states
+    let lists: Vec<Cow<'_, [(u32, HierNode)]>> = states
         .iter()
-        .flat_map(|s| s.iter().map(|(lock, _)| *lock))
+        .map(|list| {
+            if list.is_sorted_by_key(|(lock, _)| *lock) {
+                Cow::Borrowed(&list[..])
+            } else {
+                let mut list = list.clone();
+                list.sort_by_key(|(lock, _)| *lock);
+                Cow::Owned(list)
+            }
+        })
         .collect();
-    let by_node: Vec<HashMap<u32, &HierNode>> = states
-        .iter()
-        .map(|s| s.iter().map(|(lock, node)| (*lock, node)).collect())
+    let alive = |n: usize| !crashed.contains(&(n as u32));
+    // What a member that never touched a lock holds for it.
+    let fresh: Vec<HierNode> = (0..states.len())
+        .map(|n| fresh_state(NodeId(n as u32), protocol))
         .collect();
+    let mut at = vec![0; lists.len()];
+    let mut members: Vec<&HierNode> = Vec::with_capacity(lists.len());
     let mut errors = Vec::new();
-    for lock in touched {
-        let members: Vec<HierNode> = (0..nodes)
-            .filter(|n| !crashed.contains(&(*n as u32)))
-            .map(|n| {
-                by_node[n]
-                    .get(&lock)
-                    .map(|s| (*s).clone())
-                    .unwrap_or_else(|| fresh_state(NodeId(n as u32), protocol))
-            })
-            .collect();
+    // The next lock is the smallest one under any member's cursor.
+    while let Some(lock) = lists
+        .iter()
+        .zip(&at)
+        .filter_map(|(list, &i)| list.get(i).map(|(lock, _)| *lock))
+        .min()
+    {
+        members.clear();
+        for (n, list) in lists.iter().enumerate() {
+            let mut listed = None;
+            while let Some((_, state)) = list.get(at[n]).filter(|(l, _)| *l == lock) {
+                listed = Some(state);
+                at[n] += 1;
+            }
+            if alive(n) {
+                members.push(listed.unwrap_or(&fresh[n]));
+            }
+        }
         errors.extend(audit(&members, &[], true));
     }
     errors
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dlm_core::{EffectBuf, Mode};
+    use dlm_trace::NullObserver;
+
+    /// The audit by definition: for every lock anyone lists, in ascending
+    /// order, every surviving member's last listed state for it (or its
+    /// initial state), audited at quiescence.
+    fn reference(
+        protocol: ProtocolConfig,
+        states: &[Vec<(u32, HierNode)>],
+        crashed: &[u32],
+    ) -> Vec<AuditError> {
+        let mut locks: Vec<u32> = states.iter().flatten().map(|(lock, _)| *lock).collect();
+        locks.sort_unstable();
+        locks.dedup();
+        let mut errors = Vec::new();
+        for lock in locks {
+            let members: Vec<HierNode> = (0..states.len() as u32)
+                .filter(|n| !crashed.contains(n))
+                .map(|n| {
+                    let listed = states[n as usize].iter().rev().find(|(l, _)| *l == lock);
+                    match listed {
+                        Some((_, state)) => state.clone(),
+                        None if n == 0 => HierNode::with_token(NodeId(0), protocol),
+                        None => HierNode::new(NodeId(n), NodeId(0), protocol),
+                    }
+                })
+                .collect();
+            errors.extend(audit(&members, &[], true));
+        }
+        errors
+    }
+
+    /// `state` after its application asked for `mode`.
+    fn asked(mut state: HierNode, mode: Mode) -> HierNode {
+        let mut effects = EffectBuf::new();
+        state
+            .on_acquire_into(mode, 0, &mut effects, &mut NullObserver)
+            .unwrap();
+        state
+    }
+
+    /// Four members' lists, unsorted, in which:
+    /// * lock 2 is listed by member 0 alone, in its initial state;
+    /// * lock 5 has a planted second token at member 1, and both token
+    ///   holders hold W;
+    /// * lock 7's second token sits at member 3 (the one that crashes);
+    /// * lock 9 has a request stuck at member 2.
+    fn snapshot(protocol: ProtocolConfig) -> Vec<Vec<(u32, HierNode)>> {
+        let fresh = |n| fresh_state(NodeId(n), protocol);
+        let token = |n| HierNode::with_token(NodeId(n), protocol);
+        vec![
+            vec![(5, asked(fresh(0), Mode::Write)), (2, fresh(0))],
+            vec![(7, fresh(1)), (5, asked(token(1), Mode::Write))],
+            vec![(9, asked(fresh(2), Mode::Read))],
+            vec![(7, token(3))],
+        ]
+    }
+
+    #[test]
+    fn the_audit_walk_matches_the_per_lock_definition() {
+        let protocol = ProtocolConfig::paper();
+        let states = snapshot(protocol);
+        assert!(!states[0].is_sorted_by_key(|(lock, _)| *lock));
+        let mut sorted = states.clone();
+        for list in &mut sorted {
+            list.sort_by_key(|(lock, _)| *lock);
+        }
+        for crashed in [&[][..], &[3], &[1, 3]] {
+            let expected = reference(protocol, &states, crashed);
+            for input in [&states, &sorted] {
+                assert_eq!(
+                    audit_surviving_states(protocol, input, crashed),
+                    expected,
+                    "crashed {crashed:?}"
+                );
+            }
+        }
+        assert_eq!(
+            audit_process_states(protocol, &states),
+            reference(protocol, &states, &[])
+        );
+
+        // What the walk must find: the planted token (lock 5), the crashed
+        // member's token only while it is counted (lock 7), and the stuck
+        // request (lock 9).
+        let two_tokens = AuditError::TokenEpochCount { epoch: 0, count: 2 };
+        let with_3 = audit_process_states(protocol, &states);
+        let without_3 = audit_surviving_states(protocol, &states, &[3]);
+        assert_eq!(with_3.iter().filter(|e| **e == two_tokens).count(), 2);
+        assert_eq!(without_3.iter().filter(|e| **e == two_tokens).count(), 1);
+        assert!(without_3
+            .iter()
+            .any(|e| matches!(e, AuditError::StuckRequest(NodeId(2), Mode::Read))));
+        let both_hold_w = AuditError::IncompatibleHolders {
+            a: (NodeId(0), Mode::Write),
+            b: (NodeId(1), Mode::Write),
+        };
+        assert!(without_3.contains(&both_hold_w), "{without_3:?}");
+        // Dropping member 1 removes the planted token as well.
+        let clean_5 = audit_surviving_states(protocol, &states, &[1, 3]);
+        assert!(!clean_5.contains(&two_tokens), "{clean_5:?}");
+    }
 }

@@ -204,6 +204,11 @@ pub struct ClusterReport {
     /// away (e.g. a handle dropped mid-call). Non-zero values mean some
     /// caller never saw its outcome.
     pub replies_dropped: u64,
+    /// Grants whose requester was gone by the time they arrived — no waiter,
+    /// or a completion nobody could read (e.g. a [`crate::Pipeline`] dropped
+    /// with an acquire still queued). The granting worker released each at
+    /// once, so the lock moved on to whoever queued behind it.
+    pub grants_abandoned: u64,
     /// Frames that arrived but could not be decoded (truncated, bad tag,
     /// bad reliability header). The receiving worker counts them and keeps
     /// serving; on a healthy in-process transport this is always 0.
@@ -584,6 +589,7 @@ impl Cluster {
             trace: done.trace,
             trace_dropped: done.trace_dropped,
             replies_dropped: self.counters.replies_dropped.load(Ordering::Relaxed),
+            grants_abandoned: self.counters.grants_abandoned.load(Ordering::Relaxed),
             decode_errors: done.decode_errors,
             frames_fenced: done.frames_fenced,
             workers_died: done.workers_died,

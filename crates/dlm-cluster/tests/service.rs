@@ -406,3 +406,45 @@ fn sharded_cluster_survives_lossy_links() {
     let dropped: u64 = report.links.iter().map(|l| l.dropped).sum();
     assert!(dropped > 0, "the fault stage was in the path");
 }
+
+/// A waiter that leaves never wedges a lock. Node 0 holds W; node 1 asks
+/// for W through a pipeline and drops the pipeline while the request is
+/// queued; node 2 asks for W behind it. When node 0 releases, node 1's
+/// grant finds nobody to tell, so node 1 releases it in the same step and
+/// node 2 is served.
+#[test]
+fn a_dropped_pipeline_never_wedges_a_lock() {
+    let idle = Duration::from_millis(10);
+    let c = Cluster::new(ClusterConfig {
+        nodes: 3,
+        locks: 1,
+        ..Default::default()
+    });
+    let (h0, h2) = (c.handle(0), c.handle(2));
+    h0.acquire(LockId::TABLE, Mode::Write).unwrap();
+    let mut pipe = c.handle(1).pipeline();
+    pipe.submit_acquire(LockId::TABLE, Mode::Write, 1).unwrap();
+    pipe.flush().unwrap();
+    c.quiesce(idle);
+    drop(pipe);
+    let (done_tx, done) = std::sync::mpsc::channel();
+    let waiter = std::thread::spawn(move || {
+        let granted = h2.acquire(LockId::TABLE, Mode::Write);
+        let _ = done_tx.send(granted);
+        h2
+    });
+    c.quiesce(idle);
+    assert!(done.try_recv().is_err(), "node 2 queues behind node 1");
+    h0.release(LockId::TABLE).unwrap();
+    let granted = done
+        .recv_timeout(Duration::from_secs(5))
+        .expect("node 2's acquire completes");
+    assert_eq!(granted, Ok(()));
+    let h2 = waiter.join().unwrap();
+    h2.release(LockId::TABLE).unwrap();
+    c.quiesce(idle);
+    let report = c.shutdown();
+    assert!(report.audit_errors.is_empty(), "{:?}", report.audit_errors);
+    assert_eq!(report.grants_abandoned, 1);
+    assert_eq!(report.replies_dropped, 1, "node 1's grant had no listener");
+}

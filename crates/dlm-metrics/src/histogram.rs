@@ -74,6 +74,19 @@ impl Histogram {
         self.min = self.min.min(value);
     }
 
+    /// Record `n` observations of the same `value` in O(1): the same
+    /// histogram as `n` calls to [`Self::record`].
+    pub fn record_n(&mut self, value: u64, n: u64) {
+        if n == 0 {
+            return;
+        }
+        self.buckets[Self::bucket_index(value)] += n;
+        self.count += n;
+        self.total += value as u128 * n as u128;
+        self.max = self.max.max(value);
+        self.min = self.min.min(value);
+    }
+
     /// Number of observations.
     pub fn count(&self) -> u64 {
         self.count

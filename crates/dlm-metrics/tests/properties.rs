@@ -152,4 +152,22 @@ proptest! {
             prop_assert_eq!(decoded.quantile(q), h.quantile(q));
         }
     }
+
+    /// `record_n(v, n)` is exactly `n` calls to `record(v)`, including
+    /// `n = 0` (no observation, so `min`/`max` stay untouched).
+    #[test]
+    fn histogram_record_n_is_n_records(
+        runs in proptest::collection::vec((0u64..u64::MAX / 1024, 0u64..64), 0..50),
+    ) {
+        let mut batched = Histogram::new();
+        let mut one_by_one = Histogram::new();
+        for &(v, n) in &runs {
+            batched.record_n(v, n);
+            for _ in 0..n {
+                one_by_one.record(v);
+            }
+        }
+        prop_assert_eq!(batched.encode_compact(), one_by_one.encode_compact());
+        prop_assert_eq!(batched.min(), one_by_one.min());
+    }
 }
