@@ -26,7 +26,7 @@
 
 use crate::codec;
 use crate::handle::{ClusterError, Completion, OpKind, PipeOp, Reply};
-use crate::member::Counters;
+use crate::member::{Counters, Wave};
 use crate::reliable::{peek_lock, Endpoint};
 use crate::runtime::{ClusterConfig, LinkReport, ScanReport};
 use crate::shard::{effective_shards, shard_of, FastMap, ShardGate};
@@ -74,13 +74,10 @@ pub(crate) enum Input {
     /// survivors with this before planning a repair wave.
     Scan(Sender<ScanReport>),
     /// Recovery wave (DESIGN.md §17): repair every planned lock owned by
-    /// this worker around the crashed node. Plans are
-    /// `(lock, new_root, new_epoch)`.
-    PeerDown {
-        dead: NodeId,
-        survivors: Arc<Vec<NodeId>>,
-        plans: Arc<Vec<(u32, u32, u32)>>,
-    },
+    /// this worker around the crashed node, then acknowledge on the wave's
+    /// `applied` channel. One `Arc` per wave keeps the variant one pointer
+    /// wide.
+    PeerDown(Arc<Wave>),
     /// Panic inside `step`, so the thread-level tests can watch a worker
     /// die for real (counted in `workers_died`, never propagated).
     #[cfg(test)]
@@ -388,11 +385,12 @@ impl ShardEngine {
                 // problem, not ours.
                 let _ = tx.send((self.me.0, rows));
             }
-            Input::PeerDown {
-                dead,
-                survivors,
-                plans,
-            } => self.on_peer_down(dead, &survivors, &plans),
+            Input::PeerDown(wave) => {
+                self.on_peer_down(wave.dead, &wave.survivors, &wave.plans);
+                // Everything the wave caused is buffered, and so on the
+                // in-flight gauge, before the coordinator hears of it.
+                let _ = wave.applied.send(());
+            }
             #[cfg(test)]
             Input::Panic => panic!("injected worker panic (Input::Panic)"),
             Input::Shutdown => return false,

@@ -358,6 +358,58 @@ fn die_fails_waiters_and_sends_nothing_more() {
     assert!(es.remove(1).finish().locks.is_empty(), "its state died too");
 }
 
+/// A repair wave is acknowledged by the step that applies it, and only
+/// after the frames it caused are on the in-flight gauge: a coordinator
+/// that has every acknowledgement and then reads the gauges idle has seen
+/// the wave's traffic delivered.
+#[test]
+fn a_wave_is_acknowledged_once_its_frames_are_on_the_gauge() {
+    let mut now = Instant::now();
+    let (mut es, counters) = engines(3, false, now);
+    // Node 2 takes the token, then crashes with it.
+    let granted = op(&mut es[2], LockId(0), OpKind::Acquire(Mode::Write), now);
+    settle_clean(&mut es, &mut now);
+    assert_eq!(granted.try_recv(), Ok(Ok(())));
+    let (applied, acks) = unbounded();
+    let wave = Arc::new(Wave {
+        dead: NodeId(2),
+        survivors: vec![NodeId(0), NodeId(1)],
+        plans: vec![(0, 0, 1)],
+        applied,
+    });
+    for survivor in [0, 1] {
+        let before = counters.in_flight.load(Ordering::Relaxed);
+        assert!(acks.try_recv().is_err(), "no answer before the step");
+        assert!(es[survivor].step(Input::PeerDown(Arc::clone(&wave)), now));
+        assert_eq!(acks.try_recv(), Ok(()), "one answer per step");
+        assert!(
+            counters.in_flight.load(Ordering::Relaxed) > before,
+            "node {survivor}'s repair traffic is buffered before it answers"
+        );
+    }
+    drop(wave);
+    settle_clean(&mut es, &mut now);
+    assert!(counters.is_idle());
+    assert!(acks.try_recv().is_err(), "nothing more to answer");
+    for survivor in [0, 1] {
+        let state = &es[survivor].locks[&0];
+        assert_eq!(state.epoch(), 1);
+        assert_eq!(state.has_token(), survivor == 0, "node 0 regenerated");
+    }
+}
+
+/// One `Input` is one channel slot of every worker: the repair wave and
+/// its acknowledgement ride behind one `Arc`, so recovery did not widen
+/// the slot every frame and operation travels in.
+#[test]
+fn an_input_is_no_wider_than_56_bytes() {
+    assert!(
+        std::mem::size_of::<Input>() <= 56,
+        "Input is {} bytes",
+        std::mem::size_of::<Input>()
+    );
+}
+
 #[test]
 fn request_ids_step_over_zero_when_the_counter_wraps() {
     let base = Instant::now();

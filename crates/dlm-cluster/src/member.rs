@@ -33,6 +33,15 @@ const BATCH: usize = 256;
 /// should use a staleness threshold of several multiples of this.
 const HEARTBEAT: Duration = Duration::from_millis(25);
 
+/// Poll period of [`Counters::settle`]: short against the ≈ 0.1 ms a
+/// recovery's own work takes, and a sleep, so the poll leaves the CPU to
+/// the workers it waits for.
+const SETTLE_POLL: Duration = Duration::from_micros(20);
+
+/// How long a fan-out ([`scan`], [`repair`]) waits for the next worker's
+/// answer before giving up on the rest.
+const ANSWER_TIMEOUT: Duration = Duration::from_secs(5);
+
 /// The process-wide counters and gauges every worker and transport of one
 /// cluster (or one socket member) shares.
 #[derive(Clone, Default)]
@@ -61,6 +70,17 @@ impl Counters {
     /// No frame in local flight and no data sequence awaiting an ack.
     pub(crate) fn is_idle(&self) -> bool {
         self.in_flight.load(Ordering::Relaxed) == 0 && self.unacked.load(Ordering::Relaxed) == 0
+    }
+
+    /// Poll until [`Self::is_idle`] reads true or `deadline` passes. Unlike
+    /// [`Self::quiesce_within`] it waits out no quiet window: recovery
+    /// pairs it with acknowledged fan-outs and a message-count re-check
+    /// (DESIGN.md §18, "Gauge discipline"), shutdown with stopping the
+    /// transport before the workers.
+    pub(crate) fn settle(&self, deadline: Instant) {
+        while !self.is_idle() && Instant::now() < deadline {
+            std::thread::sleep(SETTLE_POLL);
+        }
     }
 
     /// Quiescence wait: the message count once it has stayed stable for
@@ -186,11 +206,14 @@ impl Member {
         )
     }
 
-    /// Send `make()` to every worker of this member.
-    pub(crate) fn broadcast(&self, make: impl Fn() -> Input) {
-        for tx in &self.inputs {
-            let _ = tx.send(make());
-        }
+    /// Send `make()` to every worker of this member; returns how many
+    /// workers' channels took it (a worker whose thread is gone takes
+    /// nothing).
+    pub(crate) fn broadcast(&self, make: impl Fn() -> Input) -> usize {
+        self.inputs
+            .iter()
+            .filter(|tx| tx.send(make()).is_ok())
+            .count()
     }
 
     /// Per worker: its admission gate and live metrics, in shard order.
@@ -211,20 +234,6 @@ impl Member {
             .any(|(join, beat)| {
                 join.is_finished() || now_us.saturating_sub(beat.load(Ordering::Relaxed)) > stale_us
             })
-    }
-
-    /// Apply a repair wave around the crashed node `dead` to every worker.
-    pub(crate) fn repair(
-        &self,
-        dead: u32,
-        survivors: &Arc<Vec<NodeId>>,
-        plans: &Arc<Vec<(u32, u32, u32)>>,
-    ) {
-        self.broadcast(|| Input::PeerDown {
-            dead: NodeId(dead),
-            survivors: Arc::clone(survivors),
-            plans: Arc::clone(plans),
-        });
     }
 
     /// Join the workers (after [`Input::Shutdown`] was broadcast) and fold
@@ -266,20 +275,64 @@ impl Member {
 /// that answered in time. Only meaningful on quiescent members.
 pub(crate) fn scan<'a>(members: impl IntoIterator<Item = &'a Member>) -> Vec<ScanReport> {
     let (tx, rx) = unbounded();
-    let mut expected = 0;
-    for member in members {
-        member.broadcast(|| Input::Scan(tx.clone()));
-        expected += member.inputs.len();
-    }
+    let expected = members
+        .into_iter()
+        .map(|member| member.broadcast(|| Input::Scan(tx.clone())))
+        .sum();
     drop(tx);
-    let mut rows = Vec::with_capacity(expected);
-    while rows.len() < expected {
-        let Ok(row) = rx.recv_timeout(Duration::from_secs(5)) else {
+    answers(&rx, expected)
+}
+
+/// One repair wave (DESIGN.md §17), shared by every worker it is sent to:
+/// the crashed node, the surviving membership, the plans `(lock, new_root,
+/// new_epoch)`, and where each worker acknowledges that it has applied the
+/// wave.
+pub(crate) struct Wave {
+    pub(crate) dead: NodeId,
+    pub(crate) survivors: Vec<NodeId>,
+    pub(crate) plans: Vec<(u32, u32, u32)>,
+    pub(crate) applied: Sender<()>,
+}
+
+/// Repair fan-out: send the wave around the crashed node `dead` to every
+/// worker of `members` and return once each worker has applied it (or has
+/// failed to answer in time). Frames the wave caused are on the gauges by
+/// then; a caller that needs them delivered settles afterwards.
+pub(crate) fn repair<'a>(
+    members: impl IntoIterator<Item = &'a Member>,
+    dead: u32,
+    survivors: Vec<NodeId>,
+    plans: Vec<(u32, u32, u32)>,
+) {
+    let (applied, rx) = unbounded();
+    let wave = Arc::new(Wave {
+        dead: NodeId(dead),
+        survivors,
+        plans,
+        applied,
+    });
+    let expected = members
+        .into_iter()
+        .map(|member| member.broadcast(|| Input::PeerDown(Arc::clone(&wave))))
+        .sum();
+    // The workers' copies are the only senders left: a worker that dies
+    // with the wave unapplied disconnects the channel instead of stalling
+    // the wait for its answer.
+    drop(wave);
+    answers(&rx, expected);
+}
+
+/// Up to `expected` answers from a fan-out, each awaited at most
+/// [`ANSWER_TIMEOUT`]; fewer if the senders are gone.
+fn answers<T>(rx: &Receiver<T>, expected: usize) -> Vec<T> {
+    let mut out = Vec::with_capacity(expected);
+    while out.len() < expected {
+        let Ok(answer) = rx.recv_timeout(ANSWER_TIMEOUT) else {
             break;
         };
-        rows.push(row);
+        out.push(answer);
     }
-    rows
+    out
 }
 
 /// What [`shutdown`] gathered from the members and the transport.
@@ -323,10 +376,7 @@ pub(crate) fn shutdown(
     transport: &dyn Transport,
     counters: &Counters,
 ) -> Collected {
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while !counters.is_idle() && Instant::now() < deadline {
-        std::thread::sleep(Duration::from_micros(200));
-    }
+    counters.settle(Instant::now() + Duration::from_secs(10));
     let report = transport.shutdown();
     for member in &members {
         member.broadcast(|| Input::Shutdown);

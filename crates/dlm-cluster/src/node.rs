@@ -234,13 +234,14 @@ impl Node {
 
     /// Apply a repair wave planned by [`crate::plan_recovery`] around the
     /// crashed member `dead` (DESIGN.md §17): isolates the dead link end,
-    /// then repairs every planned lock this member's workers own. Every
-    /// surviving member must apply the same wave; quiesce all survivors
-    /// afterwards before relying on the repaired state.
+    /// then repairs every planned lock this member's workers own. Returns
+    /// once every worker has applied the wave; the frames it caused may
+    /// still be travelling. Every surviving member must apply the same
+    /// wave; quiesce all survivors afterwards before relying on the
+    /// repaired state.
     pub fn repair(&self, dead: u32, survivors: &[u32], plans: &[(u32, u32, u32)]) {
-        let survivors = Arc::new(survivors.iter().map(|&n| NodeId(n)).collect());
-        self.member
-            .repair(dead, &survivors, &Arc::new(plans.to_vec()));
+        let survivors = survivors.iter().map(|&n| NodeId(n)).collect();
+        member::repair([&self.member], dead, survivors, plans.to_vec());
     }
 
     /// Socket-path failure detector: peers whose TCP link to this member

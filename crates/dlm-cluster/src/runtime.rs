@@ -514,40 +514,53 @@ impl Cluster {
 
     /// Recover the survivors around crashed node `dead` (DESIGN.md §17):
     ///
-    /// 1. *Quiesce* — the scan below is only race-free with no token in
-    ///    flight. (Crashed workers keep draining their channels and
+    /// 1. *Settle* — the scan below is only race-free with no token in
+    ///    flight, so wait until no frame is in flight or unacked.
+    ///    (Crashed workers keep draining their channels and
     ///    [`Self::crash_node`] already isolated the dead link ends, so
     ///    this converges.)
     /// 2. *Scan* — every surviving worker reports `(lock, has_token,
-    ///    epoch)` for the locks it hosts.
+    ///    epoch)` for the locks it hosts. If any protocol message was sent
+    ///    between the start of step 1 and the last answer, some worker
+    ///    was still busy (an application operation queued at it is on no
+    ///    gauge): settle and scan again.
     /// 3. *Plan* — [`plan_recovery`]: per affected lock, the next epoch and
     ///    the new root.
-    /// 4. *Repair* — broadcast the wave to the survivors and wait for it to
-    ///    settle.
+    /// 4. *Repair* — send the wave to the survivors, wait until every
+    ///    worker has acknowledged applying it, then settle again.
     ///
-    /// Returns the number of locks repaired.
+    /// No step waits out a quiet window: each ends on an acknowledgement
+    /// or a gauge reading (DESIGN.md §18, "Gauge discipline"). On return
+    /// every survivor has applied the wave and the traffic it caused has
+    /// been delivered. Returns the number of locks repaired.
     pub fn recover(&self, dead: u32) -> usize {
-        self.recover_within(dead, Duration::from_millis(20))
-    }
-
-    /// [`Self::recover`] with a caller-chosen quiescence idle window for
-    /// the settle phases (steps 1 and 4). The default 20 ms is safe margin
-    /// for chaos tests on loaded machines; latency measurements use a
-    /// tighter window so the settle constant does not drown the actual
-    /// scan/repair fan-out being measured.
-    pub fn recover_within(&self, dead: u32, idle: Duration) -> usize {
-        self.quiesce_within(idle, Duration::from_secs(10));
+        let deadline = Instant::now() + Duration::from_secs(10);
         let crashed = self.crashed.lock().expect("crashed mutex").clone();
         let survivors = || self.members.iter().filter(|m| !crashed.contains(&m.id()));
+        let mut sent = self.counters.messages_sent();
+        let rows = loop {
+            self.counters.settle(deadline);
+            let rows = member::scan(survivors());
+            let after = self.counters.messages_sent();
+            if after == sent || Instant::now() >= deadline {
+                break rows;
+            }
+            sent = after;
+        };
         let ids: Vec<u32> = survivors().map(Member::id).collect();
-        let rows = member::scan(survivors());
-        let plans = Arc::new(plan_recovery(&rows, dead, &ids, self.locks));
-        let ids = Arc::new(ids.into_iter().map(NodeId).collect());
-        for member in survivors() {
-            member.repair(dead, &ids, &plans);
-        }
-        self.quiesce_within(idle, Duration::from_secs(10));
-        plans.len()
+        let plans = plan_recovery(&rows, dead, &ids, self.locks);
+        let repaired = plans.len();
+        let ids = ids.into_iter().map(NodeId).collect();
+        member::repair(survivors(), dead, ids, plans);
+        self.counters.settle(deadline);
+        repaired
+    }
+
+    /// [`Self::recover`]. `idle` sets nothing: recovery ends on
+    /// acknowledgements and gauge readings, not on a quiet window. The
+    /// signature stays so that callers passing a window keep compiling.
+    pub fn recover_within(&self, dead: u32, _idle: Duration) -> usize {
+        self.recover(dead)
     }
 
     /// Quiescence wait: returns once the message counter has stayed stable
@@ -655,7 +668,196 @@ pub fn plan_recovery(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{LockId, Mode};
+    use crate::{FaultConfig, LockId, Mode};
+    use dlm_trace::ProtocolEvent;
+
+    /// How many of `report`'s trace records match `pick`.
+    fn count(report: &ClusterReport, pick: impl Fn(&TraceRecord) -> bool) -> usize {
+        report.trace.iter().filter(|r| pick(r)).count()
+    }
+
+    /// `recover` returns only after every surviving worker has stepped its
+    /// `PeerDown` and the traffic that caused was delivered: each survivor
+    /// worker's `NodeSuspected` record (stamped by the step that applied
+    /// the wave) predates the return, and no message is sent after it.
+    /// With two nodes the lone survivor's wave sends nothing, so no gauge
+    /// could have shown that it was still unapplied.
+    #[test]
+    fn recover_returns_after_every_survivor_applied_the_wave() {
+        let shards = 2;
+        for (cycle, nodes) in [2, 4].into_iter().cycle().take(10).enumerate() {
+            let c = Cluster::new(ClusterConfig {
+                nodes,
+                locks: 4,
+                shards,
+                trace_capacity: 1 << 10,
+                ..Default::default()
+            });
+            let h1 = c.handle(1);
+            for lock in (0..4).map(LockId) {
+                h1.acquire(lock, Mode::Write).unwrap();
+                h1.release(lock).unwrap();
+            }
+            c.crash_node(1);
+            assert_eq!(c.recover(1), 4);
+            let returned = c.epoch.elapsed().as_micros() as u64;
+            let sent = c.counters.messages_sent();
+            c.quiesce(Duration::from_millis(5));
+            assert_eq!(
+                c.counters.messages_sent(),
+                sent,
+                "cycle {cycle}: the wave's traffic outlived recover"
+            );
+            let report = c.shutdown();
+            assert!(report.audit_errors.is_empty(), "{:?}", report.audit_errors);
+            assert_eq!(report.trace_dropped, 0);
+            for node in (0..nodes as u32).filter(|&n| n != 1) {
+                let applied = |r: &TraceRecord| {
+                    r.node == node && matches!(r.event, ProtocolEvent::NodeSuspected { node: 1 })
+                };
+                assert_eq!(count(&report, applied), shards, "cycle {cycle}");
+                let late = |r: &TraceRecord| applied(r) && r.at > returned;
+                assert_eq!(
+                    count(&report, late),
+                    0,
+                    "cycle {cycle}: node {node} applied the wave after recover returned"
+                );
+            }
+        }
+    }
+
+    /// A token transfer parked in a delaying, jittering router when its
+    /// sender crashes: `recover` waits for it to land before it scans, so
+    /// the scan names the survivor it reached and no second token is
+    /// regenerated beside it; nothing the dead node sent is fenced after
+    /// the repair. Over 50 seeds, reliability shim on, the crash timed at
+    /// different points of node 2's acquire (the request travels 2 → 0 →
+    /// 1, the token 1 → 2, one millisecond a hop).
+    #[test]
+    fn a_parked_token_transfer_lands_before_the_scan() {
+        let delay = Duration::from_millis(1);
+        let lock = LockId::TABLE;
+        let mut in_transit = 0;
+        for seed in 0..50u64 {
+            let c = Cluster::new(ClusterConfig {
+                nodes: 4,
+                locks: 1,
+                transport: TransportKind::Faulty(FaultConfig {
+                    seed,
+                    drop: 0.02,
+                    duplicate: 0.05,
+                    reorder: 0.3,
+                    delay,
+                }),
+                reliable: Some(ReliableConfig::default()),
+                trace_capacity: 1 << 12,
+                ..Default::default()
+            });
+            let h1 = c.handle(1);
+            h1.acquire(lock, Mode::Write).unwrap();
+            h1.release(lock).unwrap();
+            c.quiesce(Duration::from_millis(3));
+            let h2 = c.handle(2);
+            let waiter = std::thread::spawn(move || h2.acquire(lock, Mode::Write).map(|()| h2));
+            std::thread::sleep(Duration::from_micros(1500 + 60 * (seed % 40)));
+            let crashed_at = c.epoch.elapsed().as_micros() as u64;
+            c.crash_node(1);
+            assert_eq!(c.recover(1), 1, "seed {seed}");
+            let h2 = waiter.join().unwrap().expect("node 2's W completes");
+            h2.release(lock).unwrap();
+            c.quiesce(Duration::from_millis(3));
+            let report = c.shutdown();
+            assert!(
+                report.audit_errors.is_empty(),
+                "seed {seed}: {:?}",
+                report.audit_errors
+            );
+            assert_eq!(report.trace_dropped, 0);
+            let sent_at = report.trace.iter().find_map(|r| {
+                let sent = r.node == 1 && matches!(r.event, ProtocolEvent::TokenSent { to: 2, .. });
+                sent.then_some(r.at)
+            });
+            let received_at = report.trace.iter().find_map(|r| {
+                let got =
+                    r.node == 2 && matches!(r.event, ProtocolEvent::TokenReceived { from: 1, .. });
+                got.then_some(r.at)
+            });
+            if sent_at.is_some_and(|at| at <= crashed_at)
+                && received_at.is_none_or(|at| at > crashed_at)
+            {
+                in_transit += 1;
+            }
+            let regenerated =
+                |r: &TraceRecord| matches!(r.event, ProtocolEvent::TokenRegenerated { .. });
+            assert_eq!(
+                count(&report, regenerated),
+                usize::from(received_at.is_none()),
+                "seed {seed}: the scan must name the survivor the token reached"
+            );
+            let fenced =
+                |r: &TraceRecord| matches!(r.event, ProtocolEvent::StaleEpochFenced { .. });
+            let from_dead = |r: &TraceRecord| {
+                matches!(r.event, ProtocolEvent::StaleEpochFenced { from: 1, .. })
+            };
+            assert_eq!(
+                count(&report, from_dead),
+                0,
+                "seed {seed}: a frame landed after recover"
+            );
+            assert_eq!(
+                report.frames_fenced,
+                count(&report, fenced) as u64,
+                "seed {seed}"
+            );
+        }
+        assert!(
+            in_transit >= 5,
+            "only {in_transit} of 50 crashes caught the token in transit"
+        );
+    }
+
+    /// An application operation queued at a survivor is on no gauge, so
+    /// the settle before the scan can read idle while that operation has
+    /// yet to move the token. Node 2's worker is held inside an earlier
+    /// scan while its W acquire queues behind it: `recover` hears from
+    /// node 0, the holder, first, then from node 2, whose acquire has sent
+    /// its request by then. The message count moved across the scan, so
+    /// `recover` settles and scans again, finds the token at node 2 and
+    /// keeps it there: nothing is regenerated and nothing is fenced.
+    #[test]
+    fn a_scan_repeats_when_an_operation_was_still_queued() {
+        let lock = LockId::TABLE;
+        let c = Cluster::new(ClusterConfig {
+            nodes: 4,
+            locks: 1,
+            trace_capacity: 1 << 10,
+            ..Default::default()
+        });
+        let h0 = c.handle(0);
+        h0.acquire(lock, Mode::Read).unwrap();
+        h0.release(lock).unwrap();
+        let (stall, unstall) = crossbeam::channel::bounded(0);
+        c.members[2].broadcast(|| Input::Scan(stall.clone()));
+        let h2 = c.handle(2);
+        let waiter = std::thread::spawn(move || h2.acquire(lock, Mode::Write).map(|()| h2));
+        std::thread::sleep(Duration::from_millis(5));
+        c.crash_node(3);
+        std::thread::scope(|s| {
+            let recovering = s.spawn(|| c.recover(3));
+            std::thread::sleep(Duration::from_millis(10));
+            unstall.recv().unwrap();
+            assert_eq!(recovering.join().unwrap(), 1);
+        });
+        let h2 = waiter.join().unwrap().expect("node 2's W completes");
+        h2.release(lock).unwrap();
+        c.quiesce(Duration::from_millis(5));
+        let report = c.shutdown();
+        assert!(report.audit_errors.is_empty(), "{:?}", report.audit_errors);
+        let regenerated =
+            |r: &TraceRecord| matches!(r.event, ProtocolEvent::TokenRegenerated { .. });
+        assert_eq!(count(&report, regenerated), 0, "the holder was scanned");
+        assert_eq!(report.frames_fenced, 0);
+    }
 
     /// A panicking worker thread must not take the cluster down: the failure
     /// detector flags its node (a finished thread is the strongest heartbeat

@@ -448,3 +448,42 @@ fn a_dropped_pipeline_never_wedges_a_lock() {
     assert_eq!(report.grants_abandoned, 1);
     assert_eq!(report.replies_dropped, 1, "node 1's grant had no listener");
 }
+
+/// The same leak after a crash: node 2's W, submitted through a pipeline
+/// that is then dropped, is queued at node 1, which holds W and crashes.
+/// Recovery re-issues node 2's request under Rule R1 and the regenerated
+/// root grants it, but nobody is left to hear of the grant, so node 2
+/// releases it in the same step. The lock serves everyone again, node 2
+/// holds nothing, and the audit over the survivors is clean.
+#[test]
+fn a_recovered_op_with_no_waiter_is_released() {
+    let idle = Duration::from_millis(10);
+    let c = Cluster::new(ClusterConfig {
+        nodes: 3,
+        locks: 1,
+        ..Default::default()
+    });
+    c.handle(1).acquire(LockId::TABLE, Mode::Write).unwrap();
+    let mut pipe = c.handle(2).pipeline();
+    pipe.submit_acquire(LockId::TABLE, Mode::Write, 1).unwrap();
+    pipe.flush().unwrap();
+    c.quiesce(idle);
+    drop(pipe);
+    c.crash_node(1);
+    assert_eq!(c.recover(1), 1, "the crashed holder's lock is repaired");
+    let (h0, h2) = (c.handle(0), c.handle(2));
+    let not_held = Err(ClusterError::Release(dlm_core::ReleaseError::NotHeld));
+    assert_eq!(h2.release(LockId::TABLE), not_held, "node 2 holds no mode");
+    h0.acquire(LockId::TABLE, Mode::Write).unwrap();
+    h0.release(LockId::TABLE).unwrap();
+    h2.acquire(LockId::TABLE, Mode::Write).unwrap();
+    h2.release(LockId::TABLE).unwrap();
+    c.quiesce(idle);
+    let report = c.shutdown();
+    assert!(report.audit_errors.is_empty(), "{:?}", report.audit_errors);
+    assert_eq!(
+        report.grants_abandoned, 1,
+        "the re-issued grant is released"
+    );
+    assert_eq!(report.replies_dropped, 1, "node 2's grant had no listener");
+}

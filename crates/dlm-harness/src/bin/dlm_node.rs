@@ -23,7 +23,7 @@
 //! | `release <lock>` | `ok` |
 //! | `scan` | `locks <lock>:<has_token>:<epoch> …` |
 //! | `suspects` | `suspects <id> …` |
-//! | `repair <dead> <surv,…> <lock:root:epoch,…\|->` | `ok` |
+//! | `repair <dead> <surv,…> <lock:root:epoch,…\|->` | `ok` (once every worker applied the wave) |
 //! | `shutdown` | `lat …`, `state …`×, `link …`×, `exit …`, then exits |
 //!
 //! The crash commands let the driver choreograph a member-kill recovery:

@@ -575,9 +575,7 @@ pub fn recovery(opts: &FigureOptions) -> Figure {
                 }
                 let start = std::time::Instant::now();
                 cluster.crash_node(1);
-                // Tight 2 ms settle windows: the default 20 ms margin
-                // would drown the scan/repair fan-out being plotted.
-                cluster.recover_within(1, std::time::Duration::from_millis(2));
+                cluster.recover(1);
                 let h0 = cluster.handle(0);
                 h0.acquire(LockId(0), Mode::Write).expect("recovered Write");
                 total_ms += start.elapsed().as_secs_f64() * 1e3;
