@@ -348,8 +348,9 @@ impl ShardEngine {
             Input::Net { from, frame } => self.on_net(from, frame),
             Input::Op { lock, kind, reply } => {
                 self.gate.leave(1);
+                // What this op settles is published before its caller is
+                // answered (`answer`, `fast_grant`).
                 self.issue(lock, kind, Caller::Blocking(reply));
-                self.publish();
             }
             Input::Ops { ops, tx } => {
                 self.gate.leave(ops.len());
@@ -467,6 +468,7 @@ impl ShardEngine {
                     .on_frame(
                         from,
                         frame,
+                        self.now,
                         &mut |payload| inbox.push(payload),
                         &mut |lock, event| rel_events.push((lock, event)),
                     )
@@ -631,11 +633,13 @@ impl ShardEngine {
     }
 
     /// Answer an operation that settled in its own step without a grant: a
-    /// blocking caller on its channel, a pipelined op in the chunk's
-    /// completion batch.
+    /// blocking caller on its channel, after its count is published, so a
+    /// snapshot taken once the call returns sees it; a pipelined op in the
+    /// chunk's completion batch.
     fn answer(&mut self, lock: LockId, caller: Caller<'_>, result: Result<(), ClusterError>) {
         match caller {
             Caller::Blocking(reply) => {
+                self.publish();
                 reply.complete(result);
             }
             Caller::Pipelined { tag, .. } => self.comp_batch.push(Completion { lock, tag, result }),
@@ -770,6 +774,7 @@ impl ShardEngine {
         self.trace(lock.0, ProtocolEvent::RequestGrant { req, hops: 0 });
         match caller {
             Caller::Blocking(reply) => {
+                self.publish();
                 if !reply.complete(Ok(())) {
                     self.abandon(lock);
                 }

@@ -448,7 +448,7 @@ impl SplitMix64 {
     }
 
     /// Uniform duration in `[0, max]`.
-    fn jitter(&mut self, max: Duration) -> Duration {
+    pub(crate) fn jitter(&mut self, max: Duration) -> Duration {
         max.mul_f64(self.next_f64())
     }
 }

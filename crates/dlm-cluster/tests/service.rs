@@ -215,6 +215,33 @@ fn per_shard_metrics_are_exported() {
     assert!(report.audit_errors.is_empty(), "{:?}", report.audit_errors);
 }
 
+/// A blocking operation is counted before its caller returns: a snapshot
+/// taken right after each call shows it, with no wait in between.
+#[test]
+fn a_blocking_op_is_counted_before_its_call_returns() {
+    const LOCKS: u32 = 64;
+    let c = Cluster::new(ClusterConfig {
+        nodes: 1,
+        locks: LOCKS as usize,
+        shards: 4,
+        ..Default::default()
+    });
+    let h = c.handle(0);
+    for i in 1..=500u32 {
+        let lock = LockId(i % LOCKS);
+        h.acquire(lock, Mode::Write).unwrap();
+        let snap = c.metrics_snapshot();
+        let acquired = format!("dlm_acquires_total{{node=\"0\"}} {i}\n");
+        assert!(snap.contains(&acquired), "after acquire {i}:\n{snap}");
+        h.release(lock).unwrap();
+        let snap = c.metrics_snapshot();
+        let released = format!("dlm_releases_total{{node=\"0\"}} {i}\n");
+        assert!(snap.contains(&released), "after release {i}:\n{snap}");
+    }
+    let report = c.shutdown();
+    assert!(report.audit_errors.is_empty(), "{:?}", report.audit_errors);
+}
+
 /// Drive a hot link with pipelined batches and check the coalescing
 /// counters: every protocol frame is accounted to a link, and many of them
 /// share each physical wire frame.

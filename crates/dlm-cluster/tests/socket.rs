@@ -11,8 +11,8 @@
 //! harness does.
 
 use dlm_cluster::{
-    audit_process_states, audit_surviving_states, codec, plan_recovery, ClusterConfig, Node,
-    NodeConfig, ScanReport, SocketConfig,
+    audit_process_states, audit_surviving_states, codec, plan_recovery, ClusterConfig, LinkReport,
+    Node, NodeConfig, ScanReport, SocketConfig,
 };
 use dlm_core::{HierNode, LockId, Message, Mode, NodeId, ProtocolConfig, QueuedRequest};
 use std::io::{Read, Write};
@@ -148,6 +148,53 @@ fn tcp_loopback_cluster_clean_audit() {
     assert!(wire_bytes > 0, "no payload byte ever crossed the wire");
     let errors = audit_process_states(cluster.protocol, &all_states);
     assert!(errors.is_empty(), "{errors:?}");
+}
+
+/// TCP neither loses nor reorders, so the reliability shim never sees a
+/// gap there: under load a TCP pair parks no frame, and since a selective
+/// ack is sent only while a frame is parked, its wire carries only data
+/// frames and plain cumulative acks, the bytes it carried before selective
+/// acks existed.
+#[test]
+fn tcp_pair_under_load_sends_no_selective_acks() {
+    let cluster = member_config(2, 16);
+    let addrs = reserve_tcp_addrs(2);
+    let nodes: Vec<Node> = (0..2)
+        .map(|me| {
+            Node::new(NodeConfig {
+                cluster,
+                socket: SocketConfig::tcp(me, addrs.clone()),
+            })
+            .expect("bind member")
+        })
+        .collect();
+
+    // Two callers per member on disjoint locks; both members contend for
+    // every lock.
+    std::thread::scope(|s| {
+        for node in &nodes {
+            for caller in 0..2u32 {
+                let h = node.handle();
+                s.spawn(move || {
+                    for round in 0..50 {
+                        let mode = [Mode::IntentRead, Mode::Read, Mode::Write][round % 3];
+                        for l in 0..8 {
+                            let lock = LockId(caller * 8 + l);
+                            h.acquire(lock, mode).unwrap();
+                            h.release(lock).unwrap();
+                        }
+                    }
+                });
+            }
+        }
+    });
+
+    quiesce_all(&nodes, Duration::from_secs(20));
+    let reports: Vec<_> = nodes.into_iter().map(Node::shutdown).collect();
+    let sum = |f: fn(&LinkReport) -> u64| reports.iter().flat_map(|r| &r.links).map(f).sum::<u64>();
+    assert!(sum(|l| l.data_sent) > 0 && sum(|l| l.acks_sent) > 0);
+    assert_eq!(sum(|l| l.resets), 0, "a connection was lost");
+    assert_eq!(sum(|l| l.reorders_buffered), 0, "a gap on TCP");
 }
 
 // ---------------------------------------------------------------------------

@@ -22,6 +22,14 @@ if grep -nE 'Instant::now|\.elapsed\(\)|thread::|recv' crates/dlm-cluster/src/en
   exit 1
 fi
 
+echo "==> sans-IO guard: the reliability shim reads no clock and owns no thread (its tests may)"
+# Only the code above the test module. No bare `recv` pattern here: the
+# receive-side field `recv_next` would match it.
+if sed '/^#\[cfg(test)\]/,$d' crates/dlm-cluster/src/reliable.rs | grep -nE 'Instant::now|\.elapsed\(\)|thread::'; then
+  echo "crates/dlm-cluster/src/reliable.rs must stay sans-IO: time is an argument of wrap_data/on_frame/on_tick" >&2
+  exit 1
+fi
+
 echo "==> retired-instrument guard: benchmark/ is the only measuring instrument"
 if grep -rnE 'BENCH_sim|BENCH_SMOKE|-p bench|bench_history|criterion' \
   --exclude-dir=.git --exclude-dir=target --exclude=CHANGES.md --exclude=ROADMAP.md --exclude=ISSUE.md --exclude=check.sh .; then
