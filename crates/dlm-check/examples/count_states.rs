@@ -1,28 +1,18 @@
 //! Print the exploration statistics quoted in `EXPERIMENTS.md`: the
-//! BFS-vs-DPOR table (states, transitions, wall clock per search) and the
-//! symmetry-reduction before/after table (nodes × locks × states ×
-//! wall-clock × workers) for symmetric star scenarios. Takes minutes: the
-//! chain-6 row fires 77 M DPOR transitions and the 6-node star exhausts a
-//! 4 M-state budget.
+//! breadth-first search's states, transitions and wall clock on the
+//! forwarding-heavy scenarios, and the symmetry-reduction before/after table
+//! (nodes × locks × states × wall-clock × workers) for symmetric star
+//! scenarios. Takes about a minute: the chain-6 row explores 1.1 M states and
+//! the 6-node star exhausts a 4 M-state budget.
 use dlm_check::corpus::{self, chain};
 use dlm_check::{explore_with, Options, Scenario};
 
-fn reduction_row(label: &str, s: &Scenario) {
-    let budget = 100_000_000;
-    let off = explore_with(s, Options::exhaustive(budget));
-    let on = explore_with(s, Options::reduced(budget));
-    assert!(off.verified() && on.verified(), "{label}");
-    assert_eq!(off.terminal_fingerprints, on.terminal_fingerprints);
+fn search_row(label: &str, s: &Scenario) {
+    let r = explore_with(s, Options::exhaustive(100_000_000));
+    assert!(r.verified(), "{label}");
     println!(
-        "| {label:26} | {:9} | {:9} | {:7.3} s | {:9} | {:10} | {:8.3} s | {:5} | {:.1}× |",
-        off.states,
-        off.transitions,
-        off.elapsed_secs,
-        on.states,
-        on.transitions,
-        on.elapsed_secs,
-        off.terminals,
-        off.states as f64 / on.states as f64,
+        "| {label:26} | {:9} | {:9} | {:5} | {:7.3} s |",
+        r.states, r.transitions, r.terminals, r.elapsed_secs,
     );
 }
 
@@ -49,20 +39,17 @@ fn symmetry_row(label: &str, s: &Scenario, budget: usize, symmetry: bool, worker
 }
 
 fn main() {
-    println!("partial-order reduction (one worker, symmetry off):");
-    println!(
-        "| scenario | BFS states | BFS trans | BFS wall | DPOR states | DPOR trans | DPOR wall \
-         | terminals | state reduction |"
-    );
-    reduction_row("star-3, two writers", &corpus::scenario("two_writers"));
-    reduction_row(
+    println!("breadth-first search (one worker, symmetry off):");
+    println!("| scenario | states | transitions | terminals | wall |");
+    search_row("star-3, two writers", &corpus::scenario("two_writers"));
+    search_row(
         "star-3, readers + writer",
         &corpus::scenario("readers_writer"),
     );
-    reduction_row("star-4, three writers", &corpus::star(4, 1));
-    reduction_row("chain-4, IR/IR/W/IR", &chain(4));
-    reduction_row("chain-5, IR/IR/W/IR/R", &chain(5));
-    reduction_row("chain-6, IR/IR/W/IR/R/IW", &chain(6));
+    search_row("star-4, three writers", &corpus::star(4, 1));
+    search_row("chain-4, IR/IR/W/IR", &chain(4));
+    search_row("chain-5, IR/IR/W/IR/R", &chain(5));
+    search_row("chain-6, IR/IR/W/IR/R/IW", &chain(6));
 
     println!("\nsymmetry reduction (plain BFS vs canonical quotient):");
     let budget = 4_000_000;

@@ -7,17 +7,16 @@
 //! check gate                         # fast CI gate (seconds, not minutes)
 //!
 //! options:
-//!   --reduction on|off|both   search mode (default both: run and compare)
 //!   --budget N                max distinct states (default 4000000)
 //!   --max-states N            alias for --budget
-//!   --max-seconds S           wall-clock budget (float seconds)
+//!   --max-seconds S           wall-clock budget (finite, non-negative float seconds)
 //!   --workers N               parallel exploration workers (default 1)
 //!   --symmetry on|off         canonicalize states under node relabeling
 //!   --stats                   per-run statistics (group order and classes, steals, dedup, sym hits)
 //!   --progress                live states-per-second reporting on stderr
 //!   --jsonl PATH              write the first counterexample as dlm-trace JSONL
 //!   --topology star|chain|btree   (family) initial tree shape
-//!   --nodes N                 (family) node count
+//!   --nodes N                 (family) node count, at least 1
 //!   --pairs N                 (family) max acquire/release pairs
 //!   --modes IR,R,U,IW,W       (family) acquire-mode alphabet
 //! ```
@@ -31,8 +30,8 @@
 use dlm_check::corpus::{self, Expected, NAMED};
 use dlm_check::enumerate::{Family, Topology};
 use dlm_check::{
-    explore_with, replay, schedule_trace, walkthrough, CheckReport, Options, Reduction, Scenario,
-    Schedule, SymmetryGroup,
+    explore_with, replay, schedule_trace, walkthrough, CheckReport, Options, Scenario, Schedule,
+    SymmetryGroup,
 };
 use dlm_core::{Mode, ProtocolConfig};
 
@@ -42,7 +41,6 @@ const EXIT_USAGE: i32 = 2;
 const EXIT_BUDGET: i32 = 3;
 
 struct Cli {
-    reduction: Option<Reduction>, // None = both
     budget: usize,
     max_seconds: Option<f64>,
     workers: usize,
@@ -60,7 +58,6 @@ struct Cli {
 impl Default for Cli {
     fn default() -> Self {
         Cli {
-            reduction: None,
             budget: 4_000_000,
             max_seconds: None,
             workers: 1,
@@ -90,10 +87,10 @@ fn usage() -> ! {
 
 fn include_usage() -> &'static str {
     "usage: check list
-       check scenario <name> [--reduction on|off|both] [--budget N] [--max-seconds S]
-                      [--workers N] [--symmetry on|off] [--stats] [--progress] [--jsonl PATH]
+       check scenario <name> [--budget N] [--max-seconds S] [--workers N]
+                      [--symmetry on|off] [--stats] [--progress] [--jsonl PATH]
        check family [--topology star|chain|btree] [--nodes N] [--pairs N] \
-[--modes IR,R,..] [--reduction ..] [--budget N] [--workers N] [--symmetry on|off]
+[--modes IR,R,..] [--budget N] [--workers N] [--symmetry on|off]
        check gate
 exit codes: 0 ok, 1 violation/unexpected outcome, 2 usage, 3 budget exhausted"
 }
@@ -120,17 +117,6 @@ fn parse_cli(args: &[String]) -> Cli {
             })
         };
         match a.as_str() {
-            "--reduction" => {
-                cli.reduction = match value("--reduction").as_str() {
-                    "on" => Some(Reduction::On),
-                    "off" => Some(Reduction::Off),
-                    "both" => None,
-                    other => {
-                        eprintln!("unknown reduction mode {other:?}");
-                        usage()
-                    }
-                }
-            }
             "--budget" | "--max-states" => {
                 cli.budget = value(a).parse().unwrap_or_else(|_| {
                     eprintln!("{a} takes a number");
@@ -138,10 +124,15 @@ fn parse_cli(args: &[String]) -> Cli {
                 })
             }
             "--max-seconds" => {
-                cli.max_seconds = Some(value("--max-seconds").parse().unwrap_or_else(|_| {
+                let seconds: f64 = value("--max-seconds").parse().unwrap_or_else(|_| {
                     eprintln!("--max-seconds takes a number of seconds");
                     usage()
-                }))
+                });
+                if !(seconds.is_finite() && seconds >= 0.0) {
+                    eprintln!("--max-seconds must be a finite, non-negative number of seconds");
+                    usage()
+                }
+                cli.max_seconds = Some(seconds);
             }
             "--workers" => {
                 cli.workers = value("--workers").parse().unwrap_or_else(|_| {
@@ -168,7 +159,11 @@ fn parse_cli(args: &[String]) -> Cli {
                 cli.nodes = value("--nodes").parse().unwrap_or_else(|_| {
                     eprintln!("--nodes takes a number");
                     usage()
-                })
+                });
+                if cli.nodes == 0 {
+                    eprintln!("--nodes must be at least 1");
+                    usage()
+                }
             }
             "--pairs" => {
                 cli.pairs = value("--pairs").parse().unwrap_or_else(|_| {
@@ -198,12 +193,8 @@ fn parse_cli(args: &[String]) -> Cli {
     cli
 }
 
-fn options(cli: &Cli, reduction: Reduction) -> Options {
-    let base = match reduction {
-        Reduction::Off => Options::exhaustive(cli.budget),
-        Reduction::On => Options::reduced(cli.budget),
-    };
-    let mut opts = base
+fn options(cli: &Cli) -> Options {
+    let mut opts = Options::exhaustive(cli.budget)
         .with_workers(cli.workers)
         .with_symmetry(cli.symmetry)
         .with_progress(cli.progress);
@@ -216,9 +207,9 @@ fn options(cli: &Cli, reduction: Reduction) -> Options {
 /// One run's numbers; `classes` (the sizes of the symmetry group's classes of
 /// interchangeable siblings, whose factorials multiply to its order) asks
 /// for the detailed line.
-fn print_stats(label: &str, r: &CheckReport, classes: Option<&[usize]>) {
+fn print_stats(r: &CheckReport, classes: Option<&[usize]>) {
     println!(
-        "  [{label}] states={} transitions={} terminals={} violations={} deadlocks={}{}",
+        "  states={} transitions={} terminals={} violations={} deadlocks={}{}",
         r.states,
         r.transitions,
         r.terminals,
@@ -233,7 +224,7 @@ fn print_stats(label: &str, r: &CheckReport, classes: Option<&[usize]>) {
             0.0
         };
         println!(
-            "  [{label}] workers={} group_order={} classes={classes:?} sym_hits={} dedup_hits={} \
+            "  workers={} group_order={} classes={classes:?} sym_hits={} dedup_hits={} \
              steals={} dedup_ratio={:.3} elapsed={:.3}s ({:.0} states/s)",
             r.workers,
             r.group_order,
@@ -292,46 +283,6 @@ fn show_counterexample(s: &Scenario, r: &CheckReport, jsonl: Option<&str>) -> bo
     true
 }
 
-/// Run one scenario under the requested mode(s). Returns the reports in
-/// the order run, and whether cross-mode agreement held.
-fn run_modes(s: &Scenario, cli: &Cli) -> (Vec<(Reduction, CheckReport)>, bool) {
-    let modes: &[Reduction] = match cli.reduction {
-        Some(Reduction::On) => &[Reduction::On],
-        Some(Reduction::Off) => &[Reduction::Off],
-        None => &[Reduction::Off, Reduction::On],
-    };
-    let reports: Vec<(Reduction, CheckReport)> = modes
-        .iter()
-        .map(|&m| (m, explore_with(s, options(cli, m))))
-        .collect();
-    let mut agree = true;
-    if let [(_, off), (_, on)] = &reports[..] {
-        if !off.truncated && !on.truncated {
-            if Expected::of(off) != Expected::of(on) {
-                println!(
-                    "  !! modes disagree: off={} on={}",
-                    Expected::of(off),
-                    Expected::of(on)
-                );
-                agree = false;
-            }
-            if off.terminal_fingerprints != on.terminal_fingerprints {
-                println!("  !! terminal state sets differ between modes");
-                agree = false;
-            }
-            let saved = off.states.saturating_sub(on.states);
-            println!(
-                "  reduction: {} -> {} distinct states ({:.2}x, {} fewer)",
-                off.states,
-                on.states,
-                off.states as f64 / on.states.max(1) as f64,
-                saved
-            );
-        }
-    }
-    (reports, agree)
-}
-
 fn cmd_list() -> i32 {
     println!("named scenarios (check scenario <name>):");
     for n in NAMED {
@@ -359,35 +310,27 @@ fn cmd_scenario(cli: &Cli) -> i32 {
         "scenario {} — {} (expect {})",
         named.name, named.about, named.expected
     );
-    let (reports, agree) = run_modes(&s, cli);
-    let mut ok = agree;
-    let mut exhausted = false;
+    let r = explore_with(&s, options(cli));
     let classes = cli.stats.then(|| match cli.symmetry {
         true => SymmetryGroup::of(&s).class_sizes(),
         false => Vec::new(),
     });
-    for (mode, r) in &reports {
-        print_stats(&mode.to_string(), r, classes.as_deref());
-        if r.truncated {
-            println!(
-                "  budget exhausted at {} states ({:.1}s); raise --budget / --max-seconds",
-                r.states, r.elapsed_secs
-            );
-            exhausted = true;
-        } else if Expected::of(r) != named.expected {
-            println!("  !! expected {}, got {}", named.expected, Expected::of(r));
-            ok = false;
-        }
+    print_stats(&r, classes.as_deref());
+    let mut ok = true;
+    if r.truncated {
+        println!(
+            "  budget exhausted at {} states ({:.1}s); raise --budget / --max-seconds",
+            r.states, r.elapsed_secs
+        );
+    } else if Expected::of(&r) != named.expected {
+        println!("  !! expected {}, got {}", named.expected, Expected::of(&r));
+        ok = false;
     }
-    if let Some((_, r)) = reports.iter().find(|(_, r)| first_schedule(r).is_some()) {
-        if !show_counterexample(&s, r, cli.jsonl.as_deref()) {
-            ok = false;
-        }
-    }
+    ok &= show_counterexample(&s, &r, cli.jsonl.as_deref());
     if !ok {
         println!("FAILED");
         EXIT_FAIL
-    } else if exhausted {
+    } else if r.truncated {
         println!("BUDGET EXHAUSTED");
         EXIT_BUDGET
     } else {
@@ -417,14 +360,13 @@ fn cmd_family(cli: &Cli) -> i32 {
             .join(","),
         scenarios.len()
     );
-    let reduction = cli.reduction.unwrap_or(Reduction::Off);
     let mut states = 0usize;
     let mut transitions = 0usize;
     let mut terminals = 0usize;
     let mut truncated = 0usize;
     let mut failed = 0usize;
     for (i, s) in scenarios.iter().enumerate() {
-        let r = explore_with(s, options(cli, reduction));
+        let r = explore_with(s, options(cli));
         states += r.states;
         transitions += r.transitions;
         terminals += r.terminals;
@@ -443,7 +385,7 @@ fn cmd_family(cli: &Cli) -> i32 {
         }
     }
     println!(
-        "swept {} scenarios [{reduction}]: {} states, {} transitions, {} terminals; \
+        "swept {} scenarios: {} states, {} transitions, {} terminals; \
          {} truncated, {} failed",
         scenarios.len(),
         states,
@@ -470,7 +412,7 @@ fn cmd_family(cli: &Cli) -> i32 {
 fn gate_differential() -> i32 {
     let mut status = EXIT_OK;
     for name in corpus::DIFFERENTIAL {
-        let diffs = corpus::differential(name, &corpus::scenario(name), Reduction::Off);
+        let diffs = corpus::differential(name, &corpus::scenario(name));
         for diff in &diffs {
             println!("gate: {diff}");
         }
@@ -508,39 +450,26 @@ fn gate_acceptance() -> i32 {
     status
 }
 
-/// The CI gate: every named scenario in both modes (cross-checked), a small
-/// star family sweep, the serial-vs-parallel differential, and the symmetry
-/// acceptance scenario. Budgets are sized to finish in seconds.
+/// The CI gate: every named scenario, a small star family sweep, the
+/// serial-vs-parallel differential, and the symmetry acceptance scenario.
+/// Budgets are sized to finish in seconds.
 fn cmd_gate() -> i32 {
     let mut status = EXIT_OK;
     for n in NAMED.iter().filter(|n| !n.heavy) {
-        let cli = Cli {
-            budget: 1_000_000,
-            modes: Vec::new(),
-            rest: vec![n.name.to_string()],
-            ..Cli::default()
-        };
-        let s = (n.build)();
-        let (reports, agree) = run_modes(&s, &cli);
-        let mut ok = agree;
-        for (mode, r) in &reports {
-            if r.truncated || Expected::of(r) != n.expected {
-                println!(
-                    "gate: {} [{mode}]: expected {}, got {}",
-                    n.name,
-                    n.expected,
-                    Expected::of(r)
-                );
-                ok = false;
-            }
-        }
-        println!("gate: {:20} {}", n.name, if ok { "ok" } else { "FAILED" });
+        let r = explore_with(&(n.build)(), Options::exhaustive(1_000_000));
+        let ok = !r.truncated && Expected::of(&r) == n.expected;
         if !ok {
+            println!(
+                "gate: {}: expected {}, got {}",
+                n.name,
+                n.expected,
+                Expected::of(&r)
+            );
             status = EXIT_FAIL;
         }
+        println!("gate: {:20} {}", n.name, if ok { "ok" } else { "FAILED" });
     }
     let fam_cli = Cli {
-        reduction: Some(Reduction::Off),
         budget: 200_000,
         ..Cli::default()
     };

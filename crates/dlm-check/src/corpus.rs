@@ -5,7 +5,7 @@
 //! run of the heavy scenarios.
 
 use crate::scenario::{Op, Scenario};
-use crate::search::{explore_with, CheckReport, Options, Reduction};
+use crate::search::{explore_with, CheckReport, Options};
 use dlm_core::{Mode, ProtocolConfig};
 
 /// What a run produced — and what a named scenario is supposed to.
@@ -48,7 +48,7 @@ pub struct Named {
     pub name: &'static str,
     /// One line on what it exercises.
     pub about: &'static str,
-    /// The outcome both searches must report.
+    /// The outcome the search must report.
     pub expected: Expected,
     /// Heavy scenarios need symmetry reduction to finish in gate time; the
     /// gate runs them through [`acceptance`] instead of its plain loop.
@@ -203,37 +203,28 @@ pub const DIFFERENTIAL: [&str; 4] = [
 ];
 
 /// The serial-vs-parallel differential: explore `scenario` with and without
-/// symmetry at one worker and at several, and name every way a parallel
+/// symmetry at one worker and at 2, 4 and 8, and name every way a parallel
 /// report departs from the serial one (empty = none).
 ///
-/// The BFS frontier is a pure implementation detail, so under
-/// [`Reduction::Off`] every reported number and every finding — schedules
-/// included — must be identical at 2, 4 and 8 workers. The DPOR fork
-/// frontier (2 and 4 workers) must reach the same verdict and terminal
-/// set; its *visited* count may exceed the sequential run's, because
-/// prefix frames use the universal persistent set.
-pub fn differential(name: &str, scenario: &Scenario, reduction: Reduction) -> Vec<String> {
+/// The BFS frontier is a pure implementation detail, so every reported
+/// number and every finding — schedules included — must be identical at
+/// every worker count.
+pub fn differential(name: &str, scenario: &Scenario) -> Vec<String> {
     let run = |symmetry, workers| {
-        let opts = Options {
-            reduction,
-            ..Options::exhaustive(1_000_000)
-        };
-        explore_with(scenario, opts.with_symmetry(symmetry).with_workers(workers))
-    };
-    let worker_counts: &[usize] = match reduction {
-        Reduction::Off => &[2, 4, 8],
-        Reduction::On => &[2, 4],
+        let opts = Options::exhaustive(1_000_000).with_symmetry(symmetry);
+        explore_with(scenario, opts.with_workers(workers))
     };
     let verdict = |r: &CheckReport| (r.violations.is_empty(), r.deadlocks.is_empty());
+    let counts = |r: &CheckReport| (r.states, r.transitions, r.sym_hits, r.dedup_hits);
     let mut diffs = Vec::new();
     for symmetry in [false, true] {
         let base = run(symmetry, 1);
-        for &workers in worker_counts {
+        for workers in [2, 4, 8] {
             let par = run(symmetry, workers);
             let mut check = |what: &str, same: bool| {
                 if !same {
                     diffs.push(format!(
-                        "{name} [{reduction}] sym={symmetry} w={workers}: {what} differs from serial"
+                        "{name} sym={symmetry} w={workers}: {what} differs from serial"
                     ));
                 }
             };
@@ -243,25 +234,18 @@ pub fn differential(name: &str, scenario: &Scenario, reduction: Reduction) -> Ve
                 "terminal set",
                 par.terminal_fingerprints == base.terminal_fingerprints,
             );
-            match reduction {
-                Reduction::Off => {
-                    let counts =
-                        |r: &CheckReport| (r.states, r.transitions, r.sym_hits, r.dedup_hits);
-                    check(
-                        "state / transition / hit counts",
-                        counts(&par) == counts(&base),
-                    );
-                    check(
-                        "violations (schedules included)",
-                        par.violations == base.violations,
-                    );
-                    check(
-                        "deadlocks (schedules included)",
-                        par.deadlocks == base.deadlocks,
-                    );
-                }
-                Reduction::On => check("state count (fewer)", par.states >= base.states),
-            }
+            check(
+                "state / transition / hit counts",
+                counts(&par) == counts(&base),
+            );
+            check(
+                "violations (schedules included)",
+                par.violations == base.violations,
+            );
+            check(
+                "deadlocks (schedules included)",
+                par.deadlocks == base.deadlocks,
+            );
         }
     }
     diffs

@@ -32,9 +32,7 @@
 
 use crate::counterexample::Schedule;
 use crate::scenario::Scenario;
-use crate::search::{
-    classify, spawn, Admit, CheckReport, Class, Core, Kind, Options, Reduction, Striped,
-};
+use crate::search::{classify, spawn, Admit, CheckReport, Class, Core, Kind, Options, Striped};
 use crate::state::{Action, State};
 use dlm_core::Fingerprint;
 use std::collections::VecDeque;
@@ -307,7 +305,7 @@ pub(crate) fn bfs(scenario: &Scenario, opts: Options) -> CheckReport {
             .push_back(root);
         spawn(workers, |w| bfs.worker(w));
     }
-    let mut report = bfs.core.report(Reduction::Off, |found| bfs.resolve(found));
+    let mut report = bfs.core.report(|found| bfs.resolve(found));
     report.steals = bfs.steals.load(Ordering::SeqCst);
     report
 }

@@ -21,18 +21,11 @@
 //!   representative), the exact state / transition / wall-clock budgets,
 //!   the state classifier, the capped findings sink that becomes the
 //!   [`CheckReport`], and the worker spawn.
-//! * **Two drivers**, each on `Options::workers` threads: exhaustive
-//!   level-synchronous breadth-first search (module [`mod@explore`]: minimal
-//!   counterexamples, reports identical at any worker count), or a
-//!   sleep-set dynamic partial-order reduction ([`Reduction::On`], module
-//!   [`dpor`]) that exploits the commutativity of deliveries on disjoint
-//!   channels. The reduced search is trace-optimal (one execution per
-//!   Mazurkiewicz trace), touches 2–4× fewer distinct states on
-//!   forwarding-heavy topologies (growing with scale), and needs only a
-//!   16-byte fingerprint per state where the BFS keeps full states — but
-//!   re-executes shared prefixes, so it is slower wherever the BFS
-//!   frontier fits; see `EXPERIMENTS.md` for measurements and the honest
-//!   limits.
+//! * **One driver** (module [`mod@explore`]), on `Options::workers`
+//!   threads: exhaustive level-synchronous breadth-first search, with
+//!   minimal counterexamples and reports identical at any worker count. The
+//!   seen set keeps a fingerprint and a parent link per state; only the
+//!   frontier holds states, whose node versions successors share.
 //! * **Counterexamples** (module [`counterexample`]): every violation and
 //!   deadlock carries a replayable [`Schedule`]; schedules re-execute
 //!   deterministically ([`replay`]), export as `dlm-trace` JSONL event
@@ -56,7 +49,6 @@
 pub mod canon;
 pub mod corpus;
 pub mod counterexample;
-pub mod dpor;
 pub mod enumerate;
 pub mod explore;
 pub mod scenario;
@@ -66,7 +58,7 @@ pub mod state;
 pub use canon::{Canonicalize, SymmetryGroup};
 pub use counterexample::{replay, schedule_trace, walkthrough, Replay, Schedule};
 pub use scenario::{Op, Scenario};
-pub use search::{explore, explore_with, CheckReport, Deadlock, Options, Reduction, Violation};
+pub use search::{explore, explore_with, CheckReport, Deadlock, Options, Violation};
 pub use state::{Action, SharedNode, State, Step};
 
 #[cfg(test)]
@@ -90,57 +82,37 @@ mod tests {
         assert!(r.states > 1);
     }
 
-    /// Every gate-sized named scenario, in both searches at one worker:
-    /// the expected outcome, the exact states / transitions / terminals
-    /// (the differential oracle — a change to either search or to the core
-    /// that moves one of these numbers is a behaviour change), and
-    /// bit-identical terminal sets across the two searches. On the
-    /// forwarding-heavy chain the reduction halves the distinct states:
-    /// the reduced search is trace-optimal, and 2× is that scenario's
-    /// commutativity structure's actual yield (EXPERIMENTS.md).
+    /// Every gate-sized named scenario at one worker: the expected outcome
+    /// and the exact states / transitions / terminals (the differential
+    /// oracle — a change to the search or to the core that moves one of
+    /// these numbers is a behaviour change).
     #[test]
     fn named_scenarios_meet_their_oracle() {
         let oracle = [
-            ("two_writers", (30, 42, 2), (22, 27, 2)),
-            ("readers_writer", (206, 357, 8), (151, 391, 8)),
-            ("upgrade_race", (75, 110, 5), (54, 68, 5)),
-            ("chain_freeze", (2246, 5367, 29), (1108, 12796, 29)),
-            ("grant_release_race", (745, 1432, 22), (478, 1377, 22)),
-            ("deadlock", (23, 32, 2), (15, 16, 2)),
-            ("seeded_bug", (716, 1366, 18), (462, 1446, 18)),
+            ("two_writers", (30, 42, 2)),
+            ("readers_writer", (206, 357, 8)),
+            ("upgrade_race", (75, 110, 5)),
+            ("chain_freeze", (2246, 5367, 29)),
+            ("grant_release_race", (745, 1432, 22)),
+            ("deadlock", (23, 32, 2)),
+            ("seeded_bug", (716, 1366, 18)),
         ];
         let gate_sized = corpus::NAMED.iter().filter(|n| !n.heavy);
         assert!(gate_sized.map(|n| n.name).eq(oracle.map(|row| row.0)));
-        for (name, bfs, dpor) in oracle {
-            let s = corpus::scenario(name);
-            let off = explore_with(&s, Options::exhaustive(1_000_000));
-            let on = explore_with(&s, Options::reduced(1_000_000));
-            for (r, numbers) in [(&off, bfs), (&on, dpor)] {
-                let mode = r.reduction;
-                assert!(!r.truncated, "{name} [{mode}]");
-                assert_eq!(
-                    corpus::Expected::of(r),
-                    corpus::named(name).unwrap().expected,
-                    "{name} [{mode}]: {r:?}"
-                );
-                assert_eq!(
-                    (r.states, r.transitions, r.terminals),
-                    numbers,
-                    "{name} [{mode}]"
-                );
-            }
+        for (name, numbers) in oracle {
+            let r = explore_with(&corpus::scenario(name), Options::exhaustive(1_000_000));
+            assert!(!r.truncated, "{name}");
             assert_eq!(
-                off.terminal_fingerprints, on.terminal_fingerprints,
-                "{name}: reduction must preserve the exact set of terminal states"
+                corpus::Expected::of(&r),
+                corpus::named(name).unwrap().expected,
+                "{name}: {r:?}"
             );
+            assert_eq!((r.states, r.transitions, r.terminals), numbers, "{name}");
         }
         // Symmetry merges the two writers: one terminal, half the states.
         let s = corpus::scenario("two_writers");
-        let off = explore_with(&s, Options::exhaustive(1_000_000).with_symmetry(true));
-        let on = explore_with(&s, Options::reduced(1_000_000).with_symmetry(true));
-        assert_eq!((off.states, off.transitions, off.terminals), (16, 23, 1));
-        assert_eq!((on.states, on.transitions, on.terminals), (15, 27, 1));
-        assert_eq!(off.terminal_fingerprints, on.terminal_fingerprints);
+        let r = explore_with(&s, Options::exhaustive(1_000_000).with_symmetry(true));
+        assert_eq!((r.states, r.transitions, r.terminals), (16, 23, 1));
     }
 
     /// The symmetric one-lock W-star under symmetry: canonical states and
@@ -223,53 +195,48 @@ mod tests {
     /// The checker itself must be able to *detect* liveness failures: a
     /// reader that never releases leaves the writer waiting in a terminal
     /// state, which must be reported as a deadlock naming the stuck script
-    /// and the waiter — by both searches.
+    /// and the waiter.
     #[test]
     fn checker_detects_genuine_deadlock() {
         let s = corpus::scenario("deadlock");
-        for opts in [Options::exhaustive(1_000_000), Options::reduced(1_000_000)] {
-            let r = explore_with(&s, opts);
-            assert!(r.violations.is_empty(), "stranded, but never unsafe: {r:?}");
-            let [d] = &r.deadlocks[..] else {
-                panic!("a never-released R must strand the W, once: {r:?}");
-            };
-            assert_eq!((&d.stuck_scripts[..], &d.waiting[..]), (&[2][..], &[2][..]));
-            // Deadlock schedules replay into a state that really is stuck.
-            let replayed = replay(&s, &d.schedule);
-            let end = replayed.final_state();
-            assert!(end.quiet(), "deadlock replay must end quiescent");
-            assert!(
-                end.nodes.iter().flatten().any(|n| n.pending().is_some()),
-                "someone must still be waiting"
-            );
-        }
+        let r = explore_with(&s, Options::exhaustive(1_000_000));
+        assert!(r.violations.is_empty(), "stranded, but never unsafe: {r:?}");
+        let [d] = &r.deadlocks[..] else {
+            panic!("a never-released R must strand the W, once: {r:?}");
+        };
+        assert_eq!((&d.stuck_scripts[..], &d.waiting[..]), (&[2][..], &[2][..]));
+        // Deadlock schedules replay into a state that really is stuck.
+        let replayed = replay(&s, &d.schedule);
+        let end = replayed.final_state();
+        assert!(end.quiet(), "deadlock replay must end quiescent");
+        assert!(
+            end.nodes.iter().flatten().any(|n| n.pending().is_some()),
+            "someone must still be waiting"
+        );
     }
 
-    /// The budgets are exact and shared by both searches: a report never
-    /// counts more than `max_states` states (zero included), a run cut
-    /// short by the state budget counts exactly `max_states`, the exact
-    /// budget completes, and a zero wall-clock budget truncates at once —
-    /// at one worker and at two.
+    /// The budgets are exact: a report never counts more than `max_states`
+    /// states (zero included), a run cut short by the state budget counts
+    /// exactly `max_states`, the exact budget completes, and a zero
+    /// wall-clock budget truncates at once — at one worker and at two.
     #[test]
-    fn budgets_are_exact_in_both_searches_at_any_worker_count() {
+    fn budgets_are_exact_at_any_worker_count() {
         let s = corpus::scenario("two_writers");
-        for base in [Options::exhaustive(1_000_000), Options::reduced(1_000_000)] {
-            for workers in [1, 2] {
-                let base = base.with_workers(workers);
-                let label = format!("[{}] w={workers}", base.reduction);
-                let full = explore_with(&s, base);
-                assert!(full.verified(), "{label}: {full:?}");
-                for max_states in [0, 1, full.states - 1, full.states] {
-                    let r = explore_with(&s, Options { max_states, ..base });
-                    let cut = max_states < full.states;
-                    assert_eq!(r.truncated, cut, "{label} budget {max_states}: {r:?}");
-                    assert_eq!(r.states, max_states, "{label}: the budget is exact");
-                    assert_eq!(r.verified(), !cut, "{label} budget {max_states}");
-                }
-                let r = explore_with(&s, base.with_max_seconds(0.0));
-                assert!(r.truncated, "{label}: zero time budget must truncate");
-                assert!(r.states <= 1 && !r.verified(), "{label}: {r:?}");
+        for workers in [1, 2] {
+            let base = Options::exhaustive(1_000_000).with_workers(workers);
+            let label = format!("w={workers}");
+            let full = explore_with(&s, base);
+            assert!(full.verified(), "{label}: {full:?}");
+            for max_states in [0, 1, full.states - 1, full.states] {
+                let r = explore_with(&s, Options { max_states, ..base });
+                let cut = max_states < full.states;
+                assert_eq!(r.truncated, cut, "{label} budget {max_states}: {r:?}");
+                assert_eq!(r.states, max_states, "{label}: the budget is exact");
+                assert_eq!(r.verified(), !cut, "{label} budget {max_states}");
             }
+            let r = explore_with(&s, base.with_max_seconds(0.0));
+            assert!(r.truncated, "{label}: zero time budget must truncate");
+            assert!(r.states <= 1 && !r.verified(), "{label}: {r:?}");
         }
     }
 
@@ -288,51 +255,45 @@ mod tests {
         };
         assert!(explore(&sound, 1_000_000).verified());
 
-        for opts in [Options::exhaustive(1_000_000), Options::reduced(1_000_000)] {
-            let mode = opts.reduction;
-            let r = explore_with(&s, opts);
-            assert!(
-                !r.violations.is_empty(),
-                "{mode}: seeded bug must be caught: {r:?}"
-            );
-            let v = &r.violations[0];
-            assert_eq!(v.schedule.0.len(), 13, "{mode}: counterexample length");
+        let r = explore(&s, 1_000_000);
+        assert!(!r.violations.is_empty(), "seeded bug must be caught: {r:?}");
+        let v = &r.violations[0];
+        assert_eq!(v.schedule.0.len(), 13, "counterexample length");
 
-            // The schedule replays deterministically to real audit errors.
-            let replayed = replay(&s, &v.schedule);
-            let errors = replayed.errors();
-            assert!(
-                !v.errors.is_empty() && v.errors.iter().all(|e| errors.contains(e)),
-                "{mode}: replay must reproduce the reported errors: {errors:?}"
-            );
-            assert!(
-                errors
-                    .iter()
-                    .any(|e| matches!(e, dlm_core::AuditError::IncompatibleHolders { .. })),
-                "{mode}: the stale release must break mutual exclusion: {errors:?}"
-            );
+        // The schedule replays deterministically to real audit errors.
+        let replayed = replay(&s, &v.schedule);
+        let errors = replayed.errors();
+        assert!(
+            !v.errors.is_empty() && v.errors.iter().all(|e| errors.contains(e)),
+            "replay must reproduce the reported errors: {errors:?}"
+        );
+        assert!(
+            errors
+                .iter()
+                .any(|e| matches!(e, dlm_core::AuditError::IncompatibleHolders { .. })),
+            "the stale release must break mutual exclusion: {errors:?}"
+        );
 
-            // The schedule exports as a dlm-trace stream that round-trips
-            // through JSONL.
-            let records = schedule_trace(&s, &v.schedule);
-            assert!(!records.is_empty());
-            let mut buf = Vec::new();
-            dlm_trace::jsonl::write_jsonl(&mut buf, &records).unwrap();
-            let back = dlm_trace::jsonl::read_jsonl(&buf[..]).unwrap();
-            assert_eq!(records, back, "{mode}: JSONL round-trip must be lossless");
+        // The schedule exports as a dlm-trace stream that round-trips
+        // through JSONL.
+        let records = schedule_trace(&s, &v.schedule);
+        assert!(!records.is_empty());
+        let mut buf = Vec::new();
+        dlm_trace::jsonl::write_jsonl(&mut buf, &records).unwrap();
+        let back = dlm_trace::jsonl::read_jsonl(&buf[..]).unwrap();
+        assert_eq!(records, back, "JSONL round-trip must be lossless");
 
-            // The walkthrough renders every step plus the resulting error.
-            let text = walkthrough(&s, &v.schedule);
-            for k in 1..=v.schedule.0.len() {
-                assert!(
-                    text.contains(&format!("step {k}:")),
-                    "{mode}: walkthrough must render step {k}:\n{text}"
-                );
-            }
+        // The walkthrough renders every step plus the resulting error.
+        let text = walkthrough(&s, &v.schedule);
+        for k in 1..=v.schedule.0.len() {
             assert!(
-                text.contains("mutual exclusion violated"),
-                "{mode}: walkthrough must state the violation:\n{text}"
+                text.contains(&format!("step {k}:")),
+                "walkthrough must render step {k}:\n{text}"
             );
         }
+        assert!(
+            text.contains("mutual exclusion violated"),
+            "walkthrough must state the violation:\n{text}"
+        );
     }
 }

@@ -167,17 +167,6 @@ impl Scenario {
         self
     }
 
-    /// True when any script contains a [`Op::Crash`]. Crash transitions
-    /// execute at every survivor at once, so they commute with nothing;
-    /// the DPOR search falls back to the exhaustive search for such
-    /// scenarios (see [`crate::explore_with`]).
-    pub fn has_crash(&self) -> bool {
-        self.scripts
-            .iter()
-            .flatten()
-            .any(|op| matches!(op, Op::Crash))
-    }
-
     /// This scenario with (at least) `locks` lock objects.
     pub fn with_locks(mut self, locks: u32) -> Self {
         self.locks = self.locks.max(locks.max(1));

@@ -1,9 +1,7 @@
-//! The search core under both drivers.
+//! The search core under the breadth-first driver ([`mod@crate::explore`]).
 //!
-//! A driver decides *which* transition to fire next — breadth-first by level
-//! ([`mod@crate::explore`]) or depth-first under partial-order reduction
-//! ([`crate::dpor`]). Everything else about a model-checking run lives here,
-//! once:
+//! The driver decides *which* transition fires next, level by level.
+//! Everything else about a model-checking run lives here, once:
 //!
 //! * **the key** — `Core::key` maps a state to the fingerprint the run
 //!   dedups on: the canonical (symmetry-quotient, see [`crate::canon`])
@@ -34,39 +32,14 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
-/// Which state-space reduction to apply.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Reduction {
-    /// Explore every interleaving (breadth-first, so counterexample
-    /// schedules are minimal).
-    #[default]
-    Off,
-    /// Sleep-set–style dynamic partial-order reduction: explore one
-    /// representative per Mazurkiewicz trace class, exploiting the
-    /// commutativity of deliveries on disjoint channels (see
-    /// [`crate::dpor`] for the dependence relation and soundness notes).
-    On,
-}
-
-impl std::fmt::Display for Reduction {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            Reduction::Off => "off",
-            Reduction::On => "on",
-        })
-    }
-}
-
 /// Exploration options.
 #[derive(Debug, Clone, Copy)]
 pub struct Options {
     /// Budget on distinct states; exceeding it truncates the run (exactly:
     /// a truncated report never counts more than `max_states` states). The
-    /// transition budget is derived from it (32 × `max_states`: the reduced
-    /// search can re-traverse states, and this bounds total work).
+    /// transition budget is derived from it (32 × `max_states`, which bounds
+    /// total work).
     pub max_states: usize,
-    /// Reduction mode.
-    pub reduction: Reduction,
     /// Number of exploration worker threads (clamped to ≥ 1). `1` is the
     /// serial baseline the differential tests compare against.
     pub workers: usize,
@@ -84,19 +57,10 @@ impl Options {
     pub fn exhaustive(max_states: usize) -> Self {
         Options {
             max_states,
-            reduction: Reduction::Off,
             workers: 1,
             symmetry: false,
             max_seconds: None,
             progress: false,
-        }
-    }
-
-    /// Reduced exploration with the given state budget.
-    pub fn reduced(max_states: usize) -> Self {
-        Options {
-            reduction: Reduction::On,
-            ..Options::exhaustive(max_states)
         }
     }
 
@@ -130,9 +94,8 @@ impl Options {
 pub struct Violation {
     /// The audit errors observed in (or on the transition into) the state.
     pub errors: Vec<AuditError>,
-    /// Actions from the initial state into the violating state. Minimal
-    /// (shortest possible) when found with [`Reduction::Off`]; a valid
-    /// witness path when found with [`Reduction::On`].
+    /// Actions from the initial state into the violating state, minimal
+    /// (shortest possible).
     pub schedule: Schedule,
 }
 
@@ -182,8 +145,8 @@ pub struct CheckReport {
     /// Distinct states visited (canonical representatives when symmetry
     /// reduction is on).
     pub states: usize,
-    /// Transitions executed (the reduced search may execute several
-    /// transitions into one already-counted state).
+    /// Transitions executed (several may lead into one already-counted
+    /// state).
     pub transitions: usize,
     /// Terminal (quiescent) states reached.
     pub terminals: usize,
@@ -196,11 +159,8 @@ pub struct CheckReport {
     /// True if the exploration hit a budget (states, transitions or wall
     /// clock) before completing.
     pub truncated: bool,
-    /// The reduction mode this report was produced under.
-    pub reduction: Reduction,
     /// Fingerprints of all terminal states (canonical when symmetry is on;
-    /// the reduction-soundness property tests compare these across
-    /// reduction modes).
+    /// the differential compares these across worker counts).
     pub terminal_fingerprints: BTreeSet<Fingerprint>,
     /// Worker threads used.
     pub workers: usize,
@@ -252,17 +212,9 @@ pub fn explore(scenario: &Scenario, max_states: usize) -> CheckReport {
 }
 
 /// Explore `scenario` under explicit [`Options`].
-///
-/// Scenarios containing a crash op always use the exhaustive search: a
-/// crash transition runs the view change at every survivor at once, so it
-/// commutes with nothing and the partial-order reduction would be unsound
-/// under its node-keyed dependence relation.
 pub fn explore_with(scenario: &Scenario, opts: Options) -> CheckReport {
     assert_eq!(scenario.scripts.len(), scenario.parents.len());
-    match opts.reduction {
-        Reduction::On if !scenario.has_crash() => crate::dpor::dpor(scenario, opts),
-        _ => crate::explore::bfs(scenario, opts),
-    }
+    crate::explore::bfs(scenario, opts)
 }
 
 /// Audit every lock object of `state` (each is an independent protocol
@@ -485,9 +437,8 @@ impl<'a, T> Core<'a, T> {
     /// Count the state keyed `fp` as distinct, at most once and at most
     /// `max_states` times over the run. A new state stores `value` in
     /// `set`; a known one counts a dedup hit and is offered `value` through
-    /// `merge`. Over budget the run is truncated but not halted: whether to
-    /// go on is the driver's call (the BFS drains what it has admitted, so
-    /// every counted state is classified; the DPOR search halts).
+    /// `merge`. Over budget the run is truncated but not halted: the BFS
+    /// drains what it has admitted, so every counted state is classified.
     pub(crate) fn admit<V>(
         &self,
         set: &Striped<V>,
@@ -547,7 +498,7 @@ impl<'a, T> Core<'a, T> {
     }
 
     /// Stop every worker at its next check.
-    pub(crate) fn halt(&self) {
+    fn halt(&self) {
         self.halted.store(true, Ordering::SeqCst);
     }
 
@@ -579,11 +530,6 @@ impl<'a, T> Core<'a, T> {
         }
     }
 
-    /// True once no further violation would be kept.
-    pub(crate) fn violations_full(&self) -> bool {
-        self.findings().violations.len() >= CheckReport::MAX_RECORDED
-    }
-
     /// A once-a-second progress line on stderr (under `Options::progress`);
     /// `last` is the caller's `(time, states)` of the previous line.
     pub(crate) fn progress(&self, last: &mut (Instant, usize)) {
@@ -605,11 +551,7 @@ impl<'a, T> Core<'a, T> {
     /// errors are recomputed by replaying that schedule — the FIFO errors of
     /// its last transition if it committed any, else the final state's
     /// class.
-    pub(crate) fn report(
-        &self,
-        reduction: Reduction,
-        mut resolve: impl FnMut(T) -> Schedule,
-    ) -> CheckReport {
+    pub(crate) fn report(&self, mut resolve: impl FnMut(T) -> Schedule) -> CheckReport {
         let found = std::mem::take(&mut *self.findings());
         let mut replay = |trail: T| {
             let schedule = resolve(trail);
@@ -644,7 +586,6 @@ impl<'a, T> Core<'a, T> {
             violations,
             deadlocks,
             truncated: self.truncated.load(Ordering::SeqCst),
-            reduction,
             terminal_fingerprints: found.terminals,
             workers: self.opts.workers.max(1),
             group_order: self.group.order(),

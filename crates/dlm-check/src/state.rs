@@ -2,8 +2,8 @@
 
 use crate::scenario::{OpKind, Scenario};
 use dlm_core::{
-    fifo_overtakes, AuditError, Effect, Fingerprint, FpHasher, GrantInfo, HierNode, InFlight,
-    Message, Mode, NodeId,
+    fifo_overtakes, AuditError, Effect, EffectBuf, Fingerprint, FpHasher, GrantInfo, HierNode,
+    InFlight, Message, Mode, NodeId,
 };
 use std::borrow::Borrow;
 use std::collections::{BTreeMap, VecDeque};
@@ -12,8 +12,7 @@ use std::sync::{Arc, OnceLock};
 
 /// One atomic transition of the explored system: deliver the head of a
 /// FIFO channel, or run a node's next script operation. Either way exactly
-/// one node executes, which is what makes actions at distinct nodes
-/// commute (the basis of the partial-order reduction in [`crate::dpor`]).
+/// one node executes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Action {
     /// Deliver the head message of lock `lock`'s channel `from → to`
@@ -226,16 +225,9 @@ pub(crate) struct ChannelKey {
 pub struct Step {
     /// The successor state.
     pub state: State,
-    /// The effects the executing node returned (sends already absorbed
-    /// into `state.channels`, in order). Empty for fenced deliveries and
-    /// crash transitions.
-    pub effects: Vec<Effect>,
     /// Per-lock FIFO grant-order violations committed by this transition
     /// (checked against the executing node's pre-transition queue).
     pub fifo_errors: Vec<AuditError>,
-    /// The lock object the transition executed on (0 for a crash, which
-    /// spans every lock).
-    pub lock: u32,
     /// A delivery was dropped by the Rule R3 epoch fence.
     pub fenced: bool,
 }
@@ -412,7 +404,7 @@ impl State {
     }
 
     /// Apply one enabled action, producing the successor state plus the
-    /// transition's effects and FIFO-shield verdict.
+    /// transition's FIFO-shield verdict.
     ///
     /// Panics if the action is not enabled (callers only pass actions from
     /// [`State::enabled_actions`] or a schedule being replayed).
@@ -431,10 +423,7 @@ impl State {
     ) -> Step {
         let mut next = self.clone();
         let executor = action.node() as usize;
-        // Effects land in a stack-inline sink first; only the surviving
-        // `Step.effects` Vec is heap-allocated (it is consumed downstream by
-        // the DPOR explorer and counterexample replay, so it stays owned).
-        let mut buf = dlm_core::EffectBuf::new();
+        let mut buf = EffectBuf::new();
         let (lock, delivered) = match action {
             Action::Deliver { lock, from, to } => {
                 let q = next
@@ -453,9 +442,7 @@ impl State {
                     // but the channel.
                     return Step {
                         state: next,
-                        effects: Vec::new(),
                         fifo_errors: Vec::new(),
-                        lock,
                         fenced: true,
                     };
                 }
@@ -470,9 +457,7 @@ impl State {
                     next.crash(i, obs);
                     return Step {
                         state: next,
-                        effects: Vec::new(),
                         fifo_errors: Vec::new(),
-                        lock: 0,
                         fenced: false,
                     };
                 }
@@ -493,21 +478,18 @@ impl State {
             }
         };
         let pre = &self.nodes[lock as usize][executor];
-        let effects = buf.take_vec();
         let sender_epoch = next.nodes[lock as usize][executor].epoch();
-        for effect in &effects {
+        for effect in buf.iter() {
             if let Effect::Send { to, message } = effect {
                 next.absorb_send(lock, executor as u32, to.0, sender_epoch, message.clone());
             }
             // Granted/Upgraded are implicit in node state (held mode).
         }
-        let grants = grant_infos(pre, &effects, delivered.as_ref());
+        let grants = grant_infos(pre, &buf, delivered.as_ref());
         let fifo_errors = fifo_overtakes(pre, &grants);
         Step {
             state: next,
-            effects,
             fifo_errors,
-            lock,
             fenced: false,
         }
     }
@@ -578,7 +560,7 @@ impl State {
 /// Classify the grants a transition issued, recovering each grant's upgrade
 /// flag and priority from the request it answers: the delivered request, the
 /// pre-state queue entry, or (for self-grants) the pre-state pending record.
-fn grant_infos(pre: &HierNode, effects: &[Effect], delivered: Option<&Message>) -> Vec<GrantInfo> {
+fn grant_infos(pre: &HierNode, effects: &EffectBuf, delivered: Option<&Message>) -> Vec<GrantInfo> {
     let classify = |to: NodeId, mode: Mode| -> GrantInfo {
         if let Some(Message::Request(req)) = delivered {
             if req.from == to {

@@ -16,9 +16,7 @@
 //!    function `check gate` runs too): at 2, 4 and 8 workers — with and
 //!    without symmetry — the BFS frontier reports the same counts, the same
 //!    terminal fingerprint set and the same findings, schedules included,
-//!    as the single-threaded search. The DPOR engine must agree on verdicts
-//!    and terminal sets (its visited state count legitimately varies with
-//!    the fork frontier).
+//!    as the single-threaded search.
 //! 3. **Acceptance** (`corpus::acceptance`, likewise shared with the gate):
 //!    the 5-node / 2-lock symmetric scenario exceeds the serial state budget
 //!    but its canonical quotient (automorphism group of order 4! = 24)
@@ -26,8 +24,7 @@
 
 use dlm_check::corpus::{self, ACCEPTANCE_BUDGET};
 use dlm_check::{
-    explore_with, replay, Action, Canonicalize, Op, Options, Reduction, Scenario, State,
-    SymmetryGroup,
+    explore_with, replay, Action, Canonicalize, Op, Options, Scenario, State, SymmetryGroup,
 };
 use dlm_core::{audit, Fingerprint, HierNode, Mode, NodeId, ProtocolConfig};
 use proptest::prelude::*;
@@ -435,17 +432,12 @@ fn ties_that_are_no_symmetry_are_enumerated() {
     assert_exact(&[two_cycles, two_cycles_again, one_cycle], &scenario).unwrap();
 }
 
-/// Neither parallel frontier may change what a search reports: the BFS
-/// level frontier nothing at all, the DPOR fork frontier neither verdicts
-/// nor terminal sets.
+/// The parallel level frontier may change nothing a search reports.
 #[test]
 fn parallel_searches_match_serial() {
     for name in corpus::DIFFERENTIAL {
-        let s = corpus::scenario(name);
-        for reduction in [Reduction::Off, Reduction::On] {
-            let diffs = corpus::differential(name, &s, reduction);
-            assert!(diffs.is_empty(), "{diffs:#?}");
-        }
+        let diffs = corpus::differential(name, &corpus::scenario(name));
+        assert!(diffs.is_empty(), "{diffs:#?}");
     }
 }
 
@@ -483,8 +475,8 @@ fn seeded_bug_counterexample_survives_parallel_symmetry() {
 
 /// A 2-lock scenario with no lock-ordering discipline *in the safe order*
 /// verifies clean; reversing the acquisition order on one node produces a
-/// genuine cross-lock hold-and-wait deadlock, visible to every engine and
-/// worker count.
+/// genuine cross-lock hold-and-wait deadlock, visible at every worker
+/// count.
 #[test]
 fn cross_lock_hold_and_wait_deadlock_is_detected() {
     let safe = Scenario::star(
@@ -535,23 +527,17 @@ fn cross_lock_hold_and_wait_deadlock_is_detected() {
         ProtocolConfig::paper(),
     );
     for workers in [1, 4] {
-        for reduced in [false, true] {
-            let opts = if reduced {
-                Options::reduced(1_000_000)
-            } else {
-                Options::exhaustive(1_000_000)
-            };
-            let r = explore_with(&unsafe_order, opts.with_workers(workers));
-            assert!(!r.truncated);
-            assert!(
-                !r.deadlocks.is_empty(),
-                "w={workers} reduced={reduced}: cross-lock deadlock missed"
-            );
-            assert!(
-                r.violations.is_empty(),
-                "w={workers} reduced={reduced}: hold-and-wait is a liveness bug, not safety"
-            );
-        }
+        let opts = Options::exhaustive(1_000_000).with_workers(workers);
+        let r = explore_with(&unsafe_order, opts);
+        assert!(!r.truncated);
+        assert!(
+            !r.deadlocks.is_empty(),
+            "w={workers}: cross-lock deadlock missed"
+        );
+        assert!(
+            r.violations.is_empty(),
+            "w={workers}: hold-and-wait is a liveness bug, not safety"
+        );
     }
 }
 

@@ -4,7 +4,7 @@
 //! state liveness-checked. This composes the two strongest tools in the
 //! suite: random scenario discovery and exhaustive schedule coverage.
 
-use dlm_check::{explore, explore_with, Op, Options, Scenario};
+use dlm_check::{explore, Op, Scenario};
 use dlm_core::{Mode, ProtocolConfig};
 use proptest::prelude::*;
 
@@ -64,31 +64,5 @@ proptest! {
         let s = Scenario::chain(3, scripts, ProtocolConfig::paper().literal_rule_3_2());
         let r = explore(&s, 3_000_000);
         prop_assert!(r.verified(), "{r:?}");
-    }
-
-    /// Satellite: the partial-order reduction is an *equivalence* — on
-    /// random scenarios the reduced and exhaustive searches reach the same
-    /// verdict and the same set of terminal states (compared by structural
-    /// fingerprint). Chains maximize message interleaving depth, so run
-    /// them too.
-    #[test]
-    fn reduction_preserves_verdicts_and_terminals(
-        scripts in proptest::collection::vec(script_strategy(), 3..4),
-        chain in any::<bool>(),
-    ) {
-        let s = if chain {
-            Scenario::chain(3, scripts, ProtocolConfig::paper())
-        } else {
-            Scenario::star(3, scripts, ProtocolConfig::paper())
-        };
-        let off = explore_with(&s, Options::exhaustive(3_000_000));
-        let on = explore_with(&s, Options::reduced(3_000_000));
-        prop_assert!(!off.truncated && !on.truncated);
-        prop_assert_eq!(off.verified(), on.verified(),
-            "verdicts differ: off={:?} on={:?}", off, on);
-        prop_assert_eq!(&off.terminal_fingerprints, &on.terminal_fingerprints,
-            "terminal state sets differ");
-        prop_assert_eq!(off.terminals, on.terminals);
-        prop_assert_eq!(off.deadlocks.is_empty(), on.deadlocks.is_empty());
     }
 }

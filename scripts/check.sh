@@ -50,6 +50,15 @@ if grep -rnE 'MAX_BRUTE_NODES|permute_state\(' crates/dlm-check/src; then
   exit 1
 fi
 
+echo "==> one-search guard: breadth-first search is the checker's only driver"
+# tests/cli.rs is excluded: it asserts that the removed --reduction flag is
+# refused as a usage error.
+if grep -rnE '[Dd][Pp][Oo][Rr]|\bReduction\b|Options::reduced|--reduction' --exclude=cli.rs \
+  crates/dlm-check/src crates/dlm-check/tests crates/dlm-check/examples .claude/skills/verify/SKILL.md; then
+  echo "the partial-order reduction is gone (EXPERIMENTS.md says why): no dpor, Reduction, Options::reduced or --reduction in crates/dlm-check or the verify recipe" >&2
+  exit 1
+fi
+
 echo "==> design-reference guard: every DESIGN.md §N cited in code names a '## N.' heading of DESIGN.md"
 dangling=0
 while IFS=: read -r file line cite; do
