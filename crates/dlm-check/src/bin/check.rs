@@ -106,7 +106,8 @@ fn parse_on_off(flag: &str, v: &str) -> bool {
     }
 }
 
-fn parse_cli(args: &[String]) -> Cli {
+/// The flags after `cmd`; a flag `cmd` would ignore is a usage error.
+fn parse_cli(cmd: &str, args: &[String]) -> Cli {
     let mut cli = Cli::default();
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -189,6 +190,10 @@ fn parse_cli(args: &[String]) -> Cli {
             }
             _ => cli.rest.push(a.clone()),
         }
+    }
+    if cmd == "family" && (cli.stats || cli.jsonl.is_some()) {
+        eprintln!("family takes neither --stats nor --jsonl");
+        usage()
     }
     cli
 }
@@ -493,7 +498,7 @@ fn cmd_gate() -> i32 {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = args.first() else { usage() };
-    let cli = parse_cli(&args[1..]);
+    let cli = parse_cli(cmd, &args[1..]);
     let status = match cmd.as_str() {
         "list" => cmd_list(),
         "scenario" => cmd_scenario(&cli),

@@ -13,8 +13,12 @@ fn check(args: &[&str]) -> Output {
 
 #[test]
 fn bad_input_exits_2_without_panicking() {
-    let cases: [&[&str]; 4] = [
+    let cases: [&[&str]; 6] = [
         &["family", "--nodes", "0"],
+        // `family` prints no per-run stats and writes no counterexample
+        // file, so both flags are refused rather than ignored.
+        &["family", "--stats", "--nodes", "2"],
+        &["family", "--jsonl", "cex.jsonl", "--nodes", "2"],
         &["scenario", "two_writers", "--max-seconds", "nan"],
         &["scenario", "two_writers", "--max-seconds", "-1"],
         &["scenario", "two_writers", "--reduction", "off"],

@@ -25,7 +25,7 @@
 //! tests in this module step engines by hand under a fabricated clock.
 
 use crate::codec;
-use crate::handle::{ClusterError, Completion, OpKind, PipeOp, Reply};
+use crate::handle::{ClusterError, Completion, OpKind, PipeOp};
 use crate::member::{Counters, Wave};
 use crate::reliable::{peek_lock, Endpoint};
 use crate::runtime::{ClusterConfig, LinkReport, ScanReport};
@@ -38,7 +38,7 @@ use dlm_metrics::Histogram;
 use dlm_trace::{
     NullObserver, Observer, ProtocolEvent, Recorder, RingRecorder, Stamp, TraceRecord,
 };
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -46,14 +46,9 @@ use std::time::Instant;
 pub(crate) enum Input {
     /// An encoded wire frame from worker slot `from`.
     Net { from: NodeId, frame: Bytes },
-    /// One blocking application operation on `lock`; answer on `reply`.
-    Op {
-        lock: LockId,
-        kind: OpKind,
-        reply: Reply,
-    },
-    /// A pipelined batch of operations. Outcomes settled while processing
-    /// the batch are answered as one vector on `tx`; deferred grants follow
+    /// A batch of application operations: a pipelined chunk, or a
+    /// blocking call's chunk of one. Outcomes settled while processing the
+    /// batch are answered as one vector on `tx`; deferred grants follow
     /// later as singleton vectors.
     Ops {
         ops: Vec<PipeOp>,
@@ -143,17 +138,27 @@ struct Settled {
     releases: u64,
 }
 
-/// Who hears an operation's outcome.
-enum Caller<'a> {
-    /// A blocking call's own reply channel.
-    Blocking(Reply),
-    /// An op of the pipelined chunk being stepped: answered through the
-    /// chunk's completion batch when it settles in this step, and through a
-    /// [`Reply`] on `tx` only if it has to wait.
-    Pipelined {
-        tx: &'a Sender<Vec<Completion>>,
-        tag: u64,
-    },
+/// Where a waiting operation's outcome goes: a singleton vector on its
+/// chunk's completion stream, tagged with the operation's identity.
+struct Reply {
+    tx: Sender<Vec<Completion>>,
+    lock: LockId,
+    tag: u64,
+}
+
+impl Reply {
+    /// Deliver the outcome now. Returns whether anybody heard it: the
+    /// application side may have given up, and an answer nobody hears is
+    /// not an error, but it must not vanish silently either — it is counted
+    /// in `dropped`, and the engine releases a grant nobody heard.
+    fn complete(self, result: Result<(), ClusterError>, dropped: &AtomicU64) -> bool {
+        let Reply { tx, lock, tag } = self;
+        let heard = tx.send(vec![Completion { lock, tag, result }]).is_ok();
+        if !heard {
+            dropped.fetch_add(1, Ordering::Relaxed);
+        }
+        heard
+    }
 }
 
 /// A blocked application operation: its reply channel plus the request-span
@@ -244,11 +249,11 @@ pub(crate) struct ShardEngine {
     pending_peers: Vec<u32>,
     proto_sent: Vec<u64>,
     wire_sent: Vec<u64>,
-    /// Completions of the pipelined [`Input::Ops`] chunk being stepped that
-    /// settled in the chunk's own step, shipped to the client as a single
-    /// channel send at chunk end, and the locks among them that were
-    /// granted (released again if the send finds nobody). Ops that wait
-    /// answer later, one singleton each, through their waiter's [`Reply`].
+    /// Completions of the [`Input::Ops`] chunk being stepped that settled
+    /// in the chunk's own step, shipped to the client as a single channel
+    /// send at chunk end, and the locks among them that were granted
+    /// (released again if the send finds nobody). Ops that wait answer
+    /// later, one singleton each, through their waiter's [`Reply`].
     comp_batch: Vec<Completion>,
     batch_grants: Vec<LockId>,
     /// Same-step grants and releases not yet folded into `metrics`.
@@ -346,12 +351,6 @@ impl ShardEngine {
         self.set_clock(now);
         match input {
             Input::Net { from, frame } => self.on_net(from, frame),
-            Input::Op { lock, kind, reply } => {
-                self.gate.leave(1);
-                // What this op settles is published before its caller is
-                // answered (`answer`, `fast_grant`).
-                self.issue(lock, kind, Caller::Blocking(reply));
-            }
             Input::Ops { ops, tx } => {
                 self.gate.leave(ops.len());
                 // Outcomes settled in this step accumulate in the chunk
@@ -361,14 +360,12 @@ impl ShardEngine {
                 debug_assert!(self.comp_batch.is_empty());
                 self.comp_batch.reserve(ops.len());
                 for op in ops {
-                    let caller = Caller::Pipelined {
-                        tx: &tx,
-                        tag: op.tag,
-                    };
-                    self.issue(op.lock, op.kind, caller);
+                    self.issue(op.lock, op.kind, &tx, op.tag);
                 }
-                self.ship_completions(&tx);
+                // What the chunk settled is counted before anybody hears of
+                // it, so a snapshot taken once a completion arrives sees it.
                 self.publish();
+                self.ship_completions(&tx);
             }
             Input::Die => self.die(),
             Input::Isolate { dead } => {
@@ -409,10 +406,6 @@ impl ShardEngine {
             Input::Net { .. } => {
                 self.counters.in_flight.fetch_sub(1, Ordering::Relaxed);
             }
-            Input::Op { reply, .. } => {
-                self.gate.leave(1);
-                reply.complete(Err(ClusterError::WorkerDied));
-            }
             Input::Ops { ops, tx } => {
                 self.gate.leave(ops.len());
                 let died = ops.iter().map(|op| Completion {
@@ -434,7 +427,8 @@ impl ShardEngine {
     fn die(&mut self) {
         self.crashed = true;
         for (_, w) in self.waiters.drain() {
-            w.reply.complete(Err(ClusterError::WorkerDied));
+            let dropped = &self.counters.replies_dropped;
+            w.reply.complete(Err(ClusterError::WorkerDied), dropped);
         }
         self.active.clear();
         for peer in self.pending_peers.drain(..) {
@@ -562,17 +556,17 @@ impl ShardEngine {
         }
     }
 
-    /// Process one application operation, blocking or pipelined.
-    fn issue(&mut self, lock: LockId, kind: OpKind, caller: Caller<'_>) {
+    /// Process one operation of the chunk answered on `tx`.
+    fn issue(&mut self, lock: LockId, kind: OpKind, tx: &Sender<Vec<Completion>>, tag: u64) {
         let (mode, upgrade) = match kind {
-            OpKind::Release => return self.release(lock, caller),
+            OpKind::Release => return self.release(lock, tag),
             OpKind::Acquire(mode) => (mode, false),
             OpKind::Upgrade => (Mode::Write, true),
             OpKind::TryAcquire(mode) => {
                 let node = lock_state(&mut self.locks, self.me, self.protocol, lock);
                 if !node.can_admit_locally(mode) {
-                    // Any refusal reads as `false` at a try-acquire's sink.
-                    return self.answer(lock, caller, Err(ClusterError::Busy));
+                    // `NodeHandle::try_acquire` reads any refusal as `false`.
+                    return self.answer(lock, tag, Err(ClusterError::Busy));
                 }
                 (mode, false)
             }
@@ -581,7 +575,7 @@ impl ShardEngine {
         // single-pending model; refuse loudly instead. Operations on
         // *other* locks are unaffected — waiters are keyed `(lock, req)`.
         if self.active.contains_key(&lock.0) {
-            return self.answer(lock, caller, Err(ClusterError::Busy));
+            return self.answer(lock, tag, Err(ClusterError::Busy));
         }
         let req = self.alloc_req();
         self.trace(lock.0, ProtocolEvent::RequestStart { req, mode, upgrade });
@@ -595,18 +589,17 @@ impl ShardEngine {
             }
         });
         if let Err(e) = result {
-            return self.answer(lock, caller, Err(e));
+            return self.answer(lock, tag, Err(e));
         }
-        let Some(caller) = self.fast_grant(lock, req, caller) else {
+        if self.fast_grant(lock, req, tag) {
             return;
-        };
-        let reply = match caller {
-            Caller::Blocking(reply) => reply,
-            Caller::Pipelined { tx, tag } => {
-                Reply::shared(tx.clone(), lock, tag, &self.counters.replies_dropped)
-            }
-        };
+        }
         self.active.insert(lock.0, req);
+        let reply = Reply {
+            tx: tx.clone(),
+            lock,
+            tag,
+        };
         let started = self.now;
         self.waiters.insert(
             (lock.0, req),
@@ -619,31 +612,23 @@ impl ShardEngine {
         self.apply_effects(lock, req, 0, node_epoch);
     }
 
-    fn release(&mut self, lock: LockId, caller: Caller<'_>) {
+    fn release(&mut self, lock: LockId, tag: u64) {
         let (result, node_epoch) =
             self.drive(lock, |node, buf, obs| node.on_release_into(buf, obs));
         if let Err(e) = result {
-            return self.answer(lock, caller, Err(ClusterError::Release(e)));
+            return self.answer(lock, tag, Err(ClusterError::Release(e)));
         }
         // Releases open no span: their frames travel with req 0
         // (uncorrelated).
         self.apply_effects(lock, 0, 0, node_epoch);
         self.settled.releases += 1;
-        self.answer(lock, caller, Ok(()));
+        self.answer(lock, tag, Ok(()));
     }
 
-    /// Answer an operation that settled in its own step without a grant: a
-    /// blocking caller on its channel, after its count is published, so a
-    /// snapshot taken once the call returns sees it; a pipelined op in the
-    /// chunk's completion batch.
-    fn answer(&mut self, lock: LockId, caller: Caller<'_>, result: Result<(), ClusterError>) {
-        match caller {
-            Caller::Blocking(reply) => {
-                self.publish();
-                reply.complete(result);
-            }
-            Caller::Pipelined { tag, .. } => self.comp_batch.push(Completion { lock, tag, result }),
-        }
+    /// Answer an operation that settled in its own step without a grant, in
+    /// the chunk's completion batch.
+    fn answer(&mut self, lock: LockId, tag: u64, result: Result<(), ClusterError>) {
+        self.comp_batch.push(Completion { lock, tag, result });
     }
 
     /// Ship the chunk's same-step completions as one send. If the client
@@ -754,16 +739,16 @@ impl ShardEngine {
 
     /// Fast path for a protocol step whose only effect is the local grant
     /// (the token is here and nothing conflicts — the case a well-sharded
-    /// single node hits millions of times per second): answer the caller
-    /// immediately, count the grant for [`Self::publish`], and skip the
+    /// single node hits millions of times per second): answer in the
+    /// chunk's batch, count the grant for [`Self::publish`], and skip the
     /// waiter registration the generic path would insert and remove again
-    /// within the same call. Hands the caller back when the step produced
+    /// within the same call. Returns `false` when the step produced
     /// anything else and the slow path must run.
-    fn fast_grant<'a>(&mut self, lock: LockId, req: u64, caller: Caller<'a>) -> Option<Caller<'a>> {
+    fn fast_grant(&mut self, lock: LockId, req: u64, tag: u64) -> bool {
         let upgraded = match (self.effect_buf.len(), self.effect_buf.iter().next()) {
             (1, Some(Effect::Granted { .. })) => false,
             (1, Some(Effect::Upgraded)) => true,
-            _ => return Some(caller),
+            _ => return false,
         };
         self.effect_buf.clear();
         if upgraded {
@@ -772,23 +757,9 @@ impl ShardEngine {
             self.settled.acquires += 1;
         }
         self.trace(lock.0, ProtocolEvent::RequestGrant { req, hops: 0 });
-        match caller {
-            Caller::Blocking(reply) => {
-                self.publish();
-                if !reply.complete(Ok(())) {
-                    self.abandon(lock);
-                }
-            }
-            Caller::Pipelined { tag, .. } => {
-                self.batch_grants.push(lock);
-                self.comp_batch.push(Completion {
-                    lock,
-                    tag,
-                    result: Ok(()),
-                });
-            }
-        }
-        None
+        self.batch_grants.push(lock);
+        self.answer(lock, tag, Ok(()));
+        true
     }
 
     /// Drain the effects of one protocol entry point. Sends are encoded
@@ -856,7 +827,7 @@ impl ShardEngine {
                         };
                         ring.record(self.at, lock.0, self.me.0, event);
                     }
-                    unheard |= !w.reply.complete(Ok(()));
+                    unheard |= !w.reply.complete(Ok(()), &self.counters.replies_dropped);
                 }
             }
         }

@@ -2,7 +2,7 @@
 use super::*;
 use crate::member::fold_links;
 use crate::reliable::{ReliableConfig, IN_PROCESS_RTO};
-use crossbeam::channel::{bounded, unbounded, Receiver};
+use crossbeam::channel::{bounded, unbounded, Receiver, TryRecvError};
 use dlm_core::audit;
 use std::time::Duration;
 
@@ -10,7 +10,15 @@ use std::time::Duration;
 // under a fabricated clock — what the deleted public test hooks
 // (`inject_frame`, `orphan_waiter`) could only reach through real threads.
 
-type Outcome = Receiver<Result<(), ClusterError>>;
+/// The completion channel of one blocking call, read as the call reads it.
+struct Outcome(Receiver<Vec<Completion>>);
+
+impl Outcome {
+    fn try_recv(&self) -> Result<Result<(), ClusterError>, TryRecvError> {
+        let mut done = self.0.try_recv()?;
+        Ok(done.pop().expect("a chunk of one").result)
+    }
+}
 
 /// Engines for nodes `0..nodes` of one cluster (one shard each, sharing
 /// counters as one process does), with trace time base `base`.
@@ -42,14 +50,14 @@ fn engines(nodes: usize, reliable: bool, base: Instant) -> (Vec<ShardEngine>, Co
     (engines, counters)
 }
 
-/// Submit one blocking operation the way a `NodeHandle` does (gate slot
-/// included) and step it in.
+/// Submit one blocking operation the way a `NodeHandle` does (a chunk of
+/// one, gate slot included) and step it in.
 fn op(e: &mut ShardEngine, lock: LockId, kind: OpKind, now: Instant) -> Outcome {
     let (tx, rx) = bounded(1);
     assert!(e.gate.try_admit(1));
-    let reply = Reply::oneshot(tx, &e.counters.replies_dropped);
-    assert!(e.step(Input::Op { lock, kind, reply }, now));
-    rx
+    let ops = vec![PipeOp { lock, kind, tag: 0 }];
+    assert!(e.step(Input::Ops { ops, tx }, now));
+    Outcome(rx)
 }
 
 /// Hand `frame` to `e` as if worker slot `from` had put it on the wire.
@@ -268,6 +276,30 @@ fn a_chunk_answers_what_it_settles_at_once_and_a_waiter_later() {
     assert_eq!(counts(&es[0]), (4, 1, 1));
     assert_eq!(counters.replies_dropped.load(Ordering::Relaxed), 0);
     assert_eq!(counters.grants_abandoned.load(Ordering::Relaxed), 0);
+}
+
+/// A completion is sent only after the counts of what its chunk settled
+/// are in the shared metrics: the worker stepping the chunk is held at the
+/// metrics mutex, and the client hears nothing until it gets through.
+#[test]
+fn a_chunk_is_answered_only_after_its_counts_are_published() {
+    let now = Instant::now();
+    let (mut es, _) = engines(1, false, now);
+    let metrics = Arc::clone(&es[0].metrics);
+    let (tx, rx) = unbounded();
+    let held = metrics.lock().unwrap();
+    std::thread::scope(|s| {
+        let e = &mut es[0];
+        s.spawn(move || chunk(e, &[(0, OpKind::Acquire(Mode::Write), 7)], &tx, now));
+        assert!(
+            rx.recv_timeout(Duration::from_millis(50)).is_err(),
+            "answered while its grant was still unpublished"
+        );
+        drop(held);
+        let batch = rx.recv_timeout(Duration::from_secs(10));
+        assert_eq!(batch, Ok(vec![done(0, 7, Ok(()))]));
+        assert_eq!(metrics.lock().unwrap().acquires, 1, "counted first");
+    });
 }
 
 #[test]

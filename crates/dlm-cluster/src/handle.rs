@@ -4,13 +4,14 @@
 //! Both route every operation to the shard worker owning its lock
 //! ([`crate::shard::shard_of`]) and reserve a slot on that shard's
 //! admission gate first — a full shard refuses with
-//! [`ClusterError::Overloaded`] instead of queueing without bound.
+//! [`ClusterError::Overloaded`] instead of queueing without bound. Both
+//! reach the worker the same way: a blocking call is an [`Input::Ops`]
+//! chunk of one on its own completion channel, waited for at once.
 
 use crate::engine::Input;
 use crate::shard::{shard_of, ShardGate};
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TryRecvError};
 use dlm_core::{AcquireError, LockId, Mode, NodeId, ReleaseError, UpgradeError};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Application-visible failures.
@@ -77,8 +78,9 @@ pub struct Completion {
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum OpKind {
     Acquire(Mode),
-    /// Acquire only if that is possible locally without waiting (blocking
-    /// handles only; the outcome reads as granted-or-not).
+    /// Acquire only if that is possible locally without waiting, else
+    /// answer [`ClusterError::Busy`]. Only [`NodeHandle::try_acquire`]
+    /// submits it, and reads the outcome as granted-or-not.
     TryAcquire(Mode),
     Upgrade,
     Release,
@@ -89,76 +91,6 @@ pub(crate) struct PipeOp {
     pub(crate) lock: LockId,
     pub(crate) kind: OpKind,
     pub(crate) tag: u64,
-}
-
-/// Where a worker delivers an operation's outcome: a dedicated one-shot
-/// channel (blocking calls; `try_acquire`'s carries just granted-or-not) or
-/// a shared completion stream tagged with the operation's identity (a
-/// pipelined op that had to wait). The stream carries *vectors* of
-/// completions: a worker answers the ops a chunk settles in its own step
-/// with one send and builds no `Reply` for them; a waiter's completion
-/// travels later as a singleton vector.
-enum ReplySink {
-    Oneshot(Sender<Result<(), ClusterError>>),
-    Try(Sender<bool>),
-    Shared {
-        tx: Sender<Vec<Completion>>,
-        lock: LockId,
-        tag: u64,
-    },
-}
-
-/// Completion channel used by a shard worker to answer an application
-/// operation.
-pub(crate) struct Reply {
-    sink: ReplySink,
-    dropped: Arc<AtomicU64>,
-}
-
-impl Reply {
-    pub(crate) fn oneshot(tx: Sender<Result<(), ClusterError>>, dropped: &Arc<AtomicU64>) -> Self {
-        Reply {
-            sink: ReplySink::Oneshot(tx),
-            dropped: Arc::clone(dropped),
-        }
-    }
-
-    fn try_once(tx: Sender<bool>, dropped: &Arc<AtomicU64>) -> Self {
-        Reply {
-            sink: ReplySink::Try(tx),
-            dropped: Arc::clone(dropped),
-        }
-    }
-
-    pub(crate) fn shared(
-        tx: Sender<Vec<Completion>>,
-        lock: LockId,
-        tag: u64,
-        dropped: &Arc<AtomicU64>,
-    ) -> Self {
-        Reply {
-            sink: ReplySink::Shared { tx, lock, tag },
-            dropped: Arc::clone(dropped),
-        }
-    }
-
-    /// Deliver the outcome now. Returns whether anybody heard it: the
-    /// application side may have given up, and an answer nobody hears is
-    /// not an error, but it must not vanish silently either — it is counted
-    /// in `replies_dropped`, and the engine releases a grant nobody heard.
-    pub(crate) fn complete(self, result: Result<(), ClusterError>) -> bool {
-        let heard = match self.sink {
-            ReplySink::Oneshot(tx) => tx.send(result).is_ok(),
-            ReplySink::Try(tx) => tx.send(result.is_ok()).is_ok(),
-            ReplySink::Shared { tx, lock, tag } => {
-                tx.send(vec![Completion { lock, tag, result }]).is_ok()
-            }
-        };
-        if !heard {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-        }
-        heard
-    }
 }
 
 /// A cloneable, blocking handle to one cluster node.
@@ -173,24 +105,13 @@ pub struct NodeHandle {
     /// One input channel and admission gate per shard worker of this node.
     txs: Vec<Sender<Input>>,
     gates: Vec<Arc<ShardGate>>,
-    replies_dropped: Arc<AtomicU64>,
 }
 
 impl NodeHandle {
-    pub(crate) fn new(
-        node: NodeId,
-        txs: Vec<Sender<Input>>,
-        gates: Vec<Arc<ShardGate>>,
-        replies_dropped: Arc<AtomicU64>,
-    ) -> Self {
+    pub(crate) fn new(node: NodeId, txs: Vec<Sender<Input>>, gates: Vec<Arc<ShardGate>>) -> Self {
         debug_assert_eq!(txs.len(), gates.len());
         debug_assert!(txs.len().is_power_of_two());
-        NodeHandle {
-            node,
-            txs,
-            gates,
-            replies_dropped,
-        }
+        NodeHandle { node, txs, gates }
     }
 
     /// The node this handle drives.
@@ -203,46 +124,45 @@ impl NodeHandle {
         shard_of(lock, self.txs.len())
     }
 
-    /// Admit one operation on `lock` to its shard worker and block for the
-    /// answer on a fresh one-shot channel wrapped by `sink`.
-    fn call<T>(
-        &self,
-        lock: LockId,
-        kind: OpKind,
-        sink: impl FnOnce(Sender<T>, &Arc<AtomicU64>) -> Reply,
-    ) -> Result<T, ClusterError> {
+    /// Admit one operation on `lock` to its shard worker as a chunk of one
+    /// and block for its outcome. The outer error is the call's own: the
+    /// gate shed it, or the worker is gone.
+    fn call(&self, lock: LockId, kind: OpKind) -> Result<Result<(), ClusterError>, ClusterError> {
         let shard = self.shard(lock);
         if !self.gates[shard].try_admit(1) {
             return Err(ClusterError::Overloaded);
         }
+        // One op, one completion: the worker answers in one send.
         let (tx, rx) = bounded(1);
-        let reply = sink(tx, &self.replies_dropped);
+        let ops = vec![PipeOp { lock, kind, tag: 0 }];
         self.txs[shard]
-            .send(Input::Op { lock, kind, reply })
+            .send(Input::Ops { ops, tx })
             .map_err(|_| ClusterError::Disconnected)?;
-        rx.recv().map_err(|_| ClusterError::Disconnected)
+        let mut done = rx.recv().map_err(|_| ClusterError::Disconnected)?;
+        Ok(done.pop().expect("a chunk of one").result)
     }
 
     /// Acquire `lock` in `mode`; blocks until granted.
     pub fn acquire(&self, lock: LockId, mode: Mode) -> Result<(), ClusterError> {
-        self.call(lock, OpKind::Acquire(mode), Reply::oneshot)?
+        self.call(lock, OpKind::Acquire(mode))?
     }
 
     /// Acquire `lock` in `mode` only if this node can admit it locally with
     /// zero messages (the conservative CosConcurrency `try_lock` semantic);
     /// returns whether the lock was taken.
     pub fn try_acquire(&self, lock: LockId, mode: Mode) -> Result<bool, ClusterError> {
-        self.call(lock, OpKind::TryAcquire(mode), Reply::try_once)
+        self.call(lock, OpKind::TryAcquire(mode))
+            .map(|result| result.is_ok())
     }
 
     /// Atomically upgrade a held `U` lock to `W`; blocks until complete.
     pub fn upgrade(&self, lock: LockId) -> Result<(), ClusterError> {
-        self.call(lock, OpKind::Upgrade, Reply::oneshot)?
+        self.call(lock, OpKind::Upgrade)?
     }
 
     /// Release `lock`.
     pub fn release(&self, lock: LockId) -> Result<(), ClusterError> {
-        self.call(lock, OpKind::Release, Reply::oneshot)?
+        self.call(lock, OpKind::Release)?
     }
 
     /// A pipelined interface to this node: submit many operations without

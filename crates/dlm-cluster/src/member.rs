@@ -73,10 +73,10 @@ impl Counters {
     }
 
     /// Poll until [`Self::is_idle`] reads true or `deadline` passes. Unlike
-    /// [`Self::quiesce_within`] it waits out no quiet window: recovery
-    /// pairs it with acknowledged fan-outs and a message-count re-check
-    /// (DESIGN.md §18, "Gauge discipline"), shutdown with stopping the
-    /// transport before the workers.
+    /// [`crate::Cluster::quiesce_within`] it waits out no quiet window:
+    /// recovery pairs it with acknowledged fan-outs and a message-count
+    /// re-check (DESIGN.md §18, "Gauge discipline"), shutdown with stopping
+    /// the transport before the workers.
     pub(crate) fn settle(&self, deadline: Instant) {
         while !self.is_idle() && Instant::now() < deadline {
             std::thread::sleep(SETTLE_POLL);
@@ -124,7 +124,6 @@ pub(crate) struct Member {
     metrics: Vec<Arc<Mutex<NodeMetrics>>>,
     beats: Arc<Vec<AtomicU64>>,
     joins: Vec<JoinHandle<NodeExit>>,
-    replies_dropped: Arc<AtomicU64>,
 }
 
 /// Input channels for `slots` workers: the sender halves (which a transport
@@ -188,7 +187,6 @@ impl Member {
             metrics,
             beats,
             joins,
-            replies_dropped: Arc::clone(&counters.replies_dropped),
         }
     }
 
@@ -198,12 +196,7 @@ impl Member {
 
     /// A cloneable blocking handle to this member's application interface.
     pub(crate) fn handle(&self) -> NodeHandle {
-        NodeHandle::new(
-            NodeId(self.id),
-            self.inputs.clone(),
-            self.gates.clone(),
-            Arc::clone(&self.replies_dropped),
-        )
+        NodeHandle::new(NodeId(self.id), self.inputs.clone(), self.gates.clone())
     }
 
     /// Send `make()` to every worker of this member; returns how many

@@ -39,7 +39,7 @@ use dlm_trace::TraceRecord;
 use std::borrow::Cow;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Configuration of one socket-backed cluster member.
 #[derive(Debug, Clone)]
@@ -168,14 +168,6 @@ impl Node {
     /// sufficient.
     pub fn is_idle(&self) -> bool {
         self.counters.is_idle()
-    }
-
-    /// Local quiescence wait, mirroring
-    /// [`Cluster::quiesce_within`](crate::Cluster::quiesce_within): returns
-    /// the message count once this member has been idle with a stable
-    /// counter for `idle`, or whatever it is at `timeout`.
-    pub fn quiesce_within(&self, idle: Duration, timeout: Duration) -> u64 {
-        self.counters.quiesce_within(idle, timeout)
     }
 
     /// Shut this member down and collect its final report. Same teardown

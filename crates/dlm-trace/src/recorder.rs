@@ -252,9 +252,14 @@ impl<A: Recorder, B: Recorder> Recorder for Tee<A, B> {
 /// Merge per-thread record streams into one trace ordered by `(at, node,
 /// seq)` and renumbered with a global sequence. Used by the cluster runtime
 /// at shutdown.
+///
+/// Stamps are whole µs, so a request's first hop can land at another node
+/// in the same µs its span opened. Within one µs a `RequestStart` therefore
+/// sorts first: a span is always open before any event of it merges in.
 pub fn merge_records(streams: Vec<Vec<TraceRecord>>) -> Vec<TraceRecord> {
     let mut all: Vec<TraceRecord> = streams.into_iter().flatten().collect();
-    all.sort_by_key(|r| (r.at, r.node, r.seq));
+    let opens_later = |r: &TraceRecord| !matches!(r.event, ProtocolEvent::RequestStart { .. });
+    all.sort_by_key(|r| (r.at, opens_later(r), r.node, r.seq));
     for (i, r) in all.iter_mut().enumerate() {
         r.seq = i as u64;
     }
@@ -390,5 +395,45 @@ mod tests {
         assert_eq!(ats, vec![10, 20, 30]);
         let seqs: Vec<u64> = merged.iter().map(|r| r.seq).collect();
         assert_eq!(seqs, vec![0, 1, 2]);
+    }
+
+    /// A request opens at node 3 and its first hop lands at node 1 within
+    /// the same µs: the lower node id must not put the hop before the open.
+    #[test]
+    fn a_span_opens_before_a_hop_stamped_in_the_same_microsecond() {
+        let req = (3 << 32) | 10;
+        let opener = {
+            let mut r = VecRecorder::new();
+            r.record(854, 0, 3, ev_queue(1));
+            let start = ProtocolEvent::RequestStart {
+                req,
+                mode: Mode::Write,
+                upgrade: false,
+            };
+            r.record(855, 0, 3, start);
+            r.into_records()
+        };
+        let hop = {
+            let mut r = VecRecorder::new();
+            r.record(855, 0, 1, ev_queue(2));
+            r.record(855, 0, 1, ProtocolEvent::RequestHop { req, hop: 1 });
+            r.into_records()
+        };
+        let merged = merge_records(vec![hop, opener]);
+        let order: Vec<(u64, u32, &str)> = merged
+            .iter()
+            .map(|r| (r.at, r.node, r.event.kind()))
+            .collect();
+        assert_eq!(
+            order,
+            [
+                (854, 3, "request_queued"),
+                (855, 3, "request_start"),
+                (855, 1, "request_queued"),
+                (855, 1, "request_hop"),
+            ]
+        );
+        let seqs: Vec<u64> = merged.iter().map(|r| r.seq).collect();
+        assert_eq!(seqs, [0, 1, 2, 3]);
     }
 }

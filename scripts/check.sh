@@ -59,6 +59,12 @@ if grep -rnE '[Dd][Pp][Oo][Rr]|\bReduction\b|Options::reduced|--reduction' --exc
   exit 1
 fi
 
+echo "==> one-op-path guard: a blocking call is a chunk of one, answered like any other"
+if grep -rnE 'Input::Op\b|Caller::|ReplySink|Reply::oneshot|try_once' crates/dlm-cluster/src; then
+  echo "crates/dlm-cluster/src has one operation path: NodeHandle sends Input::Ops with one op, the engine answers it through the chunk's completion batch or its waiter's Reply; no Input::Op, Caller, ReplySink or per-call reply constructor" >&2
+  exit 1
+fi
+
 echo "==> design-reference guard: every DESIGN.md §N cited in code names a '## N.' heading of DESIGN.md"
 dangling=0
 while IFS=: read -r file line cite; do
