@@ -68,6 +68,8 @@ impl LockSet {
     /// Non-blocking acquire (OMG `try_lock`): succeeds only if this node can
     /// admit the mode locally without any message exchange. Conservative: a
     /// `false` means "not free right now from here", not "held elsewhere".
+    /// A node whose worker died answers [`ClusterError::WorkerDied`], not
+    /// `false`.
     pub fn try_lock(&self, mode: Mode) -> Result<bool, ClusterError> {
         self.handle.try_acquire(self.lock, mode)
     }

@@ -5,7 +5,6 @@ use dlm_cluster::{Cluster, ClusterConfig};
 use dlm_core::{LockId, Mode};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 fn two_node_sets() -> (Cluster, LockSet, LockSet) {
     let c = Cluster::new(ClusterConfig {
@@ -48,7 +47,7 @@ fn guard_releases_on_drop() {
     } // dropped here
     b.lock(Mode::Write).unwrap(); // would deadlock if the guard leaked
     b.unlock().unwrap();
-    c.quiesce(Duration::from_millis(10));
+    c.quiesce();
     let report = c.shutdown();
     assert!(report.audit_errors.is_empty(), "{:?}", report.audit_errors);
 }
@@ -112,7 +111,7 @@ fn read_then_write_is_consistent_under_racing_upgraders() {
         40,
         "no lost updates across racing upgraders"
     );
-    c.quiesce(Duration::from_millis(10));
+    c.quiesce();
     let report = c.shutdown();
     assert!(report.audit_errors.is_empty(), "{:?}", report.audit_errors);
 }
@@ -175,7 +174,7 @@ fn pipeline_interoperates_with_locksets() {
     while pipe.outstanding() > 0 {
         assert!(pipe.recv().unwrap().result.is_ok());
     }
-    c.quiesce(Duration::from_millis(10));
+    c.quiesce();
     let report = c.shutdown();
     assert!(report.audit_errors.is_empty(), "{:?}", report.audit_errors);
     assert_eq!(report.replies_dropped, 0);

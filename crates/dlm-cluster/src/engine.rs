@@ -49,7 +49,8 @@ pub(crate) enum Input {
     /// A batch of application operations: a pipelined chunk, or a
     /// blocking call's chunk of one. Outcomes settled while processing the
     /// batch are answered as one vector on `tx`; deferred grants follow
-    /// later as singleton vectors.
+    /// later as singleton vectors. The sender put the chunk on the
+    /// in-flight gauge; stepping it takes that claim back.
     Ops {
         ops: Vec<PipeOp>,
         tx: Sender<Vec<Completion>>,
@@ -366,6 +367,9 @@ impl ShardEngine {
                 // it, so a snapshot taken once a completion arrives sees it.
                 self.publish();
                 self.ship_completions(&tx);
+                // The chunk is stepped: what it caused is buffered, and so on
+                // the gauge, before the sender's claim is taken back.
+                self.counters.in_flight.fetch_sub(1, Ordering::Relaxed);
             }
             Input::Die => self.die(),
             Input::Isolate { dead } => {
@@ -398,8 +402,8 @@ impl ShardEngine {
 
     /// The dead state: a crashed node neither sends nor processes, but it
     /// must keep *consuming* so the cluster's accounting stays truthful —
-    /// every arriving physical frame still settles the in-flight gauge, and
-    /// every application operation is refused with
+    /// every arriving physical frame and op chunk still settles the
+    /// in-flight gauge, and every application operation is refused with
     /// [`ClusterError::WorkerDied`] instead of hanging its caller.
     fn step_crashed(&mut self, input: Input) -> bool {
         match input {
@@ -414,6 +418,7 @@ impl ShardEngine {
                     result: Err(ClusterError::WorkerDied),
                 });
                 let _ = tx.send(died.collect());
+                self.counters.in_flight.fetch_sub(1, Ordering::Relaxed);
             }
             Input::Shutdown => return false,
             _ => {}
@@ -565,7 +570,7 @@ impl ShardEngine {
             OpKind::TryAcquire(mode) => {
                 let node = lock_state(&mut self.locks, self.me, self.protocol, lock);
                 if !node.can_admit_locally(mode) {
-                    // `NodeHandle::try_acquire` reads any refusal as `false`.
+                    // `NodeHandle::try_acquire` reads this refusal as `false`.
                     return self.answer(lock, tag, Err(ClusterError::Busy));
                 }
                 (mode, false)

@@ -51,12 +51,10 @@ fn engines(nodes: usize, reliable: bool, base: Instant) -> (Vec<ShardEngine>, Co
 }
 
 /// Submit one blocking operation the way a `NodeHandle` does (a chunk of
-/// one, gate slot included) and step it in.
+/// one, gate slot and in-flight claim included) and step it in.
 fn op(e: &mut ShardEngine, lock: LockId, kind: OpKind, now: Instant) -> Outcome {
     let (tx, rx) = bounded(1);
-    assert!(e.gate.try_admit(1));
-    let ops = vec![PipeOp { lock, kind, tag: 0 }];
-    assert!(e.step(Input::Ops { ops, tx }, now));
+    chunk(e, &[(lock.0, kind, 0)], &tx, now);
     Outcome(rx)
 }
 
@@ -182,8 +180,8 @@ fn grant_for_a_vanished_waiter_is_counted_not_fatal() {
     assert_eq!(again.try_recv(), Ok(Ok(())));
 }
 
-/// Hand `e` one pipelined chunk the way a `Pipeline` does (gate slots
-/// included).
+/// Hand `e` one pipelined chunk the way a `Pipeline` does (gate slots and
+/// in-flight claim included).
 fn chunk(
     e: &mut ShardEngine,
     ops: &[(u32, OpKind, u64)],
@@ -191,6 +189,7 @@ fn chunk(
     now: Instant,
 ) {
     assert!(e.gate.try_admit(ops.len()));
+    e.counters.in_flight.fetch_add(1, Ordering::Relaxed);
     let ops = ops
         .iter()
         .map(|&(lock, kind, tag)| PipeOp {
@@ -375,13 +374,7 @@ fn die_fails_waiters_and_sends_nothing_more() {
     let refused = op(&mut es[1], LockId(0), OpKind::Release, now);
     assert_eq!(refused.try_recv(), Ok(Err(ClusterError::WorkerDied)));
     let (tx, rx) = unbounded();
-    assert!(es[1].gate.try_admit(1));
-    let ops = vec![PipeOp {
-        lock: LockId(1),
-        kind: OpKind::Upgrade,
-        tag: 9,
-    }];
-    assert!(es[1].step(Input::Ops { ops, tx }, now));
+    chunk(&mut es[1], &[(1, OpKind::Upgrade, 9)], &tx, now);
     let died = rx.try_recv().expect("one batch");
     assert_eq!(died[0].result, Err(ClusterError::WorkerDied));
     assert!(counters.is_idle());

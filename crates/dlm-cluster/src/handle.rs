@@ -5,13 +5,16 @@
 //! ([`crate::shard::shard_of`]) and reserve a slot on that shard's
 //! admission gate first — a full shard refuses with
 //! [`ClusterError::Overloaded`] instead of queueing without bound. Both
-//! reach the worker the same way: a blocking call is an [`Input::Ops`]
-//! chunk of one on its own completion channel, waited for at once.
+//! reach the worker the same way (`NodeHandle::send`): a blocking call is an
+//! [`Input::Ops`] chunk of one on its own completion channel, waited for at
+//! once, and a chunk is on the in-flight gauge from its send until the
+//! worker has stepped it.
 
 use crate::engine::Input;
 use crate::shard::{shard_of, ShardGate};
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TryRecvError};
 use dlm_core::{AcquireError, LockId, Mode, NodeId, ReleaseError, UpgradeError};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Application-visible failures.
@@ -101,43 +104,51 @@ pub(crate) struct PipeOp {
 /// model); concurrent misuse surfaces as [`ClusterError`].
 #[derive(Clone)]
 pub struct NodeHandle {
-    node: NodeId,
-    /// One input channel and admission gate per shard worker of this node.
-    txs: Vec<Sender<Input>>,
-    gates: Vec<Arc<ShardGate>>,
+    pub(crate) node: NodeId,
+    /// One input channel and admission gate per shard worker of this node
+    /// (a power of two of them).
+    pub(crate) txs: Vec<Sender<Input>>,
+    pub(crate) gates: Vec<Arc<ShardGate>>,
+    /// The member's in-flight gauge, which every chunk is on until stepped.
+    pub(crate) in_flight: Arc<AtomicU64>,
 }
 
 impl NodeHandle {
-    pub(crate) fn new(node: NodeId, txs: Vec<Sender<Input>>, gates: Vec<Arc<ShardGate>>) -> Self {
-        debug_assert_eq!(txs.len(), gates.len());
-        debug_assert!(txs.len().is_power_of_two());
-        NodeHandle { node, txs, gates }
-    }
-
     /// The node this handle drives.
     pub fn node(&self) -> NodeId {
         self.node
     }
 
-    /// The shard worker owning `lock` on this node.
-    fn shard(&self, lock: LockId) -> usize {
-        shard_of(lock, self.txs.len())
+    /// Reserve a slot for one operation on `lock` at the admission gate of
+    /// the shard worker owning it, and return that shard.
+    fn admit(&self, lock: LockId) -> Result<usize, ClusterError> {
+        let shard = shard_of(lock, self.txs.len());
+        let admitted = self.gates[shard].try_admit(1);
+        admitted.then_some(shard).ok_or(ClusterError::Overloaded)
+    }
+
+    /// Send `chunk`, carrying `n` operations admitted at `shard`'s gate, to
+    /// that worker, with its claim on the in-flight gauge; the worker takes
+    /// the claim back once it has stepped the chunk. If the worker is gone,
+    /// the claim and the `n` gate slots are given back.
+    fn send(&self, shard: usize, n: usize, chunk: Input) -> Result<(), ClusterError> {
+        self.in_flight.fetch_add(1, Ordering::Relaxed);
+        self.txs[shard].send(chunk).map_err(|_| {
+            self.in_flight.fetch_sub(1, Ordering::Relaxed);
+            self.gates[shard].leave(n);
+            ClusterError::Disconnected
+        })
     }
 
     /// Admit one operation on `lock` to its shard worker as a chunk of one
     /// and block for its outcome. The outer error is the call's own: the
     /// gate shed it, or the worker is gone.
     fn call(&self, lock: LockId, kind: OpKind) -> Result<Result<(), ClusterError>, ClusterError> {
-        let shard = self.shard(lock);
-        if !self.gates[shard].try_admit(1) {
-            return Err(ClusterError::Overloaded);
-        }
+        let shard = self.admit(lock)?;
         // One op, one completion: the worker answers in one send.
         let (tx, rx) = bounded(1);
         let ops = vec![PipeOp { lock, kind, tag: 0 }];
-        self.txs[shard]
-            .send(Input::Ops { ops, tx })
-            .map_err(|_| ClusterError::Disconnected)?;
+        self.send(shard, 1, Input::Ops { ops, tx })?;
         let mut done = rx.recv().map_err(|_| ClusterError::Disconnected)?;
         Ok(done.pop().expect("a chunk of one").result)
     }
@@ -149,10 +160,14 @@ impl NodeHandle {
 
     /// Acquire `lock` in `mode` only if this node can admit it locally with
     /// zero messages (the conservative CosConcurrency `try_lock` semantic);
-    /// returns whether the lock was taken.
+    /// returns whether the lock was taken. A refusal (the lock is not free
+    /// here, or already has an operation pending) is `Ok(false)`; a worker
+    /// that died is [`ClusterError::WorkerDied`], as for [`Self::acquire`].
     pub fn try_acquire(&self, lock: LockId, mode: Mode) -> Result<bool, ClusterError> {
-        self.call(lock, OpKind::TryAcquire(mode))
-            .map(|result| result.is_ok())
+        match self.call(lock, OpKind::TryAcquire(mode))? {
+            Err(ClusterError::WorkerDied) => Err(ClusterError::WorkerDied),
+            result => Ok(result.is_ok()),
+        }
     }
 
     /// Atomically upgrade a held `U` lock to `W`; blocks until complete.
@@ -170,8 +185,7 @@ impl NodeHandle {
     pub fn pipeline(&self) -> Pipeline {
         let (comp_tx, comp_rx) = unbounded();
         Pipeline {
-            txs: self.txs.clone(),
-            gates: self.gates.clone(),
+            handle: self.clone(),
             comp_tx,
             comp_rx,
             ready: std::collections::VecDeque::new(),
@@ -202,8 +216,7 @@ const PIPELINE_CHUNK: usize = 256;
 /// stays wedged behind it, and operations it never shipped give their
 /// admission slots back.
 pub struct Pipeline {
-    txs: Vec<Sender<Input>>,
-    gates: Vec<Arc<ShardGate>>,
+    handle: NodeHandle,
     comp_tx: Sender<Vec<Completion>>,
     comp_rx: Receiver<Vec<Completion>>,
     /// Completions received from the stream but not yet handed to the
@@ -221,13 +234,10 @@ pub struct Pipeline {
 
 impl Pipeline {
     fn submit(&mut self, lock: LockId, kind: OpKind, tag: u64) -> Result<(), ClusterError> {
-        let shard = shard_of(lock, self.txs.len());
         // Reserve the worker-queue slot at submission, while the op is
         // still buffered client-side: the gate bounds *admitted* work, and
         // shedding here keeps a fast submitter from outrunning its shard.
-        if !self.gates[shard].try_admit(1) {
-            return Err(ClusterError::Overloaded);
-        }
+        let shard = self.handle.admit(lock)?;
         self.bufs[shard].push(PipeOp { lock, kind, tag });
         self.buffered += 1;
         self.outstanding += 1;
@@ -262,13 +272,12 @@ impl Pipeline {
         // Hand the worker a full-capacity buffer and leave one behind, so a
         // steady stream of chunks never regrows the shard buffer from zero.
         let ops = std::mem::replace(&mut self.bufs[shard], Vec::with_capacity(PIPELINE_CHUNK));
-        self.buffered -= ops.len();
-        self.txs[shard]
-            .send(Input::Ops {
-                ops,
-                tx: self.comp_tx.clone(),
-            })
-            .map_err(|_| ClusterError::Disconnected)
+        let n = ops.len();
+        self.buffered -= n;
+        let tx = self.comp_tx.clone();
+        let sent = self.handle.send(shard, n, Input::Ops { ops, tx });
+        // Ops the worker never got will never complete.
+        sent.inspect_err(|_| self.outstanding -= n)
     }
 
     /// Ship every buffered operation now, regardless of batch size.
@@ -327,7 +336,7 @@ impl Drop for Pipeline {
     /// the worker dequeuing it would release; an unshipped one never gets
     /// there, so its slot is returned here.
     fn drop(&mut self) {
-        for (gate, buf) in self.gates.iter().zip(&self.bufs) {
+        for (gate, buf) in self.handle.gates.iter().zip(&self.bufs) {
             gate.leave(buf.len());
         }
     }

@@ -57,7 +57,9 @@ mod socket;
 mod transport;
 
 pub use handle::{ClusterError, Completion, NodeHandle, Pipeline};
-pub use node::{audit_process_states, audit_surviving_states, Node, NodeConfig, NodeReport};
+pub use node::{
+    audit_process_states, audit_surviving_states, await_quiescence, Node, NodeConfig, NodeReport,
+};
 pub use reliable::ReliableConfig;
 pub use runtime::{plan_recovery, Cluster, ClusterConfig, ClusterReport, LinkReport, ScanReport};
 pub use socket::{SocketConfig, SocketMode};

@@ -1,7 +1,9 @@
 //! The member runtime: one node's shard workers as threads, and the
 //! lifecycle both [`crate::Cluster`] (N members on an in-process transport)
 //! and [`crate::Node`] (one member on a socket) are thin drivers over —
-//! spawn, handle, quiesce, scan, repair, drain-and-shutdown.
+//! spawn, handle, settle, scan, repair, drain-and-shutdown. Every wait in
+//! it ends on the gauges ([`Counters::settle`]) or on an answer, never on
+//! a quiet window.
 //!
 //! Each worker thread is a ~60-line driver ([`drive`]) around a sans-IO
 //! [`ShardEngine`]: it owns the input channel, the clock and the heartbeat
@@ -55,7 +57,8 @@ pub(crate) struct Counters {
     pub(crate) grants_abandoned: Arc<AtomicU64>,
     /// Physical frames created but not yet fully processed by their
     /// receiving worker (includes frames parked inside the transport and
-    /// protocol frames buffered for coalescing).
+    /// protocol frames buffered for coalescing), plus application op
+    /// chunks sent to a worker but not yet stepped.
     pub(crate) in_flight: Arc<AtomicU64>,
     /// Data sequences sent but not yet cumulatively acked (reliability shim
     /// only; 0 otherwise).
@@ -72,55 +75,27 @@ impl Counters {
         self.in_flight.load(Ordering::Relaxed) == 0 && self.unacked.load(Ordering::Relaxed) == 0
     }
 
-    /// Poll until [`Self::is_idle`] reads true or `deadline` passes. Unlike
-    /// [`crate::Cluster::quiesce_within`] it waits out no quiet window:
-    /// recovery pairs it with acknowledged fan-outs and a message-count
-    /// re-check (DESIGN.md §18, "Gauge discipline"), shutdown with stopping
-    /// the transport before the workers.
-    pub(crate) fn settle(&self, deadline: Instant) {
+    /// Poll until [`Self::is_idle`] reads true or `deadline` passes, then
+    /// return the message count: the one in-process wait (DESIGN.md §18,
+    /// "Gauge discipline"). Quiescence is a settle; recovery pairs it with
+    /// acknowledged fan-outs and a message-count re-check, shutdown with
+    /// stopping the transport before the workers.
+    pub(crate) fn settle(&self, deadline: Instant) -> u64 {
         while !self.is_idle() && Instant::now() < deadline {
             std::thread::sleep(SETTLE_POLL);
         }
-    }
-
-    /// Quiescence wait: the message count once it has stayed stable for
-    /// `idle` with [`Self::is_idle`] holding throughout, or whatever it is
-    /// when `timeout` elapses first.
-    ///
-    /// "Idle" consults the gauges, not just the send counter: a frame parked
-    /// in a delaying router (or a dropped frame awaiting retransmission, or
-    /// a protocol frame buffered for coalescing) produces no sends for
-    /// longer than a small `idle` window, and judging by counter stability
-    /// alone would declare quiescence while the cluster still owes itself
-    /// traffic.
-    pub(crate) fn quiesce_within(&self, idle: Duration, timeout: Duration) -> u64 {
-        let start = Instant::now();
-        let tick = (idle / 8).max(Duration::from_micros(200)).min(idle);
-        let mut last = self.messages_sent();
-        let mut stable_since = Instant::now();
-        loop {
-            if start.elapsed() >= timeout {
-                return self.messages_sent();
-            }
-            std::thread::sleep(tick);
-            let count = self.messages_sent();
-            if count != last || !self.is_idle() {
-                last = count;
-                stable_since = Instant::now();
-            } else if stable_since.elapsed() >= idle {
-                return count;
-            }
-        }
+        self.messages_sent()
     }
 }
 
 /// One node's shard workers.
 pub(crate) struct Member {
-    id: u32,
-    /// Per shard: input channel, admission gate, live metrics, heartbeat
-    /// stamp (µs since the cluster epoch), thread.
-    inputs: Vec<Sender<Input>>,
-    gates: Vec<Arc<ShardGate>>,
+    /// A blocking handle to this member's application interface, which
+    /// also holds its node id and, per shard, input channel and admission
+    /// gate.
+    pub(crate) handle: NodeHandle,
+    /// Per shard: live metrics, heartbeat stamp (µs since the cluster
+    /// epoch), thread.
     metrics: Vec<Arc<Mutex<NodeMetrics>>>,
     beats: Arc<Vec<AtomicU64>>,
     joins: Vec<JoinHandle<NodeExit>>,
@@ -181,9 +156,12 @@ impl Member {
             })
             .collect();
         Member {
-            id,
-            inputs,
-            gates,
+            handle: NodeHandle {
+                node: NodeId(id),
+                txs: inputs,
+                gates,
+                in_flight: Arc::clone(&counters.in_flight),
+            },
             metrics,
             beats,
             joins,
@@ -191,19 +169,15 @@ impl Member {
     }
 
     pub(crate) fn id(&self) -> u32 {
-        self.id
-    }
-
-    /// A cloneable blocking handle to this member's application interface.
-    pub(crate) fn handle(&self) -> NodeHandle {
-        NodeHandle::new(NodeId(self.id), self.inputs.clone(), self.gates.clone())
+        self.handle.node.0
     }
 
     /// Send `make()` to every worker of this member; returns how many
     /// workers' channels took it (a worker whose thread is gone takes
     /// nothing).
     pub(crate) fn broadcast(&self, make: impl Fn() -> Input) -> usize {
-        self.inputs
+        self.handle
+            .txs
             .iter()
             .filter(|tx| tx.send(make()).is_ok())
             .count()
@@ -211,7 +185,8 @@ impl Member {
 
     /// Per worker: its admission gate and live metrics, in shard order.
     pub(crate) fn workers(&self) -> impl Iterator<Item = (&ShardGate, &Mutex<NodeMetrics>)> {
-        self.gates
+        self.handle
+            .gates
             .iter()
             .zip(&self.metrics)
             .map(|(g, m)| (&**g, &**m))
@@ -244,7 +219,7 @@ impl Member {
             .into_iter()
             .filter_map(|join| join.join().ok())
             .collect();
-        out.workers_died += (self.inputs.len() - exits.len()) as u64;
+        out.workers_died += (self.handle.txs.len() - exits.len()) as u64;
         // Sized once: the lock tables are the largest thing a member hands
         // back, and a growing vector would hold two copies at its last step.
         let mut states = Vec::with_capacity(exits.iter().map(|exit| exit.locks.len()).sum());

@@ -22,9 +22,10 @@
 //!   multi-process harness), and [`audit_process_states`] reassembles and
 //!   audits a full cluster's worth.
 //!
-//! Callers coordinate global quiescence themselves: poll every member's
-//! [`Node::is_idle`] / [`Node::messages_sent`] until all are idle at once
-//! and the message sum is stable, then shut all members down.
+//! Global quiescence is [`await_quiescence`] over every member's
+//! [`Node::is_idle`] and [`Node::messages_sent`] (in one process, or over
+//! a line protocol to many): two consecutive polls that both find every
+//! member idle, with equal message sums. Then shut all members down.
 
 use crate::engine::{fresh_state, Input};
 use crate::member::{self, Collected, Counters, Member};
@@ -39,7 +40,10 @@ use dlm_trace::TraceRecord;
 use std::borrow::Cow;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
+
+/// Pause between two polls of [`await_quiescence`].
+const QUIESCENCE_POLL: Duration = Duration::from_millis(2);
 
 /// Configuration of one socket-backed cluster member.
 #[derive(Debug, Clone)]
@@ -98,7 +102,6 @@ pub struct Node {
     member: Member,
     transport: Arc<SocketTransport>,
     counters: Counters,
-    shards: usize,
 }
 
 impl Node {
@@ -142,7 +145,6 @@ impl Node {
             member,
             transport,
             counters,
-            shards,
         })
     }
 
@@ -153,7 +155,7 @@ impl Node {
 
     /// A cloneable blocking handle to this member's application interface.
     pub fn handle(&self) -> NodeHandle {
-        self.member.handle()
+        self.member.handle.clone()
     }
 
     /// Protocol messages this member transmitted so far.
@@ -162,10 +164,9 @@ impl Node {
     }
 
     /// True when this member owes the cluster nothing it knows about: no
-    /// frame in local flight and no data sequence awaiting a peer's ack.
-    /// Global quiescence needs *every* member idle at once with a stable
-    /// global message count — one member's idle is necessary, not
-    /// sufficient.
+    /// op chunk or frame in local flight and no data sequence awaiting a
+    /// peer's ack. One member's idle is necessary for global quiescence,
+    /// not sufficient: see [`await_quiescence`].
     pub fn is_idle(&self) -> bool {
         self.counters.is_idle()
     }
@@ -196,7 +197,7 @@ impl Node {
 
     /// Worker threads per node (the effective shard count).
     pub fn shards(&self) -> usize {
-        self.shards
+        self.member.handle.txs.len()
     }
 
     /// Simulate this member's crash: its workers abandon their protocol
@@ -249,6 +250,27 @@ impl Node {
             .filter(|&(peer, &resets)| peer as u32 != self.id() && resets > 0)
             .map(|(peer, _)| peer as u32)
             .collect()
+    }
+}
+
+/// Wait for global quiescence of a set of members. `poll` sweeps the
+/// members once and returns `(every member idle, message sum)`. Quiet is
+/// two consecutive polls, 2 ms apart, that both find every member idle
+/// with equal sums (DESIGN.md §16 says why one idle poll is not enough).
+/// Returns `true` then, or `false` once `deadline` passes.
+pub fn await_quiescence(mut poll: impl FnMut() -> (bool, u64), deadline: Instant) -> bool {
+    // The sum of the previous poll, if that poll found every member idle.
+    let mut idle_sum = None;
+    loop {
+        let (idle, sum) = poll();
+        if idle && idle_sum == Some(sum) {
+            return true;
+        }
+        idle_sum = idle.then_some(sum);
+        if Instant::now() >= deadline {
+            return false;
+        }
+        std::thread::sleep(QUIESCENCE_POLL);
     }
 }
 

@@ -310,7 +310,7 @@ impl Cluster {
 
     /// A cloneable blocking handle to node `id`.
     pub fn handle(&self, id: u32) -> NodeHandle {
-        self.members[id as usize].handle()
+        self.members[id as usize].handle.clone()
     }
 
     /// Number of nodes.
@@ -522,8 +522,9 @@ impl Cluster {
     /// 2. *Scan* — every surviving worker reports `(lock, has_token,
     ///    epoch)` for the locks it hosts. If any protocol message was sent
     ///    between the start of step 1 and the last answer, some worker
-    ///    was still busy (an application operation queued at it is on no
-    ///    gauge): settle and scan again.
+    ///    was still busy (an operation submitted while the scan ran, or
+    ///    one that moved a token while step 1 settled): settle and scan
+    ///    again.
     /// 3. *Plan* — [`plan_recovery`]: per affected lock, the next epoch and
     ///    the new root.
     /// 4. *Repair* — send the wave to the survivors, wait until every
@@ -556,26 +557,28 @@ impl Cluster {
         repaired
     }
 
-    /// [`Self::recover`]. `idle` sets nothing: recovery ends on
-    /// acknowledgements and gauge readings, not on a quiet window. The
-    /// signature stays so that callers passing a window keep compiling.
+    /// [`Self::recover`]; `_idle` is ignored. Kept only for the benchmark
+    /// crate, which calls it by this name.
+    #[doc(hidden)]
     pub fn recover_within(&self, dead: u32, _idle: Duration) -> usize {
         self.recover(dead)
     }
 
-    /// Quiescence wait: returns once the message counter has stayed stable
-    /// for `idle` *and* no physical frame is in flight or awaiting ack,
-    /// bounded by a generous default timeout. Use after all application
-    /// operations completed to let release waves drain.
-    pub fn quiesce(&self, idle: Duration) -> u64 {
-        self.quiesce_within(idle, Duration::from_secs(30))
+    /// Quiescence wait: returns the message count once no op chunk, frame
+    /// or unacked data sequence is in flight (DESIGN.md §18, "Gauge
+    /// discipline"), or whatever it is after 30 s. Call it once the
+    /// application has stopped submitting, to let release waves drain;
+    /// the count it returns is then final.
+    pub fn quiesce(&self) -> u64 {
+        self.counters
+            .settle(Instant::now() + Duration::from_secs(30))
     }
 
-    /// [`Self::quiesce`] with an explicit upper bound: returns the final
-    /// message count once the cluster is idle for `idle`, or whatever the
-    /// count is when `timeout` elapses first.
-    pub fn quiesce_within(&self, idle: Duration, timeout: Duration) -> u64 {
-        self.counters.quiesce_within(idle, timeout)
+    /// [`Self::quiesce`] bounded by `timeout`; `_idle` is ignored. Kept
+    /// only for the benchmark crate, which calls it by this name.
+    #[doc(hidden)]
+    pub fn quiesce_within(&self, _idle: Duration, timeout: Duration) -> u64 {
+        self.counters.settle(Instant::now() + timeout)
     }
 
     /// Shut down all threads (drain, stop the transport, stop the workers —
@@ -702,7 +705,7 @@ mod tests {
             assert_eq!(c.recover(1), 4);
             let returned = c.epoch.elapsed().as_micros() as u64;
             let sent = c.counters.messages_sent();
-            c.quiesce(Duration::from_millis(5));
+            c.quiesce();
             assert_eq!(
                 c.counters.messages_sent(),
                 sent,
@@ -756,7 +759,7 @@ mod tests {
             let h1 = c.handle(1);
             h1.acquire(lock, Mode::Write).unwrap();
             h1.release(lock).unwrap();
-            c.quiesce(Duration::from_millis(3));
+            c.quiesce();
             let h2 = c.handle(2);
             let waiter = std::thread::spawn(move || h2.acquire(lock, Mode::Write).map(|()| h2));
             std::thread::sleep(Duration::from_micros(1500 + 60 * (seed % 40)));
@@ -765,7 +768,7 @@ mod tests {
             assert_eq!(c.recover(1), 1, "seed {seed}");
             let h2 = waiter.join().unwrap().expect("node 2's W completes");
             h2.release(lock).unwrap();
-            c.quiesce(Duration::from_millis(3));
+            c.quiesce();
             let report = c.shutdown();
             assert!(
                 report.audit_errors.is_empty(),
@@ -816,14 +819,15 @@ mod tests {
         );
     }
 
-    /// An application operation queued at a survivor is on no gauge, so
-    /// the settle before the scan can read idle while that operation has
-    /// yet to move the token. Node 2's worker is held inside an earlier
-    /// scan while its W acquire queues behind it: `recover` hears from
-    /// node 0, the holder, first, then from node 2, whose acquire has sent
-    /// its request by then. The message count moved across the scan, so
-    /// `recover` settles and scans again, finds the token at node 2 and
-    /// keeps it there: nothing is regenerated and nothing is fenced.
+    /// An application operation queued at a survivor holds the in-flight
+    /// gauge until its worker has stepped it. Node 2's worker is held
+    /// inside an earlier scan while its W acquire queues behind it, so the
+    /// settle before `recover`'s scan lasts until the worker is released,
+    /// steps the acquire, and the token has moved to node 2. The message
+    /// count moved during that settle, so `recover` settles and scans a
+    /// second time. The count holds across that one, which finds the token
+    /// at node 2 and keeps it there: nothing is regenerated and nothing is
+    /// fenced.
     #[test]
     fn a_scan_repeats_when_an_operation_was_still_queued() {
         let lock = LockId::TABLE;
@@ -850,7 +854,7 @@ mod tests {
         });
         let h2 = waiter.join().unwrap().expect("node 2's W completes");
         h2.release(lock).unwrap();
-        c.quiesce(Duration::from_millis(5));
+        c.quiesce();
         let report = c.shutdown();
         assert!(report.audit_errors.is_empty(), "{:?}", report.audit_errors);
         let regenerated =

@@ -74,7 +74,7 @@ fn chaos_matrix_survives_ten_percent_loss_dup_reorder() {
         for t in threads {
             t.join().unwrap();
         }
-        c.quiesce(Duration::from_millis(5));
+        c.quiesce();
         let report = c.shutdown();
         assert_clean(&report);
         let dropped: u64 = report.links.iter().map(|l| l.dropped).sum();
@@ -162,6 +162,28 @@ fn try_acquire_local_admit_transmits_nothing() {
     assert_clean(&report);
 }
 
+/// A dead worker is not a busy lock: `try_acquire` on a crashed node
+/// answers `WorkerDied`, as `acquire` does, instead of `Ok(false)`.
+#[test]
+fn try_acquire_on_a_crashed_node_is_an_error_not_a_refusal() {
+    let c = Cluster::new(ClusterConfig {
+        nodes: 2,
+        ..Default::default()
+    });
+    let h1 = c.handle(1);
+    c.crash_node(1);
+    assert_eq!(
+        h1.try_acquire(LockId::TABLE, Mode::Read),
+        Err(ClusterError::WorkerDied)
+    );
+    assert_eq!(
+        h1.acquire(LockId::TABLE, Mode::Read),
+        Err(ClusterError::WorkerDied)
+    );
+    let report = c.shutdown();
+    assert_clean(&report);
+}
+
 /// Shutdown must drain the transport before stopping node threads: frames
 /// parked in the latency router at the moment of shutdown used to be
 /// flushed into channels no thread would ever read again, and the audit saw
@@ -190,9 +212,9 @@ fn shutdown_drains_parked_frames() {
     assert_clean(&report);
 }
 
-/// `quiesce` must consult the in-flight gauge: with link delay longer than
-/// the idle window, counter stability alone declares quiescence while a
-/// frame is still parked in the router.
+/// `quiesce` must consult the in-flight gauge: for the 40 ms link delay no
+/// send happens anywhere, so counter stability alone would declare
+/// quiescence while a frame is still parked in the router.
 #[test]
 fn quiesce_waits_out_parked_frames() {
     let c = Cluster::new(ClusterConfig {
@@ -208,7 +230,7 @@ fn quiesce_waits_out_parked_frames() {
     // 40 ms during which no send happens anywhere.
     h1.release(LockId::TABLE).unwrap();
     let start = Instant::now();
-    c.quiesce(Duration::from_millis(5));
+    c.quiesce();
     assert!(
         start.elapsed() >= Duration::from_millis(25),
         "quiesce declared idle while a frame was parked ({:?})",
@@ -268,7 +290,7 @@ fn token_holder_crash_recovers_with_epoch_fencing() {
             h.acquire(LockId::TABLE, Mode::Write).unwrap();
             h.release(LockId::TABLE).unwrap();
         }
-        c.quiesce(Duration::from_millis(5));
+        c.quiesce();
         let report = c.shutdown();
         assert!(
             report.audit_errors.is_empty(),
@@ -334,7 +356,7 @@ proptest! {
         for t in threads {
             t.join().unwrap();
         }
-        c.quiesce(Duration::from_millis(5));
+        c.quiesce();
         let report = c.shutdown();
         prop_assert!(report.audit_errors.is_empty(), "{:?}", report.audit_errors);
         prop_assert_eq!(report.decode_errors, 0);

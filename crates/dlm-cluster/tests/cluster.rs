@@ -47,7 +47,7 @@ fn two_nodes_exclusive_handoff() {
     a.release(LockId::TABLE).unwrap();
     t.join().unwrap().unwrap();
     b.release(LockId::TABLE).unwrap();
-    c.quiesce(Duration::from_millis(10));
+    c.quiesce();
     let report = c.shutdown();
     assert!(report.audit_errors.is_empty(), "{:?}", report.audit_errors);
     assert!(report.messages_sent >= 2);
@@ -87,7 +87,7 @@ fn readers_share_writers_exclude() {
         "read locks should overlap (peak {})",
         peak.load(Ordering::SeqCst)
     );
-    c.quiesce(Duration::from_millis(10));
+    c.quiesce();
     let report = c.shutdown();
     assert!(report.audit_errors.is_empty(), "{:?}", report.audit_errors);
 }
@@ -119,7 +119,7 @@ fn writers_never_overlap_under_contention() {
         t.join().unwrap();
     }
     assert_eq!(violations.load(Ordering::SeqCst), 0, "mutual exclusion");
-    c.quiesce(Duration::from_millis(10));
+    c.quiesce();
     let report = c.shutdown();
     assert!(report.audit_errors.is_empty(), "{:?}", report.audit_errors);
 }
@@ -145,7 +145,7 @@ fn hierarchical_intent_plus_entry_across_locks() {
     for t in threads {
         t.join().unwrap();
     }
-    c.quiesce(Duration::from_millis(10));
+    c.quiesce();
     let report = c.shutdown();
     assert!(report.audit_errors.is_empty(), "{:?}", report.audit_errors);
 }
@@ -166,7 +166,7 @@ fn upgrade_is_atomic_under_contention() {
     h0.release(LockId::TABLE).unwrap();
     t.join().unwrap().unwrap();
     h1.release(LockId::TABLE).unwrap();
-    c.quiesce(Duration::from_millis(10));
+    c.quiesce();
     let report = c.shutdown();
     assert!(report.audit_errors.is_empty(), "{:?}", report.audit_errors);
 }
@@ -216,7 +216,7 @@ fn trace_capture_matches_message_count() {
     for t in threads {
         t.join().unwrap();
     }
-    c.quiesce(Duration::from_millis(10));
+    c.quiesce();
     let report = c.shutdown();
     assert!(report.audit_errors.is_empty(), "{:?}", report.audit_errors);
     assert_eq!(report.trace_dropped, 0, "capacity covers the whole run");
@@ -281,18 +281,19 @@ fn concurrent_delayed_messages_share_the_wire() {
     for i in 1..=REQUESTERS {
         c.handle(i).release(LockId::entry(i - 1)).unwrap();
     }
-    c.quiesce(Duration::from_millis(10));
+    c.quiesce();
     let report = c.shutdown();
     assert!(report.audit_errors.is_empty(), "{:?}", report.audit_errors);
 }
 
-/// A quiet cluster's quiesce returns promptly (one idle window, not a fixed
-/// settle schedule), and it is bounded even under sustained traffic.
+/// A quiet cluster's quiesce returns promptly (on the gauges, not after a
+/// fixed settle schedule), and its bounded form is bounded even under
+/// sustained traffic.
 #[test]
 fn quiesce_is_prompt_when_quiet_and_bounded_when_not() {
     let c = cluster(2, 1);
     let start = std::time::Instant::now();
-    let count = c.quiesce_within(Duration::from_millis(5), Duration::from_secs(10));
+    let count = c.quiesce();
     assert_eq!(count, 0);
     assert!(
         start.elapsed() < Duration::from_millis(500),
@@ -321,7 +322,34 @@ fn quiesce_is_prompt_when_quiet_and_bounded_when_not() {
     );
     stop.store(1, Ordering::SeqCst);
     churner.join().unwrap();
-    c.quiesce(Duration::from_millis(10));
+    c.quiesce();
+    let report = c.shutdown();
+    assert!(report.audit_errors.is_empty(), "{:?}", report.audit_errors);
+}
+
+/// Quiesce is exact: an op chunk flushed to a worker but not yet stepped
+/// holds the in-flight gauge, so `quiesce` waits for the traffic it
+/// causes, and the count it returns is final. Each round moves the token
+/// to the other node with a pipelined W acquire.
+#[test]
+fn quiesce_counts_a_flushed_op_that_is_not_yet_stepped() {
+    let c = cluster(2, 1);
+    let mut pipes = [c.handle(0).pipeline(), c.handle(1).pipeline()];
+    for round in 0..300 {
+        let pipe = &mut pipes[1 - round % 2];
+        pipe.submit_acquire(LockId::TABLE, Mode::Write, 0).unwrap();
+        pipe.flush().unwrap();
+        let settled = c.quiesce();
+        assert!(pipe.recv().unwrap().result.is_ok());
+        assert_eq!(
+            c.messages_sent(),
+            settled,
+            "round {round}: quiesce returned early"
+        );
+        pipe.submit_release(LockId::TABLE, 0).unwrap();
+        assert!(pipe.recv().unwrap().result.is_ok());
+    }
+    c.quiesce();
     let report = c.shutdown();
     assert!(report.audit_errors.is_empty(), "{:?}", report.audit_errors);
 }
@@ -353,7 +381,7 @@ fn active_cluster_still_quiesces_fully() {
     }
     // Release traffic may still be parked in the 5 ms router; quiesce must
     // wait it out so the final audit sees a coherent global state.
-    let settled = c.quiesce(Duration::from_millis(25));
+    let settled = c.quiesce();
     let report = c.shutdown();
     assert_eq!(settled, report.messages_sent, "quiesce saw the final count");
     assert!(report.audit_errors.is_empty(), "{:?}", report.audit_errors);
@@ -381,7 +409,7 @@ fn router_delay_variant_works() {
     for t in threads {
         t.join().unwrap();
     }
-    c.quiesce(Duration::from_millis(20));
+    c.quiesce();
     let report = c.shutdown();
     assert!(report.audit_errors.is_empty(), "{:?}", report.audit_errors);
 }
@@ -417,7 +445,7 @@ fn request_spans_pair_up_and_feed_metrics() {
     for t in threads {
         t.join().unwrap();
     }
-    c.quiesce(Duration::from_millis(10));
+    c.quiesce();
 
     // Snapshot while the cluster is still alive: the exporter is a live
     // endpoint, not a post-mortem artifact.

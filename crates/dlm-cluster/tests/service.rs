@@ -42,7 +42,7 @@ fn distinct_locks_overlap_from_one_node() {
     }
     h1.release(LockId(0)).unwrap();
     h1.release(LockId(1)).unwrap();
-    c.quiesce(Duration::from_millis(10));
+    c.quiesce();
     let report = c.shutdown();
     assert!(report.audit_errors.is_empty(), "{:?}", report.audit_errors);
     assert_eq!(report.replies_dropped, 0);
@@ -85,7 +85,7 @@ fn pipeline_reports_busy_per_lock_only() {
     assert!(pipe.recv().unwrap().result.is_ok());
     assert!(pipe.recv().unwrap().result.is_ok());
     assert_eq!(pipe.outstanding(), 0);
-    c.quiesce(Duration::from_millis(10));
+    c.quiesce();
     let report = c.shutdown();
     assert!(report.audit_errors.is_empty(), "{:?}", report.audit_errors);
     assert_eq!(report.replies_dropped, 0);
@@ -265,7 +265,7 @@ fn coalescing_packs_protocol_frames_per_wire_frame() {
         pipe.submit_release(LockId(l), l as u64).unwrap();
     }
     pipe.flush().unwrap();
-    c.quiesce(Duration::from_millis(10));
+    c.quiesce();
     let report = c.shutdown();
     assert!(report.audit_errors.is_empty(), "{:?}", report.audit_errors);
     let (proto, wire) = report
@@ -321,6 +321,52 @@ fn dropped_pipeline_returns_its_unshipped_slots() {
     }
     let report = c.shutdown();
     assert!(report.audit_errors.is_empty(), "{:?}", report.audit_errors);
+}
+
+/// A blocking call that finds its worker gone gives its admission slot
+/// back: a handle that outlives its cluster answers `Disconnected` every
+/// time, and never runs the gate full into `Overloaded`.
+#[test]
+fn a_call_to_a_stopped_worker_returns_its_slot() {
+    let c = Cluster::new(ClusterConfig {
+        nodes: 1,
+        shard_queue: 4,
+        ..Default::default()
+    });
+    let h = c.handle(0);
+    c.shutdown();
+    for attempt in 0..8 {
+        assert_eq!(
+            h.acquire(LockId::TABLE, Mode::Read),
+            Err(ClusterError::Disconnected),
+            "attempt {attempt}"
+        );
+    }
+}
+
+/// A chunk that finds its worker gone takes its ops off `outstanding`:
+/// the failed flush answers `Disconnected`, and so does the `recv` after
+/// it, instead of blocking for completions nobody will send.
+#[test]
+fn a_failed_flush_leaves_nothing_outstanding() {
+    let c = Cluster::new(ClusterConfig {
+        nodes: 1,
+        ..Default::default()
+    });
+    let mut pipe = c.handle(0).pipeline();
+    pipe.submit_acquire(LockId::TABLE, Mode::Read, 1).unwrap();
+    c.shutdown();
+    assert_eq!(pipe.flush(), Err(ClusterError::Disconnected));
+    assert_eq!(pipe.outstanding(), 0);
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(pipe.recv());
+    });
+    assert_eq!(
+        rx.recv_timeout(Duration::from_secs(5)),
+        Ok(Err(ClusterError::Disconnected)),
+        "recv after a failed flush must not block"
+    );
 }
 
 /// The exposition format is an interface (`dlm-api`, `msgstats` and the
@@ -425,7 +471,7 @@ fn sharded_cluster_survives_lossy_links() {
     for t in threads {
         t.join().unwrap();
     }
-    c.quiesce(Duration::from_millis(5));
+    c.quiesce();
     let report = c.shutdown();
     assert!(report.audit_errors.is_empty(), "{:?}", report.audit_errors);
     assert_eq!(report.decode_errors, 0);
@@ -441,7 +487,6 @@ fn sharded_cluster_survives_lossy_links() {
 /// node 2 is served.
 #[test]
 fn a_dropped_pipeline_never_wedges_a_lock() {
-    let idle = Duration::from_millis(10);
     let c = Cluster::new(ClusterConfig {
         nodes: 3,
         locks: 1,
@@ -452,7 +497,7 @@ fn a_dropped_pipeline_never_wedges_a_lock() {
     let mut pipe = c.handle(1).pipeline();
     pipe.submit_acquire(LockId::TABLE, Mode::Write, 1).unwrap();
     pipe.flush().unwrap();
-    c.quiesce(idle);
+    c.quiesce();
     drop(pipe);
     let (done_tx, done) = std::sync::mpsc::channel();
     let waiter = std::thread::spawn(move || {
@@ -460,7 +505,7 @@ fn a_dropped_pipeline_never_wedges_a_lock() {
         let _ = done_tx.send(granted);
         h2
     });
-    c.quiesce(idle);
+    c.quiesce();
     assert!(done.try_recv().is_err(), "node 2 queues behind node 1");
     h0.release(LockId::TABLE).unwrap();
     let granted = done
@@ -469,7 +514,7 @@ fn a_dropped_pipeline_never_wedges_a_lock() {
     assert_eq!(granted, Ok(()));
     let h2 = waiter.join().unwrap();
     h2.release(LockId::TABLE).unwrap();
-    c.quiesce(idle);
+    c.quiesce();
     let report = c.shutdown();
     assert!(report.audit_errors.is_empty(), "{:?}", report.audit_errors);
     assert_eq!(report.grants_abandoned, 1);
@@ -484,7 +529,6 @@ fn a_dropped_pipeline_never_wedges_a_lock() {
 /// holds nothing, and the audit over the survivors is clean.
 #[test]
 fn a_recovered_op_with_no_waiter_is_released() {
-    let idle = Duration::from_millis(10);
     let c = Cluster::new(ClusterConfig {
         nodes: 3,
         locks: 1,
@@ -494,7 +538,7 @@ fn a_recovered_op_with_no_waiter_is_released() {
     let mut pipe = c.handle(2).pipeline();
     pipe.submit_acquire(LockId::TABLE, Mode::Write, 1).unwrap();
     pipe.flush().unwrap();
-    c.quiesce(idle);
+    c.quiesce();
     drop(pipe);
     c.crash_node(1);
     assert_eq!(c.recover(1), 1, "the crashed holder's lock is repaired");
@@ -505,7 +549,7 @@ fn a_recovered_op_with_no_waiter_is_released() {
     h0.release(LockId::TABLE).unwrap();
     h2.acquire(LockId::TABLE, Mode::Write).unwrap();
     h2.release(LockId::TABLE).unwrap();
-    c.quiesce(idle);
+    c.quiesce();
     let report = c.shutdown();
     assert!(report.audit_errors.is_empty(), "{:?}", report.audit_errors);
     assert_eq!(

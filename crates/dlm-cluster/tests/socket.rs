@@ -11,8 +11,8 @@
 //! harness does.
 
 use dlm_cluster::{
-    audit_process_states, audit_surviving_states, codec, plan_recovery, ClusterConfig, LinkReport,
-    Node, NodeConfig, ScanReport, SocketConfig,
+    audit_process_states, audit_surviving_states, await_quiescence, codec, plan_recovery,
+    ClusterConfig, LinkReport, Node, NodeConfig, ScanReport, SocketConfig,
 };
 use dlm_core::{HierNode, LockId, Message, Mode, NodeId, ProtocolConfig, QueuedRequest};
 use std::io::{Read, Write};
@@ -50,31 +50,45 @@ fn member_config(nodes: usize, locks: usize) -> ClusterConfig {
     }
 }
 
-/// Wait until every member is simultaneously idle with a stable global
-/// message count — the cross-process quiescence condition (each member's
-/// own idleness is necessary but not sufficient).
-fn quiesce_all(nodes: &[Node], timeout: Duration) {
-    quiesce_refs(&nodes.iter().collect::<Vec<_>>(), timeout)
+/// Wait for global quiescence of `nodes` ([`await_quiescence`]): every
+/// member idle with the same global message count on two consecutive polls
+/// (each member's own idleness is necessary but not sufficient).
+fn quiesce_all<'a>(nodes: impl IntoIterator<Item = &'a Node>, timeout: Duration) {
+    let nodes: Vec<&Node> = nodes.into_iter().collect();
+    let poll = || {
+        let idle = nodes.iter().all(|n| n.is_idle());
+        (idle, nodes.iter().map(|n| n.messages_sent()).sum())
+    };
+    assert!(
+        await_quiescence(poll, Instant::now() + timeout),
+        "cluster failed to quiesce within {timeout:?}"
+    );
 }
 
-/// [`quiesce_all`] over borrowed members (a survivor subset).
-fn quiesce_refs(nodes: &[&Node], timeout: Duration) {
-    let start = Instant::now();
-    let window = Duration::from_millis(30);
-    let mut last: u64 = nodes.iter().map(|n| n.messages_sent()).sum();
-    let mut stable_since = Instant::now();
-    while start.elapsed() < timeout {
-        std::thread::sleep(Duration::from_millis(2));
-        let sum: u64 = nodes.iter().map(|n| n.messages_sent()).sum();
-        let all_idle = nodes.iter().all(|n| n.is_idle());
-        if sum != last || !all_idle {
-            last = sum;
-            stable_since = Instant::now();
-        } else if stable_since.elapsed() >= window {
-            return;
-        }
-    }
-    panic!("cluster failed to quiesce within {timeout:?}");
+/// The poll number at which [`await_quiescence`] declares quiet when
+/// the members answer `script`, then stay busy; `None` if it never
+/// does before its deadline.
+fn quiet_at(script: &[(bool, u64)]) -> Option<usize> {
+    let mut polls = 0;
+    let poll = || {
+        polls += 1;
+        script.get(polls - 1).copied().unwrap_or((false, 99))
+    };
+    let quiet = await_quiescence(poll, Instant::now() + Duration::from_millis(30));
+    quiet.then_some(polls)
+}
+
+/// Quiet needs two consecutive all-idle polls with equal sums: a busy
+/// poll before an idle one may hide a frame in transit that the idle
+/// poll's sweep let land and be answered unseen.
+#[test]
+fn quiet_is_two_idle_polls_with_one_sum() {
+    let (busy, idle) = (false, true);
+    assert_eq!(quiet_at(&[(busy, 15), (idle, 15)]), None);
+    assert_eq!(quiet_at(&[(idle, 15), (idle, 15)]), Some(2));
+    assert_eq!(quiet_at(&[(idle, 15), (idle, 16)]), None, "the sum moved");
+    assert_eq!(quiet_at(&[(idle, 15), (idle, 16), (idle, 16)]), Some(3));
+    assert_eq!(quiet_at(&[(idle, 15), (busy, 15), (idle, 15)]), None);
 }
 
 /// Round-trip one member's states through the portable codec, as the
@@ -614,11 +628,10 @@ fn tcp_token_holder_crash_recovers_to_new_epoch() {
             .expect("post-recovery Write");
         h.release(LockId(0)).expect("post-recovery release");
     }
-    let alive: Vec<&Node> = survivors
+    let alive = survivors
         .iter()
-        .map(|&n| nodes[n as usize].as_ref().expect("survivor"))
-        .collect();
-    quiesce_refs(&alive, Duration::from_secs(30));
+        .map(|&n| nodes[n as usize].as_ref().expect("survivor"));
+    quiesce_all(alive, Duration::from_secs(30));
 
     // Exactly one token across the survivors, living in the new epoch.
     let tokens: Vec<(u32, u32, u32)> = survivors

@@ -2,7 +2,6 @@
 //! locks, mixed modes, randomized interleaving from the OS scheduler.
 
 use dlm_cluster::{Cluster, ClusterConfig, LockId, Mode};
-use std::time::Duration;
 
 #[test]
 fn mixed_mode_stress_across_locks() {
@@ -64,7 +63,7 @@ fn mixed_mode_stress_across_locks() {
     for t in threads {
         t.join().expect("worker");
     }
-    cluster.quiesce(Duration::from_millis(15));
+    cluster.quiesce();
     let report = cluster.shutdown();
     assert!(report.audit_errors.is_empty(), "{:?}", report.audit_errors);
     assert!(report.messages_sent > 0);

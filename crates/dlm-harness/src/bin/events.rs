@@ -32,7 +32,6 @@ use std::fs::File;
 use std::io::{BufReader, BufWriter};
 use std::path::Path;
 use std::rc::Rc;
-use std::time::Duration;
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -332,7 +331,7 @@ fn run_cluster(nodes: usize, ops: u32) -> (Vec<TraceRecord>, u64) {
     for t in threads {
         t.join().expect("client thread");
     }
-    c.quiesce(Duration::from_millis(20));
+    c.quiesce();
     let report = c.shutdown();
     assert!(report.audit_errors.is_empty(), "{:?}", report.audit_errors);
     assert_eq!(report.trace_dropped, 0, "trace capacity covers the run");

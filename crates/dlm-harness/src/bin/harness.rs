@@ -24,9 +24,11 @@
 //! service resumes with exactly one token in the new epoch and a clean
 //! survivor audit.
 
-use dlm_cluster::{audit_process_states, audit_surviving_states, plan_recovery, ScanReport};
+use dlm_cluster::{
+    audit_process_states, audit_surviving_states, await_quiescence, plan_recovery, ScanReport,
+};
 use dlm_core::{HierNode, ProtocolConfig};
-use dlm_harness::sockload::{await_quiescence, hex_decode, poll_until};
+use dlm_harness::sockload::{hex_decode, poll_until};
 use dlm_metrics::Histogram;
 use dlm_workload::{ProtocolKind, WorkloadParams};
 use std::io::Write as _;

@@ -92,7 +92,7 @@ fn cluster_link_stats() {
     for t in threads {
         t.join().unwrap();
     }
-    c.quiesce(std::time::Duration::from_millis(50));
+    c.quiesce();
     let report = c.shutdown();
     assert!(report.audit_errors.is_empty(), "{:?}", report.audit_errors);
 

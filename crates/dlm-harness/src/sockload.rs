@@ -125,21 +125,6 @@ pub fn run_member_churn(handle: &NodeHandle, me: u32, entries: u32, ops: u32) ->
     out
 }
 
-/// Wait for **global** quiescence: every member idle at once, with the
-/// cluster-wide message sum unchanged since the previous poll (a single
-/// member's idleness is necessary, not sufficient). `poll` sweeps the
-/// members once and returns `(all idle, message sum)`; it runs every 5 ms
-/// until the rule holds (true) or `deadline` passes (false). The
-/// multi-process driver polls over the `idle?` line; in-process callers
-/// read [`dlm_cluster::Node::is_idle`] and `messages_sent` directly.
-pub fn await_quiescence(mut poll: impl FnMut() -> (bool, u64), deadline: Instant) -> bool {
-    let mut last = None;
-    poll_until(deadline, || {
-        let (idle, sum) = poll();
-        last.replace(sum) == Some(sum) && idle
-    })
-}
-
 /// Call `done` every 5 ms until it returns true (then true) or `deadline`
 /// passes (then false).
 pub fn poll_until(deadline: Instant, mut done: impl FnMut() -> bool) -> bool {
@@ -202,7 +187,7 @@ mod tests {
 
     #[test]
     fn workload_over_loopback_completes_and_audits() {
-        use dlm_cluster::{audit_process_states, Node, NodeConfig, SocketConfig};
+        use dlm_cluster::{audit_process_states, await_quiescence, Node, NodeConfig, SocketConfig};
         use std::net::TcpListener;
 
         let mut params = WorkloadParams::linux_cluster(2, ProtocolKind::Hier);

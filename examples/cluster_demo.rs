@@ -95,7 +95,7 @@ fn main() {
         "no seat lost or double-sold under entry-level W locks"
     );
 
-    cluster.quiesce(std::time::Duration::from_millis(20));
+    cluster.quiesce();
     let report = cluster.shutdown();
     assert!(
         report.audit_errors.is_empty(),

@@ -84,7 +84,7 @@ fn main() {
     assert_eq!(final_epoch, expected as u64, "no lost proposals");
     assert_eq!(total_regressions, 0, "epochs observed monotonically");
 
-    cluster.quiesce(std::time::Duration::from_millis(15));
+    cluster.quiesce();
     let report = cluster.shutdown();
     assert!(report.audit_errors.is_empty(), "{:?}", report.audit_errors);
     println!(

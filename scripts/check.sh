@@ -65,6 +65,22 @@ if grep -rnE 'Input::Op\b|Caller::|ReplySink|Reply::oneshot|try_once' crates/dlm
   exit 1
 fi
 
+echo "==> one-wait guard: quiescence ends on the gauges, never on a quiet window"
+# benchmark/ is excluded: it keeps its own socket quiesce copy and calls the
+# hidden Cluster::quiesce_within / recover_within until its next change
+# (ROADMAP item 3).
+wait_dirs=$(ls -d crates/*/src crates/*/tests crates/*/examples tests examples 2>/dev/null || true)
+if grep -rnE 'stable_since|quiesce\((std::time::)?Duration|quiesce\(idle' $wait_dirs; then
+  echo "no quiet window outside benchmark/: Cluster::quiesce() settles on the gauges, members use dlm_cluster::await_quiescence" >&2
+  exit 1
+fi
+defs=$(grep -rnE '\bfn await_quiescence\b' $wait_dirs || true)
+if [ "$(printf '%s\n' "$defs" | grep -c .)" != 1 ]; then
+  echo "one cross-member quiescence rule: exactly one fn await_quiescence (dlm_cluster::await_quiescence); found:" >&2
+  echo "${defs:-none}" >&2
+  exit 1
+fi
+
 echo "==> design-reference guard: every DESIGN.md §N cited in code names a '## N.' heading of DESIGN.md"
 dangling=0
 while IFS=: read -r file line cite; do

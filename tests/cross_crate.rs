@@ -122,7 +122,7 @@ fn cluster_and_sim_agree_on_a_scripted_scenario() {
     h2.release(LockId::TABLE).unwrap();
     upgrader.join().unwrap().unwrap();
     h1.release(LockId::TABLE).unwrap();
-    cluster.quiesce(Duration::from_millis(10));
+    cluster.quiesce();
     let report = cluster.shutdown();
     assert!(report.audit_errors.is_empty(), "{:?}", report.audit_errors);
 }
@@ -149,7 +149,7 @@ fn substrates_agree_on_message_counts() {
     let h = cluster.handle(1);
     h.acquire(LockId::TABLE, Mode::Write).unwrap();
     h.release(LockId::TABLE).unwrap();
-    let cluster_msgs = cluster.quiesce(Duration::from_millis(10));
+    let cluster_msgs = cluster.quiesce();
     let report = cluster.shutdown();
     assert!(report.audit_errors.is_empty());
     assert_eq!(
